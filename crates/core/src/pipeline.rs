@@ -55,14 +55,12 @@ pub struct PipelineConfig {
     pub fuzz: FuzzConfig,
     /// Minkowski order (paper: 3).
     pub minkowski_p: f64,
-    /// Run candidate executions across threads (the paper parallelizes
-    /// execution-environment testing).
-    pub parallel: bool,
-    /// Worker-thread count for parallel stages (candidate profiling,
-    /// GEMM kernels, feature extraction, and the scanhub job scheduler).
-    /// `None` derives the count from the `PATCHECKO_THREADS` environment
-    /// variable or the machine's available parallelism; `Some(1)` forces
-    /// serial execution end to end even when `parallel` is set.
+    /// Worker-thread count for parallel stages (candidate profiling — the
+    /// paper parallelizes execution-environment testing — GEMM kernels,
+    /// feature extraction, and the scanhub job scheduler). `None` derives
+    /// the count from the `PATCHECKO_THREADS` environment variable or the
+    /// machine's available parallelism; `Some(1)` forces serial execution
+    /// end to end.
     pub threads: Option<usize>,
     /// How the static scan selects (reference, target) pairs:
     /// [`Retrieval::Exact`] scores every pair, [`Retrieval::TopK`] runs
@@ -77,7 +75,6 @@ impl Default for PipelineConfig {
             vm: VmConfig::default(),
             fuzz: FuzzConfig::default(),
             minkowski_p: similarity::PAPER_P,
-            parallel: true,
             threads: None,
             retrieval: Retrieval::Exact,
         }
@@ -609,10 +606,8 @@ impl Patchecko {
         // `Err` = the profiler itself panicked or the source failed (the
         // candidate degrades to static evidence).
         type ProfileResult = Result<DynProfile, ScanError>;
-        let results: Vec<ProfileResult> = if self.config.parallel
-            && candidates.len() > 3
-            && self.config.effective_threads() > 1
-        {
+        let fan_out = candidates.len() > 3 && self.config.effective_threads() > 1;
+        let results: Vec<ProfileResult> = if fan_out {
             let tasks: Vec<_> = candidates
                 .iter()
                 .map(|&c| {

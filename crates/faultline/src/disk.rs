@@ -1,6 +1,6 @@
 //! Disk saboteurs for the persisted artifact cache: deterministic,
-//! seed-driven corruption of `artifacts.json` (static lane) or
-//! `dyn_artifacts.json` (dynamic lane), modelling the ways a cache file
+//! seed-driven corruption of one lane file (any of
+//! [`patchecko_scanhub::LANE_FILES`]), modelling the ways a cache file
 //! actually goes bad in the field (crash mid-write, bit rot, version
 //! skew, tampering).
 
@@ -36,47 +36,15 @@ impl DiskFault {
     }
 }
 
-/// Which persisted cache document a disk fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLane {
-    /// `artifacts.json` — static features and CFG summaries.
-    Static,
-    /// `dyn_artifacts.json` — environment sets and dynamic profiles.
-    Dynamic,
-}
-
-impl CacheLane {
-    /// On-disk file name of the lane's document.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            CacheLane::Static => "artifacts.json",
-            CacheLane::Dynamic => patchecko_scanhub::DYN_CACHE_FILE,
-        }
-    }
-}
-
-/// Apply `fault` to the static-lane cache under `dir` — see
-/// [`sabotage_lane`].
-///
-/// # Errors
-/// Propagates filesystem errors; the cache file must exist.
-pub fn sabotage(dir: &Path, fault: DiskFault, plan: &FaultPlan) -> io::Result<String> {
-    sabotage_lane(dir, CacheLane::Static, fault, plan)
-}
-
-/// Apply `fault` to `lane`'s cache document under `dir`, deterministically
-/// per `plan`. Returns a human-readable description of what was done (for
+/// Apply `fault` to the lane file `file` (one of
+/// [`patchecko_scanhub::LANE_FILES`]) under `dir`, deterministically per
+/// `plan`. Returns a human-readable description of what was done (for
 /// failure-schedule logs).
 ///
 /// # Errors
-/// Propagates filesystem errors; the lane's cache file must exist.
-pub fn sabotage_lane(
-    dir: &Path,
-    lane: CacheLane,
-    fault: DiskFault,
-    plan: &FaultPlan,
-) -> io::Result<String> {
-    let path = dir.join(lane.file_name());
+/// Propagates filesystem errors; the lane file must exist.
+pub fn sabotage(dir: &Path, file: &str, fault: DiskFault, plan: &FaultPlan) -> io::Result<String> {
+    let path = dir.join(file);
     let bytes = std::fs::read(&path)?;
     let key = bytes.len() as u64;
     let (mutated, what) = match fault {

@@ -40,7 +40,7 @@ pub mod plan;
 pub mod source;
 pub mod wire;
 
-pub use disk::{CacheLane, DiskFault};
+pub use disk::DiskFault;
 pub use plan::FaultPlan;
 pub use source::{FaultyFeatureSource, SourceFaults};
 pub use wire::{Sabotage, WireFault, WireFaults};

@@ -5,16 +5,17 @@
 //!
 //! 1. **No panic escapes the scheduler** — worker deaths, including raw
 //!    panics, are contained, classified, and retried.
-//! 2. **The cache never serves corrupt features** — whatever happens to
-//!    the on-disk layer, a reloaded store's answers are bit-identical to
-//!    fresh extraction.
+//! 2. **The cache never serves corrupt artifacts** — whatever happens to
+//!    any lane file on disk, a reloaded store's answers are bit-identical
+//!    to fresh computation.
 //! 3. **Transient faults leave no trace** — a faulty run whose injected
 //!    faults were retried away produces bitwise-identical outcomes to a
 //!    clean run.
-//! 4. **The dynamic lane fails open to live execution** — sabotage of
-//!    `dyn_artifacts.json` quarantines the damage, the next run falls
-//!    back to live fuzzing/VM execution with results bitwise-identical
-//!    to a cold run, and the following save self-heals the cache.
+//! 4. **The dynamic lanes fail open to live execution** — sabotage of
+//!    `dyn_envsets.json` and `dyn_profiles.json` quarantines the damage,
+//!    the next run falls back to live fuzzing/VM execution with results
+//!    bitwise-identical to a cold run, and the following save self-heals
+//!    the cache.
 //!
 //! Set `FAULTLINE_SEED=<n>` to pin every test to one seed (CI runs a
 //! small fixed-seed matrix); unset, each test sweeps seeds drawn by
@@ -32,9 +33,12 @@ use patchecko_core::pipeline::{
 };
 use patchecko_core::dynsource::DynProfileSource;
 use patchecko_faultline::{
-    disk, hook, image, CacheLane, DiskFault, FaultPlan, FaultyFeatureSource, SourceFaults,
+    disk, hook, image, DiskFault, FaultPlan, FaultyFeatureSource, SourceFaults,
 };
-use patchecko_scanhub::{full_schedule, ArtifactStore, JobOutcome, RetryPolicy, ScanHub};
+use patchecko_scanhub::{
+    full_schedule, ArtifactStore, JobOutcome, RetryPolicy, ScanHub, DYN_ENVSETS_FILE,
+    DYN_PROFILES_FILE, LANE_FILES,
+};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 use std::io::Write;
@@ -141,6 +145,15 @@ fn feature_bits(source: &impl FeatureSource, bin: &fwbin::format::Binary) -> Vec
         .unwrap()
         .iter()
         .map(|f| f.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// Sabotage both dynamic-lane files under `dir` with `fault`; returns
+/// what was done to each.
+fn sabotage_dyn(dir: &std::path::Path, fault: DiskFault, plan: &FaultPlan) -> Vec<String> {
+    [DYN_ENVSETS_FILE, DYN_PROFILES_FILE]
+        .iter()
+        .map(|file| disk::sabotage(dir, file, fault, plan).unwrap())
         .collect()
 }
 
@@ -259,32 +272,48 @@ proptest! {
 proptest! {
     #![proptest_config(cases(16))]
 
-    /// Invariant 2: whatever the saboteur does to the on-disk cache —
+    /// Invariant 2: whatever the saboteur does to any one lane file —
     /// garbage, truncation, stale schema, checksum tampering — a reloaded
-    /// store quarantines the damage and serves features bit-identical to
-    /// fresh extraction.
+    /// store quarantines the damage in that lane alone and serves
+    /// features, signatures and dynamic profiles bit-identical to fresh
+    /// computation.
     #[test]
     fn cache_never_serves_corruption(seed in seeds()) {
         let plan = FaultPlan::new(seed);
         let fault = DiskFault::chosen(&plan, seed);
-        log_case("cache_corruption", &format!("seed {seed}: {fault:?}"));
+        log_case("cache_corruption", &format!("seed {seed}: {fault:?} on each lane"));
         let dir = std::env::temp_dir()
             .join(format!("faultline-disk-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let bin = compile(seed);
+        let lb = vm::LoadedBinary::load(compile(seed)).unwrap();
+        let bin = lb.binary();
+        let (fuzz, vmc) = (small_fuzz(), vm::VmConfig::default());
         let store = ArtifactStore::new();
-        let fresh = feature_bits(&DirectExtraction, &bin);
-        prop_assert_eq!(&feature_bits(&store, &bin), &fresh);
-        store.save(&dir).unwrap();
+        let fresh = feature_bits(&DirectExtraction, bin);
+        prop_assert_eq!(&feature_bits(&store, bin), &fresh);
+        let sigs = store.signatures_all(bin, &store.features_all(bin).unwrap());
+        let cold = dyn_pass_bits(&store, &lb, &fuzz, &vmc);
 
-        let what = disk::sabotage(&dir, fault, &plan).unwrap();
-        let reloaded = ArtifactStore::load(&dir).unwrap();
-        prop_assert!(reloaded.stats().quarantined >= 1,
-            "sabotage ({what}) must be noticed and quarantined");
-        prop_assert!(!reloaded.quarantine_records().is_empty());
-        prop_assert_eq!(&feature_bits(&reloaded, &bin), &fresh,
-            "a sabotaged cache ({what}) must re-extract, bit-identical to fresh");
+        for file in LANE_FILES {
+            store.save(&dir).unwrap();
+            let what = disk::sabotage(&dir, file, fault, &plan).unwrap();
+            let reloaded = ArtifactStore::load(&dir).unwrap();
+            let s = reloaded.stats();
+            prop_assert!(s.quarantined + s.dyn_quarantined + s.sig_quarantined >= 1,
+                "sabotage of {file} ({what}) must be noticed and quarantined");
+            let records = reloaded.quarantine_records();
+            prop_assert!(!records.is_empty());
+            prop_assert!(records.iter().all(|r| r.contains(file)),
+                "only the sabotaged lane quarantines: {records:?}");
+            prop_assert_eq!(&feature_bits(&reloaded, bin), &fresh,
+                "a sabotaged cache ({file}: {what}) must re-extract, bit-identical to fresh");
+            let feats = reloaded.features_all(bin).unwrap();
+            prop_assert_eq!(&reloaded.signatures_all(bin, &feats), &sigs,
+                "a sabotaged cache ({file}: {what}) must recompute signatures identically");
+            prop_assert_eq!(&dyn_pass_bits(&reloaded, &lb, &fuzz, &vmc), &cold,
+                "a sabotaged cache ({file}: {what}) must fall back to live execution");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -353,7 +382,7 @@ proptest! {
 proptest! {
     #![proptest_config(cases(6))]
 
-    /// Invariant 4: whatever the saboteur does to `dyn_artifacts.json`,
+    /// Invariant 4: whatever the saboteur does to the dynamic-lane files,
     /// a reloaded store quarantines the damage and the next dynamic pass
     /// falls back to live VM execution, bitwise-identical to a cold run.
     /// The static lane never notices.
@@ -361,7 +390,7 @@ proptest! {
     fn dyn_cache_never_serves_corruption(seed in seeds()) {
         let plan = FaultPlan::new(seed);
         let fault = DiskFault::chosen(&plan, seed ^ 0xD15C);
-        log_case("dyn_cache_corruption", &format!("seed {seed}: {fault:?} on dynamic lane"));
+        log_case("dyn_cache_corruption", &format!("seed {seed}: {fault:?} on dynamic lanes"));
         let dir = std::env::temp_dir()
             .join(format!("faultline-dyndisk-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -372,15 +401,15 @@ proptest! {
         let cold = dyn_pass_bits(&store, &lb, &fuzz, &vmc);
         store.save(&dir).unwrap();
 
-        let what = disk::sabotage_lane(&dir, CacheLane::Dynamic, fault, &plan).unwrap();
+        let what = sabotage_dyn(&dir, fault, &plan);
         let reloaded = ArtifactStore::load(&dir).unwrap();
         prop_assert!(reloaded.stats().dyn_quarantined >= 1,
-            "dynamic-lane sabotage ({what}) must be noticed and quarantined");
+            "dynamic-lane sabotage ({what:?}) must be noticed and quarantined");
         prop_assert_eq!(reloaded.stats().quarantined, 0,
             "static lane untouched by dynamic-lane damage");
         let warm = dyn_pass_bits(&reloaded, &lb, &fuzz, &vmc);
         prop_assert_eq!(&warm, &cold,
-            "a sabotaged dynamic lane ({what}) must fall back to live execution, \
+            "a sabotaged dynamic lane ({what:?}) must fall back to live execution, \
              bit-identical to a cold run");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -397,7 +426,7 @@ proptest! {
     fn dyn_cache_fallback_is_engine_invariant(seed in seeds()) {
         let plan = FaultPlan::new(seed);
         let fault = DiskFault::chosen(&plan, seed ^ 0xE491);
-        log_case("dyn_cache_engine", &format!("seed {seed}: {fault:?} on dynamic lane"));
+        log_case("dyn_cache_engine", &format!("seed {seed}: {fault:?} on dynamic lanes"));
         let dir = std::env::temp_dir()
             .join(format!("faultline-dyneng-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -410,13 +439,13 @@ proptest! {
         let cold_fast = dyn_pass_bits(&store, &lb, &fuzz, &fast_cfg);
         store.save(&dir).unwrap();
 
-        let what = disk::sabotage_lane(&dir, CacheLane::Dynamic, fault, &plan).unwrap();
+        let what = sabotage_dyn(&dir, fault, &plan);
         let reloaded = ArtifactStore::load(&dir).unwrap();
         prop_assert!(reloaded.stats().dyn_quarantined >= 1,
-            "dynamic-lane sabotage ({what}) must be noticed and quarantined");
+            "dynamic-lane sabotage ({what:?}) must be noticed and quarantined");
         let warm_interp = dyn_pass_bits(&reloaded, &lb, &fuzz, &interp_cfg);
         prop_assert_eq!(&warm_interp, &cold_fast,
-            "interpreter fallback after sabotage ({what}) must match the fast-engine \
+            "interpreter fallback after sabotage ({what:?}) must match the fast-engine \
              cold pass bit for bit");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -429,7 +458,7 @@ proptest! {
     fn sabotaged_dyn_cache_self_heals_on_next_save(seed in seeds()) {
         let plan = FaultPlan::new(seed);
         let fault = DiskFault::chosen(&plan, seed ^ 0x4EA1);
-        log_case("dyn_cache_self_heal", &format!("seed {seed}: {fault:?} on dynamic lane"));
+        log_case("dyn_cache_self_heal", &format!("seed {seed}: {fault:?} on dynamic lanes"));
         let dir = std::env::temp_dir()
             .join(format!("faultline-dynheal-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -439,7 +468,7 @@ proptest! {
         let store = ArtifactStore::new();
         let cold = dyn_pass_bits(&store, &lb, &fuzz, &vmc);
         store.save(&dir).unwrap();
-        disk::sabotage_lane(&dir, CacheLane::Dynamic, fault, &plan).unwrap();
+        sabotage_dyn(&dir, fault, &plan);
 
         // Second process: quarantine + live fallback repairs the lane in
         // memory, then persists the repaired state.

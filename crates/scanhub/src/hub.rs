@@ -49,13 +49,7 @@ impl ScanHub {
     /// A hub with a fresh in-memory store (and a fresh private metrics
     /// registry — see [`ScanHub::with_registry`]).
     pub fn new(analyzer: Patchecko) -> ScanHub {
-        ScanHub {
-            analyzer,
-            store: Arc::new(ArtifactStore::new()),
-            cache_dir: None,
-            retry: RetryPolicy::default(),
-            fault_hook: None,
-        }
+        ScanHub::with_store(analyzer, Arc::new(ArtifactStore::new()), None)
     }
 
     /// A hub whose cache and scheduler counters record into `registry`.
@@ -63,13 +57,7 @@ impl ScanHub {
     /// command's telemetry — cache counters, scheduler counters, stage
     /// spans — lands in one registry and prints as one table.
     pub fn with_registry(analyzer: Patchecko, registry: Arc<MetricsRegistry>) -> ScanHub {
-        ScanHub {
-            analyzer,
-            store: Arc::new(ArtifactStore::with_registry(registry)),
-            cache_dir: None,
-            retry: RetryPolicy::default(),
-            fault_hook: None,
-        }
+        ScanHub::with_store(analyzer, Arc::new(ArtifactStore::with_registry(registry)), None)
     }
 
     /// A hub whose store persists under `dir`: existing artifacts are
@@ -94,13 +82,7 @@ impl ScanHub {
     ) -> std::io::Result<ScanHub> {
         let dir = dir.into();
         let store = Arc::new(ArtifactStore::load_with_registry(&dir, registry)?);
-        Ok(ScanHub {
-            analyzer,
-            store,
-            cache_dir: Some(dir),
-            retry: RetryPolicy::default(),
-            fault_hook: None,
-        })
+        Ok(ScanHub::with_store(analyzer, store, Some(dir)))
     }
 
     /// A hub around an *injected* store. This is the scan daemon's

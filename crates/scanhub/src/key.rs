@@ -27,9 +27,9 @@ use vm::fuzz::FuzzConfig;
 /// (`crate::store`), so v1 caches are discarded on load.
 ///
 /// v3: the store grows a dynamic lane (`dyn_artifacts.json` — cached
-/// environment sets and dynamic profiles, see `crate::dynstore`); v2
-/// static caches are discarded on load rather than mixed with
-/// dynamic-lane entries keyed under a different version.
+/// environment sets and dynamic profiles); v2 static caches are
+/// discarded on load rather than mixed with dynamic-lane entries keyed
+/// under a different version.
 ///
 /// v4: VM correctness fixes change cached dynamic profiles — `LoadStr`
 /// with an out-of-range string id and `FBin` with an integer-only
@@ -39,7 +39,14 @@ use vm::fuzz::FuzzConfig;
 /// entries would replay the old semantics; discard them. (The engine
 /// choice itself is deliberately NOT keyed: both engines produce
 /// bitwise-identical profiles.)
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: every lane persists through one generic `crate::lane::Lane` in
+/// one envelope, `{schema, entries: {hex key: {checksum, value}}}`, one
+/// file per lane; `dyn_artifacts.json` splits into `dyn_envsets.json` and
+/// `dyn_profiles.json`. A v4 file parses (its lane-named map is ignored)
+/// and is discarded as stale; a leftover `dyn_artifacts.json` is no
+/// longer read.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// A 128-bit content hash naming one function's cached artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

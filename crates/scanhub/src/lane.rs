@@ -1,0 +1,528 @@
+//! One cache lane: a sharded, content-addressed map of checksummed values
+//! with single-flight computation and a trust-nothing on-disk document.
+//!
+//! The artifact store keeps four lanes — static artifacts, environment
+//! sets, dynamic profiles and retrieval signatures. Each is a [`Lane`]
+//! over a value type implementing [`Checksummed`], plus a file name;
+//! everything else lives here once:
+//!
+//! * **Lookup.** 16 independent `parking_lot` shards keyed by
+//!   [`ArtifactKey`], so scheduler workers rarely contend. Every lookup
+//!   counts a hit or a miss under the lane's counter prefix
+//!   (`<prefix>.hits`, `<prefix>.misses`).
+//! * **Single flight.** Concurrent misses on one key coalesce in
+//!   [`Lane::get_or_compute`]: the first caller claims the key and
+//!   computes outside every shard lock; later callers sleep on a condvar
+//!   until the winner publishes, then serve its value. A winner that fails
+//!   or panics releases its claim on unwind, so waiters retry rather than
+//!   hang. This matters most for dynamic profiles — one profile is a whole
+//!   batch of VM executions.
+//! * **Persistence.** [`Lane::save`] writes one JSON document,
+//!   `{"schema": N, "entries": {"<hex key>": {"checksum": C, "value": V}}}`,
+//!   to a temp file and renames it into place, so a crash mid-save leaves
+//!   the previous document intact rather than a truncated one.
+//!
+//! ## Load outcomes
+//!
+//! [`Lane::load`] trusts nothing it reads back. Damage is quarantined —
+//! counted under `<prefix>.quarantined` and recorded in the lane's log —
+//! and is never an error and never served; a quarantined entry is just a
+//! future miss.
+//!
+//! * no file → an empty lane, nothing quarantined;
+//! * invalid UTF-8, garbage or truncated JSON → the file is quarantined
+//!   whole and renamed `<file>.quarantined`, so the next save starts
+//!   clean; the lane starts empty;
+//! * a `schema` other than [`SCHEMA_VERSION`] → the file is discarded as
+//!   stale; the lane starts empty. This includes older layouts: their
+//!   `entries` default to empty, so they parse rather than read as
+//!   unparseable;
+//! * an entry key that is not 32 hex digits, or an entry value that fails
+//!   to decode or to match its checksum → that entry is quarantined and
+//!   the rest load.
+
+use crate::key::{ArtifactKey, SCHEMA_VERSION};
+use parking_lot::Mutex;
+use scope::{Counter, MetricsRegistry};
+use serde::de::DeserializeOwned;
+use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::path::Path;
+use std::sync::{Arc, Condvar};
+
+/// Shard count of the in-memory map. Power of two, comfortably above the
+/// worker counts the scheduler runs with.
+const NUM_SHARDS: usize = 16;
+
+/// A value a [`Lane`] can cache and persist.
+pub(crate) trait Checksummed: Serialize + DeserializeOwned {
+    /// Structural checksum over the value's exact contents (float bit
+    /// patterns via `to_bits`, immune to JSON round-trip concerns, and
+    /// length-prefixed sequences), so a persisted entry whose bytes were
+    /// tampered with or cut mid-value fails it on load.
+    fn checksum(&self) -> u64;
+}
+
+/// One persisted entry.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct Entry {
+    /// [`Checksummed::checksum`] of the value at save time.
+    pub(crate) checksum: u64,
+    /// The serialized value, decoded per entry on load so that one bad
+    /// value costs only its own entry.
+    pub(crate) value: serde_json::Value,
+}
+
+/// A lane's on-disk document.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct Envelope {
+    /// Schema version the entries were produced under.
+    pub(crate) schema: u32,
+    /// Hex key → checksummed entry. Defaulted so a document of an older
+    /// layout parses, and is discarded as stale rather than quarantined
+    /// as unparseable.
+    #[serde(default)]
+    pub(crate) entries: BTreeMap<String, Entry>,
+}
+
+/// One content-addressed cache lane (see the module docs).
+pub(crate) struct Lane<V> {
+    file: &'static str,
+    shards: Vec<Mutex<HashMap<ArtifactKey, Arc<V>>>>,
+    pub(crate) hits: Counter,
+    pub(crate) misses: Counter,
+    pub(crate) quarantined: Counter,
+    quarantine_log: Mutex<Vec<String>>,
+    /// Keys being computed right now. `std::sync` (not `parking_lot`,
+    /// which vendors no condvar): waiters sleep on `landed` until the
+    /// winner publishes or fails, instead of polling the shards.
+    inflight: std::sync::Mutex<HashSet<ArtifactKey>>,
+    landed: Condvar,
+}
+
+/// RAII claim on one in-flight key: dropping it — on success *or* unwind
+/// — releases the key and wakes every waiter, so a panicking winner can
+/// never strand the others on the condvar.
+struct Claim<'a, V> {
+    lane: &'a Lane<V>,
+    key: ArtifactKey,
+}
+
+impl<V> Drop for Claim<'_, V> {
+    fn drop(&mut self) {
+        self.lane.inflight.lock().expect("flight lock").remove(&self.key);
+        self.lane.landed.notify_all();
+    }
+}
+
+impl<V: Checksummed> Lane<V> {
+    /// An empty lane persisted as `file`, counting into `registry` under
+    /// `<prefix>.hits`, `<prefix>.misses` and `<prefix>.quarantined`.
+    /// Lanes given the same prefix share those counters.
+    pub(crate) fn new(registry: &MetricsRegistry, prefix: &str, file: &'static str) -> Lane<V> {
+        Lane {
+            file,
+            shards: (0..NUM_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            hits: registry.counter(&format!("{prefix}.hits")),
+            misses: registry.counter(&format!("{prefix}.misses")),
+            quarantined: registry.counter(&format!("{prefix}.quarantined")),
+            quarantine_log: Mutex::new(Vec::new()),
+            inflight: std::sync::Mutex::new(HashSet::new()),
+            landed: Condvar::new(),
+        }
+    }
+
+    /// Number of resident entries.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+
+    /// Details of every quarantine since construction.
+    pub(crate) fn quarantine_records(&self) -> Vec<String> {
+        self.quarantine_log.lock().clone()
+    }
+
+    fn shard(&self, key: ArtifactKey) -> &Mutex<HashMap<ArtifactKey, Arc<V>>> {
+        &self.shards[key.shard(NUM_SHARDS)]
+    }
+
+    fn insert(&self, key: ArtifactKey, value: V) -> Arc<V> {
+        let arc = Arc::new(value);
+        self.shard(key).lock().insert(key, Arc::clone(&arc));
+        arc
+    }
+
+    /// Record a quarantine: the offending value is never inserted, the
+    /// counter moves, and the detail is kept for reports and tests.
+    fn quarantine(&self, detail: String) {
+        self.quarantined.inc();
+        self.quarantine_log.lock().push(detail);
+    }
+
+    /// The value under `key`, computed by `compute` and cached on a miss.
+    /// Every call counts exactly one hit or one miss. Concurrent misses on
+    /// one key single-flight: exactly one caller computes, the rest wait
+    /// and serve the published value. A failed computation publishes
+    /// nothing, so each waiter then retries (and gets its own error back).
+    ///
+    /// # Errors
+    /// Whatever `compute` returns.
+    pub(crate) fn get_or_compute<E>(
+        &self,
+        key: ArtifactKey,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        if let Some(found) = self.get(key) {
+            self.hits.inc();
+            return Ok(found);
+        }
+        self.misses.inc();
+        loop {
+            if let Some(_claim) = self.claim(key) {
+                // Re-check under the claim: a concurrent winner may have
+                // published since the lookup above, or while we waited.
+                return match self.get(key) {
+                    Some(found) => Ok(found),
+                    None => Ok(self.insert(key, compute()?)),
+                };
+            }
+        }
+    }
+
+    fn get(&self, key: ArtifactKey) -> Option<Arc<V>> {
+        self.shard(key).lock().get(&key).cloned()
+    }
+
+    /// Try to become the computer for `key`. `Some` means this caller holds
+    /// the key until the claim drops. `None` means another caller held it;
+    /// by the time `None` returns that caller has finished (published or
+    /// failed), so try again.
+    fn claim(&self, key: ArtifactKey) -> Option<Claim<'_, V>> {
+        let mut inflight = self.inflight.lock().expect("flight lock");
+        if inflight.insert(key) {
+            return Some(Claim { lane: self, key });
+        }
+        while inflight.contains(&key) {
+            inflight = self.landed.wait(inflight).expect("flight lock");
+        }
+        None
+    }
+
+    /// Write the lane to `dir/<file>` (creating `dir` as needed) through a
+    /// temp file and a rename.
+    ///
+    /// # Errors
+    /// Propagates filesystem errors.
+    pub(crate) fn save(&self, dir: &Path) -> std::io::Result<()> {
+        let mut entries = BTreeMap::new();
+        for shard in &self.shards {
+            for (k, v) in shard.lock().iter() {
+                entries.insert(k.to_hex(), Entry { checksum: v.checksum(), value: v.to_value() });
+            }
+        }
+        let json = serde_json::to_string(&Envelope { schema: SCHEMA_VERSION, entries })
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        std::fs::create_dir_all(dir)?;
+        let tmp = dir.join(format!("{}.tmp.{}", self.file, std::process::id()));
+        std::fs::write(&tmp, json)?;
+        std::fs::rename(&tmp, dir.join(self.file))
+    }
+
+    /// Load `dir/<file>` into this (empty) lane; the module docs list the
+    /// outcome for every kind of damage.
+    ///
+    /// # Errors
+    /// Propagates filesystem errors other than `NotFound`.
+    pub(crate) fn load(&self, dir: &Path) -> std::io::Result<()> {
+        let path = dir.join(self.file);
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        // Non-UTF-8 bytes are just another flavour of unparseable file.
+        let parsed = String::from_utf8(bytes)
+            .map_err(|_| "invalid UTF-8".to_string())
+            .and_then(|json| serde_json::from_str::<Envelope>(&json).map_err(|e| e.to_string()));
+        let doc = match parsed {
+            Ok(doc) => doc,
+            Err(why) => {
+                // Move the file aside so the next save starts clean; keep
+                // the bytes for post-mortem.
+                let _ = std::fs::rename(&path, dir.join(format!("{}.quarantined", self.file)));
+                self.quarantine(format!("cache file {}: unparseable ({why})", path.display()));
+                return Ok(());
+            }
+        };
+        if doc.schema != SCHEMA_VERSION {
+            self.quarantine(format!(
+                "cache file {}: stale schema v{} (current v{SCHEMA_VERSION}), {} entries discarded",
+                path.display(),
+                doc.schema,
+                doc.entries.len()
+            ));
+            return Ok(());
+        }
+        for (hex, entry) in doc.entries {
+            let Some(key) = ArtifactKey::from_hex(&hex) else {
+                self.quarantine(format!("{} entry {hex}: invalid key", self.file));
+                continue;
+            };
+            match V::from_value(entry.value) {
+                Ok(value) if value.checksum() == entry.checksum => {
+                    self.insert(key, value);
+                }
+                Ok(value) => self.quarantine(format!(
+                    "{} entry {hex}: checksum mismatch (stored {:#018x}, computed {:#018x})",
+                    self.file,
+                    entry.checksum,
+                    value.checksum()
+                )),
+                Err(e) => self.quarantine(format!("{} entry {hex}: undecodable ({e})", self.file)),
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::{
+        ArtifactStore, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE, SIG_INDEX_FILE,
+    };
+    use crate::testfix;
+    use patchecko_core::features;
+    use patchecko_core::retrieval::FunctionSignature;
+    use std::fmt::Debug;
+
+    /// Which saved entries a damaged file still loads.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Loaded {
+        All,
+        AllButOne,
+        Nothing,
+    }
+
+    /// One row of the load-outcome table: damage done to a freshly saved
+    /// lane file, and the documented outcome of loading it.
+    struct Case {
+        name: &'static str,
+        damage: fn(&Path),
+        loaded: Loaded,
+        /// Substring of the one quarantine record expected, if any.
+        record: Option<&'static str>,
+        /// Whether the file is moved aside to `<file>.quarantined`.
+        moved_aside: bool,
+    }
+
+    fn rewrite(path: &Path, f: impl FnOnce(String) -> String) {
+        let json = std::fs::read_to_string(path).unwrap();
+        let changed = f(json.clone());
+        assert_ne!(changed, json, "damage must change the file");
+        std::fs::write(path, changed).unwrap();
+    }
+
+    fn edit(path: &Path, f: impl FnOnce(&mut Envelope)) {
+        rewrite(path, |json| {
+            let mut doc: Envelope = serde_json::from_str(&json).unwrap();
+            f(&mut doc);
+            serde_json::to_string(&doc).unwrap()
+        });
+    }
+
+    fn with_schema(json: &str, schema: u32) -> String {
+        json.replacen(&format!("\"schema\":{SCHEMA_VERSION}"), &format!("\"schema\":{schema}"), 1)
+    }
+
+    fn cases() -> Vec<Case> {
+        use Loaded::{All, AllButOne, Nothing};
+        vec![
+            Case { name: "clean", damage: |_| {}, loaded: All, record: None, moved_aside: false },
+            Case {
+                name: "missing file",
+                damage: |p| std::fs::remove_file(p).unwrap(),
+                loaded: Nothing,
+                record: None,
+                moved_aside: false,
+            },
+            Case {
+                name: "invalid UTF-8",
+                damage: |p| std::fs::write(p, b"{ not json \xff").unwrap(),
+                loaded: Nothing,
+                record: Some("unparseable (invalid UTF-8)"),
+                moved_aside: true,
+            },
+            Case {
+                name: "garbage",
+                damage: |p| std::fs::write(p, "{ not json at all").unwrap(),
+                loaded: Nothing,
+                record: Some("unparseable"),
+                moved_aside: true,
+            },
+            Case {
+                name: "truncated",
+                damage: |p| {
+                    // A crash mid-write under a non-atomic writer.
+                    let bytes = std::fs::read(p).unwrap();
+                    std::fs::write(p, &bytes[..bytes.len() / 2]).unwrap();
+                },
+                loaded: Nothing,
+                record: Some("unparseable"),
+                moved_aside: true,
+            },
+            Case {
+                name: "stale schema",
+                damage: |p| rewrite(p, |json| with_schema(&json, 1)),
+                loaded: Nothing,
+                record: Some("stale schema v1"),
+                moved_aside: false,
+            },
+            Case {
+                // The v4 layout named its map after the lane; it must read
+                // as stale, not as unparseable.
+                name: "parent layout",
+                damage: |p| {
+                    rewrite(p, |json| {
+                        with_schema(&json, 4).replacen("\"entries\"", "\"artifacts\"", 1)
+                    })
+                },
+                loaded: Nothing,
+                record: Some("stale schema v4"),
+                moved_aside: false,
+            },
+            Case {
+                name: "invalid hex key",
+                damage: |p| {
+                    edit(p, |doc| {
+                        let (hex, entry) = doc.entries.pop_first().unwrap();
+                        doc.entries.insert(format!("zz{}", &hex[2..]), entry);
+                    })
+                },
+                loaded: AllButOne,
+                record: Some("invalid key"),
+                moved_aside: false,
+            },
+            Case {
+                name: "undecodable value",
+                damage: |p| {
+                    edit(p, |doc| {
+                        doc.entries.values_mut().next().unwrap().value = serde_json::Value::Null
+                    })
+                },
+                loaded: AllButOne,
+                record: Some("undecodable"),
+                moved_aside: false,
+            },
+            Case {
+                name: "checksum flip",
+                damage: |p| edit(p, |doc| doc.entries.values_mut().next().unwrap().checksum ^= 1),
+                loaded: AllButOne,
+                record: Some("checksum mismatch"),
+                moved_aside: false,
+            },
+        ]
+    }
+
+    /// Save `values` into a `file` lane, then for every case: damage a
+    /// fresh copy of the file, reload it, and check the documented outcome
+    /// — including that every surviving entry is served bit-identical.
+    fn check_lane<V: Checksummed + PartialEq + Debug>(file: &'static str, values: Vec<V>) {
+        assert!(values.len() >= 2, "{file}: need entries to survive a one-entry eviction");
+        let lane = Lane::new(&MetricsRegistry::new(), "test", file);
+        let keys: Vec<ArtifactKey> =
+            (0..values.len() as u64).map(|i| ArtifactKey { hi: i, lo: !i }).collect();
+        for (&key, value) in keys.iter().zip(values) {
+            lane.insert(key, value);
+        }
+        for case in cases() {
+            let what = format!("{file} / {}", case.name);
+            let dir = std::env::temp_dir().join(format!(
+                "scanhub-lane-{}-{file}-{}",
+                std::process::id(),
+                case.name.replace(' ', "-")
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            lane.save(&dir).unwrap();
+            (case.damage)(&dir.join(file));
+
+            let reloaded: Lane<V> = Lane::new(&MetricsRegistry::new(), "test", file);
+            reloaded.load(&dir).unwrap();
+            let expect = match case.loaded {
+                Loaded::All => keys.len(),
+                Loaded::AllButOne => keys.len() - 1,
+                Loaded::Nothing => 0,
+            };
+            assert_eq!(reloaded.len(), expect, "{what}");
+            let records = reloaded.quarantine_records();
+            assert_eq!(reloaded.quarantined.get(), records.len() as u64, "{what}");
+            match case.record {
+                Some(reason) => {
+                    assert_eq!(records.len(), 1, "{what}: {records:?}");
+                    assert!(records[0].contains(reason), "{what}: {records:?}");
+                }
+                None => assert!(records.is_empty(), "{what}: {records:?}"),
+            }
+            let aside = dir.join(format!("{file}.quarantined"));
+            assert_eq!(aside.exists(), case.moved_aside, "{what}");
+            if case.moved_aside {
+                assert!(!dir.join(file).exists(), "{what}: the bad file was moved aside");
+            }
+            for &key in &keys {
+                if let Ok(got) = reloaded.get_or_compute(key, || Err(())) {
+                    let saved = lane.get_or_compute(key, || Err(())).unwrap();
+                    assert_eq!(*got, *saved, "{what}: a surviving entry is served as saved");
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_lane_loads_damage_to_its_documented_outcome() {
+        let bin = testfix::store_binary();
+        let store = ArtifactStore::new();
+        let artifacts = (0..bin.function_count())
+            .map(|i| (*store.get_or_extract_ns(&bin, i, (0, 0)).unwrap()).clone())
+            .collect();
+        check_lane(ARTIFACTS_FILE, artifacts);
+
+        let envs = testfix::sample_envs();
+        check_lane(DYN_ENVSETS_FILE, vec![envs.clone(), envs[..1].to_vec()]);
+
+        let profile = testfix::sample_profile();
+        let mut other = profile.clone();
+        other.ok[1] = true;
+        check_lane(DYN_PROFILES_FILE, vec![profile, other]);
+
+        let sigs = features::extract_all(&bin).unwrap().iter().map(FunctionSignature::of).collect();
+        check_lane(SIG_INDEX_FILE, sigs);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_compute_once() {
+        let lane: Lane<Vec<vm::env::ExecEnv>> =
+            Lane::new(&MetricsRegistry::new(), "test", DYN_ENVSETS_FILE);
+        let computed = std::sync::atomic::AtomicUsize::new(0);
+        let key = ArtifactKey { hi: 1, lo: 2 };
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let got = lane.get_or_compute(key, || {
+                        // Publish only once every caller has missed, so all
+                        // four race on the claim.
+                        while lane.misses.get() < 4 {
+                            std::thread::yield_now();
+                        }
+                        computed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        Ok::<_, ()>(testfix::sample_envs())
+                    });
+                    assert_eq!(*got.unwrap(), testfix::sample_envs());
+                });
+            }
+        });
+        assert_eq!(computed.into_inner(), 1, "racing misses single-flight to one computation");
+        assert_eq!(lane.len(), 1);
+        assert_eq!((lane.hits.get(), lane.misses.get()), (0, 4), "one count per call");
+    }
+}

@@ -10,18 +10,19 @@
 //! * [`key`] — content-addressed [`ArtifactKey`]s: a stable 128-bit hash
 //!   of a function's code bytes, architecture, extractor-relevant record
 //!   metadata, and the feature-schema version;
-//! * [`store`] — the sharded [`ArtifactStore`] caching
-//!   [`StaticFeatures`](patchecko_core::features::StaticFeatures) +
-//!   [`CfgSummary`](disasm::CfgSummary) per key, with hit/miss/extraction
-//!   counters and an on-disk JSON layer;
-//! * [`dynstore`] — the store's dynamic lane: cached execution-environment
-//!   sets and per-function dynamic profiles, so a warm re-audit performs
-//!   zero VM executions (the store implements
-//!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource));
-//! * [`index`] — the store's signature lane: persistent per-function
-//!   retrieval signatures behind the sub-linear candidate pre-filter
-//!   (`--retrieval topk`), populated incrementally as binaries are
-//!   scanned;
+//! * `lane` — one generic cache lane: a sharded map of checksummed
+//!   values with hit/miss/quarantine counters, single-flight computation
+//!   on a miss, and an on-disk document that is quarantined, never
+//!   served, when damaged;
+//! * [`store`] — the [`ArtifactStore`], four lanes behind the pipeline's
+//!   seams: static artifacts
+//!   ([`StaticFeatures`](patchecko_core::features::StaticFeatures) +
+//!   [`CfgSummary`](disasm::CfgSummary)), execution-environment sets and
+//!   dynamic profiles (so a warm re-audit performs zero VM executions —
+//!   the store implements
+//!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource)),
+//!   and retrieval signatures behind the sub-linear candidate pre-filter
+//!   (`--retrieval topk`), each persisted to its own file ([`LANE_FILES`]);
 //! * [`namespace`] — per-tenant [`TenantView`]s over one shared store:
 //!   content keys are relocated by a tenant salt so co-resident tenants
 //!   (the scan daemon's clients) never observe each other's artifacts;
@@ -58,22 +59,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dynstore;
 pub mod hub;
-pub mod index;
 pub mod key;
+mod lane;
 pub mod namespace;
 pub mod schedule;
 pub mod store;
 #[cfg(test)]
 pub(crate) mod testfix;
 
-pub use dynstore::{env_set_checksum, profile_checksum, DYN_CACHE_FILE};
 pub use hub::{BatchReport, ScanHub};
-pub use index::{signature_checksum, SignatureIndex, SIG_INDEX_FILE};
 pub use key::{tenant_salt, ArtifactKey, SCHEMA_VERSION};
 pub use namespace::TenantView;
 pub use schedule::{
     full_schedule, run_jobs, run_jobs_with, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
 };
-pub use store::{artifact_checksum, Artifact, ArtifactStore, CacheStats};
+pub use store::{
+    Artifact, ArtifactStore, CacheStats, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE,
+    LANE_FILES, SIG_INDEX_FILE,
+};

@@ -1,51 +1,38 @@
-//! The content-addressed artifact store: a sharded in-memory map in front
-//! of an optional on-disk layer.
+//! The content-addressed artifact store: four cache lanes behind the
+//! pipeline's [`FeatureSource`] and [`DynProfileSource`] seams.
 //!
-//! Each entry holds the per-function artifacts the static stage would
-//! otherwise re-derive on every scan — the Table-I feature vector and the
-//! condensed CFG — keyed by [`ArtifactKey`]. Lookups are sharded across
-//! independent `parking_lot` mutexes so scheduler workers rarely contend,
-//! and the hit/miss/extraction counters make cache behaviour observable
-//! (the `--cache-stats` CLI flag and the warm-re-audit acceptance test
-//! both read them).
+//! * **static** — one [`Artifact`] (Table-I features + condensed CFG) per
+//!   [`ArtifactKey::for_function`]; `cache.*` counters; [`ARTIFACTS_FILE`];
+//! * **env sets** — the fuzzed execution environments per
+//!   [`ArtifactKey::for_env_set`]; `dyncache.*`; [`DYN_ENVSETS_FILE`];
+//! * **profiles** — one [`DynProfile`] per [`ArtifactKey::for_dyn_profile`];
+//!   `dyncache.*`, shared with the env sets; [`DYN_PROFILES_FILE`];
+//! * **signatures** — one retrieval [`FunctionSignature`] per
+//!   [`ArtifactKey::for_function`]; `index.*`; [`SIG_INDEX_FILE`].
 //!
-//! ## Disk-layer hardening
-//!
-//! The on-disk layer trusts nothing it reads back. Every persisted entry
-//! carries a structural checksum over the feature bits and CFG summary;
-//! on load, entries whose checksum or key fails to validate are
-//! **quarantined** — evicted and recorded, never served — and the scan
-//! falls back to re-extraction. Unparseable or truncated cache files are
-//! quarantined whole (renamed aside, so the next save starts clean), and
-//! a schema-version mismatch discards the stale entries. Saves go through
-//! a temp file + rename so a crash mid-write can't leave a truncated
-//! `artifacts.json` behind.
-//!
-//! ## Single-flight extraction
-//!
-//! Concurrent misses on the same key coalesce: the first requester claims
-//! the key in an in-flight table and computes; later requesters block on
-//! a condvar until the winner publishes, then serve the cached value.
-//! This matters most in the dynamic lane — a profile is a whole batch of
-//! VM executions — and is the single-process form of the scan daemon's
-//! request dedup (two clients auditing the same image trigger one
-//! extraction). A winner that fails releases its claim on unwind, so
-//! waiters retry rather than hang.
+//! Each is a `Lane`: sharded lookup, single-flight computation on a
+//! miss, and a checksummed on-disk document that is quarantined, never
+//! served, when damaged (the `lane` module lists the load outcomes). Every
+//! lane persists to its own file, so corruption in one never takes down
+//! the others, and a damaged or missing entry is only a miss: the store
+//! recomputes it — re-extraction, live fuzzing, live execution — and the
+//! results stay bitwise-identical to a cold run. Besides the lane
+//! counters, the store counts the work it actually performs:
+//! `cache.extractions` (disassemblies with feature extraction) and
+//! `dyncache.profiled` (live profiling runs).
 //!
 //! ## Tenant namespaces
 //!
-//! Every lookup/extract entry point has a `*_ns` variant taking a
-//! namespace salt ([`crate::key::tenant_salt`]): keys are relocated by
-//! XOR before touching the shards, so tenants sharing one store (and one
-//! persisted cache) never observe each other's artifacts. The plain
-//! entry points are the zero-salt (identity) namespace.
+//! Every entry point has a `*_ns` variant taking a namespace salt
+//! ([`crate::key::tenant_salt`]): keys are relocated by XOR before they
+//! reach a lane, so tenants sharing one store (and one persisted cache)
+//! never observe each other's artifacts. The plain entry points are the
+//! zero-salt (identity) namespace.
 
-use crate::dynstore::DynLane;
-use crate::index::SignatureIndex;
-use crate::key::{ArtifactKey, SCHEMA_VERSION};
+use crate::key::{ArtifactKey, Fnv2};
+use crate::lane::{Checksummed, Lane};
 use disasm::CfgSummary;
 use fwbin::format::Binary;
-use parking_lot::Mutex;
 use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet};
 use patchecko_core::error::ScanError;
 use patchecko_core::features::{self, StaticFeatures};
@@ -53,16 +40,25 @@ use patchecko_core::pipeline::FeatureSource;
 use patchecko_core::retrieval::FunctionSignature;
 use scope::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::path::Path;
 use std::sync::Arc;
+use vm::env::{ArgSpec, ExecEnv};
 use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
 use vm::loader::LoadedBinary;
 
-/// Shard count of the in-memory map. Power of two, comfortably above the
-/// worker counts the scheduler runs with.
-const NUM_SHARDS: usize = 16;
+/// File name of the static lane.
+pub const ARTIFACTS_FILE: &str = "artifacts.json";
+/// File name of the environment-set lane.
+pub const DYN_ENVSETS_FILE: &str = "dyn_envsets.json";
+/// File name of the dynamic-profile lane.
+pub const DYN_PROFILES_FILE: &str = "dyn_profiles.json";
+/// File name of the signature lane.
+pub const SIG_INDEX_FILE: &str = "sig_index.json";
+/// Every file [`ArtifactStore::save`] writes, in save order.
+pub const LANE_FILES: [&str; 4] =
+    [ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE, SIG_INDEX_FILE];
 
 /// The cached artifacts of one function.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,30 +69,91 @@ pub struct Artifact {
     pub cfg: CfgSummary,
 }
 
-/// Structural checksum of an artifact: FNV-1a over the exact bit patterns
-/// of the feature vector (`f64::to_bits`, immune to JSON float round-trip
-/// concerns) and every CFG-summary field. A persisted entry whose bytes
-/// were tampered with or truncated mid-value fails this check on load.
-pub fn artifact_checksum(a: &Artifact) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
+/// The feature bits and every CFG-summary field.
+impl Checksummed for Artifact {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        for &f in self.features.as_slice() {
+            h.update_u64(f.to_bits());
         }
-    };
-    for &f in a.features.as_slice() {
-        eat(&f.to_bits().to_le_bytes());
+        let cfg = &self.cfg;
+        h.update_u32(cfg.num_blocks);
+        h.update_u32(cfg.num_edges);
+        h.update_u64(cfg.cyclomatic as u64);
+        for k in cfg.kind_counts {
+            h.update_u32(k);
+        }
+        h.update_u32(cfg.max_block_len);
+        h.update_u32(cfg.byte_size);
+        h.hi
     }
-    eat(&a.cfg.num_blocks.to_le_bytes());
-    eat(&a.cfg.num_edges.to_le_bytes());
-    eat(&a.cfg.cyclomatic.to_le_bytes());
-    for k in a.cfg.kind_counts {
-        eat(&k.to_le_bytes());
+}
+
+/// Every environment's full contents: input bytes, argument specs and
+/// global overrides, each length-prefixed.
+impl Checksummed for Vec<ExecEnv> {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        h.update_u64(self.len() as u64);
+        for env in self {
+            h.update_u64(env.input.len() as u64);
+            h.update(&env.input);
+            h.update_u64(env.args.len() as u64);
+            for arg in &env.args {
+                match arg {
+                    ArgSpec::InputPtr => h.update(&[1]),
+                    ArgSpec::Int(v) => {
+                        h.update(&[2]);
+                        h.update_u64(*v as u64);
+                    }
+                    ArgSpec::Float(v) => {
+                        h.update(&[3]);
+                        h.update_u64(v.to_bits());
+                    }
+                }
+            }
+            h.update_u64(env.global_overrides.len() as u64);
+            for &(gid, v) in &env.global_overrides {
+                h.update_u64(u64::from(gid));
+                h.update_u64(v as u64);
+            }
+        }
+        h.hi
     }
-    eat(&a.cfg.max_block_len.to_le_bytes());
-    eat(&a.cfg.byte_size.to_le_bytes());
-    h
+}
+
+/// The ok bits and every per-environment feature vector.
+impl Checksummed for DynProfile {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        h.update_u64(self.ok.len() as u64);
+        for &b in &self.ok {
+            h.update(&[b as u8]);
+        }
+        h.update_u64(self.features.len() as u64);
+        for f in &self.features {
+            for &x in f.as_slice() {
+                h.update_u64(x.to_bits());
+            }
+        }
+        h.hi
+    }
+}
+
+/// The quantized vector and the MinHash values.
+impl Checksummed for FunctionSignature {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        h.update_u64(self.q.len() as u64);
+        for &q in &self.q {
+            h.update_u64(q as i64 as u64);
+        }
+        h.update_u64(self.minhash.len() as u64);
+        for &m in &self.minhash {
+            h.update_u32(m);
+        }
+        h.hi
+    }
 }
 
 /// A point-in-time snapshot of the store's counters.
@@ -127,8 +184,8 @@ pub struct CacheStats {
     /// Dynamic-lane entries currently resident (env sets + profiles).
     #[serde(default)]
     pub dyn_entries: u64,
-    /// Dynamic-lane entries (or the whole `dyn_artifacts.json`) evicted on
-    /// load for failing checksum/schema/parse validation.
+    /// Dynamic-lane entries (or whole dynamic-lane files) evicted on load
+    /// for failing checksum/schema/parse validation.
     #[serde(default)]
     pub dyn_quarantined: u64,
     /// Signature-lane lookups served from the cache (a retrieval
@@ -211,94 +268,22 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// One persisted entry: the artifact plus its structural checksum, so a
-/// byte flipped on disk is detected (and the entry quarantined) on load.
-#[derive(Serialize, Deserialize)]
-struct PersistedEntry {
-    /// [`artifact_checksum`] of `artifact` at save time.
-    checksum: u64,
-    /// The cached artifact.
-    artifact: Artifact,
-}
-
-/// On-disk image of the store (one JSON document per cache directory).
-#[derive(Serialize, Deserialize)]
-struct PersistedStore {
-    /// Feature-schema version the artifacts were extracted under.
-    schema: u32,
-    /// Hex key → checksummed artifact.
-    artifacts: BTreeMap<String, PersistedEntry>,
-}
-
-/// The in-flight table behind single-flight extraction. One table covers
-/// every lane — static artifacts, env sets, profiles — because their key
-/// spaces are already domain-separated by construction.
+/// The artifact store: four cache lanes plus the work counters.
 ///
-/// `std::sync::Condvar` (not `parking_lot`, which vendors no condvar):
-/// waiters sleep until the current winner for their key publishes or
-/// fails, instead of burning a core polling the shards.
-struct Flight {
-    inflight: std::sync::Mutex<std::collections::HashSet<ArtifactKey>>,
-    done: std::sync::Condvar,
-}
-
-/// RAII claim on one in-flight key: dropping it — on success *or* unwind
-/// — releases the key and wakes every waiter, so a panicking winner can
-/// never strand losers on the condvar.
-struct FlightClaim<'a> {
-    flight: &'a Flight,
-    key: ArtifactKey,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight { inflight: std::sync::Mutex::new(std::collections::HashSet::new()), done: std::sync::Condvar::new() }
-    }
-
-    /// Try to become the computer for `key`. `Some(claim)` means this
-    /// caller won and must compute + publish (the claim releases on
-    /// drop). `None` means another caller was already computing; by the
-    /// time `None` is returned that computation has finished (published
-    /// or failed) — re-check the cache.
-    fn claim(&self, key: ArtifactKey) -> Option<FlightClaim<'_>> {
-        let mut set = self.inflight.lock().expect("flight lock");
-        if set.insert(key) {
-            return Some(FlightClaim { flight: self, key });
-        }
-        while set.contains(&key) {
-            set = self.done.wait(set).expect("flight lock");
-        }
-        None
-    }
-}
-
-impl Drop for FlightClaim<'_> {
-    fn drop(&mut self) {
-        self.flight.inflight.lock().expect("flight lock").remove(&self.key);
-        self.flight.done.notify_all();
-    }
-}
-
-/// The sharded artifact store.
-///
-/// Cache counters are `scope` registry counters (`cache.hits`,
-/// `cache.misses`, `cache.extractions`, `cache.quarantined`), resolved
-/// once at construction and bumped through lock-free handles on the hot
-/// path. Each store owns its registry — a fresh private one by default,
-/// so concurrent stores never see each other's counts — and the CLI
-/// passes `scope::global_shared()` in so cache activity lands in the
-/// same snapshot as span timings and scheduler counters.
+/// Cache counters are `scope` registry counters, resolved once at
+/// construction and bumped through lock-free handles on the hot path.
+/// Each store owns its registry — a fresh private one by default, so
+/// concurrent stores never see each other's counts — and the CLI passes
+/// `scope::global_shared()` in so cache activity lands in the same
+/// snapshot as span timings and scheduler counters.
 pub struct ArtifactStore {
-    shards: Vec<Mutex<HashMap<ArtifactKey, Arc<Artifact>>>>,
     registry: Arc<MetricsRegistry>,
-    hits: Counter,
-    misses: Counter,
+    artifacts: Lane<Artifact>,
+    envsets: Lane<Vec<ExecEnv>>,
+    profiles: Lane<DynProfile>,
+    signatures: Lane<FunctionSignature>,
     extractions: Counter,
-    quarantined: Counter,
-    quarantine_log: Mutex<Vec<String>>,
-    dyn_lane: DynLane,
-    sig_lane: SignatureIndex,
-    flight: Flight,
+    profiled: Counter,
 }
 
 impl Default for ArtifactStore {
@@ -316,16 +301,13 @@ impl ArtifactStore {
     /// An empty store recording its cache counters into `registry`.
     pub fn with_registry(registry: Arc<MetricsRegistry>) -> ArtifactStore {
         ArtifactStore {
-            shards: (0..NUM_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: registry.counter("cache.hits"),
-            misses: registry.counter("cache.misses"),
+            artifacts: Lane::new(&registry, "cache", ARTIFACTS_FILE),
+            envsets: Lane::new(&registry, "dyncache", DYN_ENVSETS_FILE),
+            profiles: Lane::new(&registry, "dyncache", DYN_PROFILES_FILE),
+            signatures: Lane::new(&registry, "index", SIG_INDEX_FILE),
             extractions: registry.counter("cache.extractions"),
-            quarantined: registry.counter("cache.quarantined"),
-            dyn_lane: DynLane::with_registry(&registry),
-            sig_lane: SignatureIndex::with_registry(&registry),
+            profiled: registry.counter("dyncache.profiled"),
             registry,
-            quarantine_log: Mutex::new(Vec::new()),
-            flight: Flight::new(),
         }
     }
 
@@ -334,96 +316,55 @@ impl ArtifactStore {
         &self.registry
     }
 
-    /// Current counter snapshot.
+    /// Current counter snapshot. The two dynamic lanes share their
+    /// `dyncache.*` counters, so either lane's handle reads the total.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
+            hits: self.artifacts.hits.get(),
+            misses: self.artifacts.misses.get(),
             extractions: self.extractions.get(),
-            entries: self.shards.iter().map(|s| s.lock().len() as u64).sum(),
-            quarantined: self.quarantined.get(),
-            dyn_hits: self.dyn_lane.hits.get(),
-            dyn_misses: self.dyn_lane.misses.get(),
-            dyn_profiled: self.dyn_lane.profiled.get(),
-            dyn_entries: self.dyn_lane.entries(),
-            dyn_quarantined: self.dyn_lane.quarantined.get(),
-            sig_hits: self.sig_lane.hits.get(),
-            sig_misses: self.sig_lane.misses.get(),
-            sig_entries: self.sig_lane.entries(),
-            sig_quarantined: self.sig_lane.quarantined.get(),
+            entries: self.artifacts.len() as u64,
+            quarantined: self.artifacts.quarantined.get(),
+            dyn_hits: self.profiles.hits.get(),
+            dyn_misses: self.profiles.misses.get(),
+            dyn_profiled: self.profiled.get(),
+            dyn_entries: (self.envsets.len() + self.profiles.len()) as u64,
+            dyn_quarantined: self.profiles.quarantined.get(),
+            sig_hits: self.signatures.hits.get(),
+            sig_misses: self.signatures.misses.get(),
+            sig_entries: self.signatures.len() as u64,
+            sig_quarantined: self.signatures.quarantined.get(),
         }
-    }
-
-    /// Record a quarantine event: the offending entry is never inserted
-    /// (evicted by construction), the counter moves, and the detail is
-    /// kept for reports and tests.
-    fn quarantine(&self, detail: String) {
-        self.quarantined.inc();
-        self.quarantine_log.lock().push(detail);
     }
 
     /// Details of every quarantine event since construction (validation
     /// failures found while loading the disk layer, all lanes).
     pub fn quarantine_records(&self) -> Vec<String> {
-        let mut records = self.quarantine_log.lock().clone();
-        records.extend(self.dyn_lane.quarantine_records());
-        records.extend(self.sig_lane.quarantine_records());
+        let mut records = self.artifacts.quarantine_records();
+        records.extend(self.envsets.quarantine_records());
+        records.extend(self.profiles.quarantine_records());
+        records.extend(self.signatures.quarantine_records());
         records
     }
 
-    /// Number of resident entries.
+    /// Number of resident static-lane entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.artifacts.len()
     }
 
-    /// Whether the store holds no entries.
+    /// Whether the static lane holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn lookup(&self, key: ArtifactKey) -> Option<Arc<Artifact>> {
-        let found = self.shards[key.shard(NUM_SHARDS)].lock().get(&key).cloned();
-        match &found {
-            Some(_) => self.hits.inc(),
-            None => self.misses.inc(),
-        };
-        found
-    }
-
-    fn insert(&self, key: ArtifactKey, artifact: Artifact) -> Arc<Artifact> {
-        let arc = Arc::new(artifact);
-        self.shards[key.shard(NUM_SHARDS)].lock().insert(key, Arc::clone(&arc));
-        arc
-    }
-
-    fn extract(&self, bin: &Binary, idx: usize) -> Result<Artifact, ScanError> {
-        self.extractions.inc();
-        let dis = disasm::disassemble(bin, idx)
-            .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
-        Ok(Artifact {
-            features: features::extract(&dis, &bin.functions[idx]),
-            cfg: dis.cfg.summary(),
-        })
-    }
-
-    /// The artifacts of function `idx` of `bin`, extracting and caching on
-    /// first sight. Concurrent misses on one key single-flight: exactly
-    /// one caller extracts (outside every lock), the rest wait and serve
-    /// the published entry — so `cache.extractions` counts distinct
-    /// extractions even under a racing scheduler.
+    /// The artifacts of function `idx` of `bin` in the namespace named by
+    /// `salt` (`(0, 0)` is the base namespace), extracting and caching on
+    /// first sight. Concurrent misses single-flight, so
+    /// `cache.extractions` counts distinct extractions even under a
+    /// racing scheduler.
     ///
     /// # Errors
     /// [`ScanError::Extraction`] when the function's code fails to decode.
-    pub fn get_or_extract(&self, bin: &Binary, idx: usize) -> Result<Arc<Artifact>, ScanError> {
-        self.get_or_extract_ns(bin, idx, (0, 0))
-    }
-
-    /// [`ArtifactStore::get_or_extract`] in the cache namespace named by
-    /// `salt` (see [`crate::key::tenant_salt`]; `(0, 0)` is the base
-    /// namespace).
-    ///
-    /// # Errors
-    /// As for [`ArtifactStore::get_or_extract`].
     pub fn get_or_extract_ns(
         &self,
         bin: &Binary,
@@ -431,89 +372,50 @@ impl ArtifactStore {
         salt: (u64, u64),
     ) -> Result<Arc<Artifact>, ScanError> {
         let key = ArtifactKey::for_function(bin, idx).namespaced(salt);
-        loop {
-            if let Some(found) = self.lookup(key) {
-                return Ok(found);
-            }
-            if let Some(_claim) = self.flight.claim(key) {
-                let artifact = self.extract(bin, idx)?;
-                return Ok(self.insert(key, artifact));
-            }
-            // A concurrent winner just finished this key: loop to serve
-            // its published entry (or claim the flight ourselves if it
-            // failed and published nothing).
-        }
+        self.artifacts.get_or_compute(key, || {
+            self.extractions.inc();
+            let dis = disasm::disassemble(bin, idx)
+                .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
+            let features = features::extract(&dis, &bin.functions[idx]);
+            Ok(Artifact { features, cfg: dis.cfg.summary() })
+        })
     }
 
-    /// Pre-populate the store with every function of an image. Returns the
-    /// number of functions visited.
+    /// Pre-populate the base namespace with every function of an image.
+    /// Returns the number of functions visited.
     ///
     /// # Errors
     /// The first extraction failure, if any function fails to decode.
     pub fn warm_image(&self, image: &fwbin::FirmwareImage) -> Result<usize, ScanError> {
-        self.warm_image_ns(image, (0, 0))
-    }
-
-    /// [`ArtifactStore::warm_image`] in the namespace named by `salt`.
-    ///
-    /// # Errors
-    /// The first extraction failure, if any function fails to decode.
-    pub fn warm_image_ns(
-        &self,
-        image: &fwbin::FirmwareImage,
-        salt: (u64, u64),
-    ) -> Result<usize, ScanError> {
         let mut n = 0;
         for bin in &image.binaries {
             for idx in 0..bin.function_count() {
-                self.get_or_extract_ns(bin, idx, salt)?;
+                self.get_or_extract_ns(bin, idx, (0, 0))?;
                 n += 1;
             }
         }
         Ok(n)
     }
 
-    /// Write the store to `dir/artifacts.json` (creating `dir` as needed).
-    /// The write goes to a temp file first and is renamed into place, so a
-    /// crash mid-save leaves the previous cache intact rather than a
-    /// truncated document.
+    /// Write every lane to its file under `dir` (creating `dir` as
+    /// needed), each through a temp file and a rename, so a crash mid-save
+    /// leaves the previous cache intact rather than a truncated document.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let mut artifacts = BTreeMap::new();
-        for shard in &self.shards {
-            for (k, v) in shard.lock().iter() {
-                let entry =
-                    PersistedEntry { checksum: artifact_checksum(v), artifact: (**v).clone() };
-                artifacts.insert(k.to_hex(), entry);
-            }
-        }
-        let doc = PersistedStore { schema: SCHEMA_VERSION, artifacts };
-        std::fs::create_dir_all(dir)?;
-        let json = serde_json::to_string(&doc)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = dir.join(format!("artifacts.json.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, dir.join("artifacts.json"))?;
-        // The dynamic and signature lanes persist beside the static one,
-        // each in its own document — corruption in one file never takes
-        // down the others.
-        self.dyn_lane.save(dir)?;
-        self.sig_lane.save(dir)
+        self.artifacts.save(dir)?;
+        self.envsets.save(dir)?;
+        self.profiles.save(dir)?;
+        self.signatures.save(dir)
     }
 
     /// Load a store persisted by [`ArtifactStore::save`]. The disk layer
-    /// is untrusted:
-    ///
-    /// * a missing file yields an empty store;
-    /// * an unparseable (garbage or truncated) file is quarantined whole —
-    ///   renamed to `artifacts.json.quarantined` and recorded — and the
-    ///   store starts empty instead of erroring the scan;
-    /// * a schema-version mismatch discards the stale entries (they would
-    ///   desynchronize from the extractor);
-    /// * an entry with an invalid key or a checksum mismatch is evicted
-    ///   and recorded; the rest of the cache still loads.
+    /// is untrusted: each lane file loads on its own, and damage is
+    /// quarantined rather than served or raised — a missing file is an
+    /// empty lane, an unparseable one is moved aside, a stale schema is
+    /// discarded, and a bad entry is evicted while the rest load (the
+    /// full list is in the `lane` module).
     ///
     /// # Errors
     /// Propagates filesystem errors other than `NotFound`.
@@ -530,70 +432,14 @@ impl ArtifactStore {
         dir: &Path,
         registry: Arc<MetricsRegistry>,
     ) -> std::io::Result<ArtifactStore> {
-        let path = dir.join("artifacts.json");
         let store = ArtifactStore::with_registry(registry);
-        // The dynamic and signature lanes load first from their own files;
-        // their quarantines are independent of the static document's fate
-        // below.
-        store.dyn_lane.load(dir)?;
-        store.sig_lane.load(dir)?;
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e),
-        };
-        // Non-UTF-8 bytes are just another flavour of on-disk corruption:
-        // quarantine, same as unparseable JSON.
-        let json = match String::from_utf8(bytes) {
-            Ok(s) => s,
-            Err(_) => {
-                let _ = std::fs::rename(&path, dir.join("artifacts.json.quarantined"));
-                store.quarantine(format!(
-                    "cache file {}: unparseable (invalid UTF-8)",
-                    path.display()
-                ));
-                return Ok(store);
-            }
-        };
-        let doc: PersistedStore = match serde_json::from_str(&json) {
-            Ok(doc) => doc,
-            Err(e) => {
-                // Evict the whole file so the next save starts clean; keep
-                // the bytes aside for post-mortem.
-                let _ = std::fs::rename(&path, dir.join("artifacts.json.quarantined"));
-                store.quarantine(format!("cache file {}: unparseable ({e})", path.display()));
-                return Ok(store);
-            }
-        };
-        if doc.schema != SCHEMA_VERSION {
-            store.quarantine(format!(
-                "cache file {}: stale schema v{} (current v{SCHEMA_VERSION}), {} entries discarded",
-                path.display(),
-                doc.schema,
-                doc.artifacts.len()
-            ));
-            return Ok(store);
-        }
-        for (hex, entry) in doc.artifacts {
-            let Some(key) = ArtifactKey::from_hex(&hex) else {
-                store.quarantine(format!("entry {hex}: invalid key"));
-                continue;
-            };
-            let expect = artifact_checksum(&entry.artifact);
-            if entry.checksum != expect {
-                store.quarantine(format!(
-                    "entry {hex}: checksum mismatch (stored {:#018x}, computed {expect:#018x})",
-                    entry.checksum
-                ));
-                continue;
-            }
-            store.insert(key, entry.artifact);
-        }
+        store.artifacts.load(dir)?;
+        store.envsets.load(dir)?;
+        store.profiles.load(dir)?;
+        store.signatures.load(dir)?;
         Ok(store)
     }
-}
 
-impl ArtifactStore {
     /// [`FeatureSource::features_all`] in the namespace named by `salt`.
     ///
     /// # Errors
@@ -623,11 +469,10 @@ impl ArtifactStore {
 
     /// [`FeatureSource::signatures_all`] in the namespace named by `salt`:
     /// retrieval signatures for every function of `bin`, served from the
-    /// persistent signature lane when cached, computed from `feats` and
-    /// inserted otherwise. `feats` must be the binary's full feature
-    /// vector list (as returned by `features_all`); the signature under a
-    /// key is a pure function of the features under the same key, so the
-    /// lanes can never disagree.
+    /// signature lane when cached, computed from `feats` otherwise.
+    /// `feats` must be the binary's full feature vector list (as returned
+    /// by `features_all`); the signature under a key is a pure function of
+    /// the features under the same key, so the lanes can never disagree.
     pub fn signatures_all_ns(
         &self,
         bin: &Binary,
@@ -639,20 +484,16 @@ impl ArtifactStore {
             .enumerate()
             .map(|(idx, f)| {
                 let key = ArtifactKey::for_function(bin, idx).namespaced(salt);
-                match self.sig_lane.lookup(key) {
-                    Some(sig) => (*sig).clone(),
-                    None => {
-                        let sig = FunctionSignature::of(f);
-                        self.sig_lane.insert(key, sig.clone());
-                        sig
-                    }
-                }
+                let Ok(sig) = self
+                    .signatures
+                    .get_or_compute(key, || Ok::<_, Infallible>(FunctionSignature::of(f)));
+                (*sig).clone()
             })
             .collect()
     }
 
     /// [`DynProfileSource::environments`] in the namespace named by
-    /// `salt`. Concurrent misses single-flight like the static lane.
+    /// `salt`.
     ///
     /// # Errors
     /// Infallible today (live generation cannot fail); `Result` for
@@ -665,27 +506,20 @@ impl ArtifactStore {
         salt: (u64, u64),
     ) -> Result<EnvSet, ScanError> {
         let key = ArtifactKey::for_env_set(reference.binary(), fuzz_cfg, vm).namespaced(salt);
-        loop {
-            if let Some(envs) = self.dyn_lane.lookup_envs(key) {
-                // Recomputing the fingerprint from the stored contents
-                // (rather than persisting it) keeps the env-set → profile
-                // linkage self-validating: a tampered env list that
-                // somehow survived the checksum would fingerprint
-                // differently and miss every profile derived from the
-                // original.
-                return Ok(EnvSet::new((*envs).clone(), vm));
-            }
-            if let Some(_claim) = self.flight.claim(key) {
-                let set = dynsource::live_environments(reference, fuzz_cfg, vm);
-                self.dyn_lane.insert_envs(key, set.envs.clone());
-                return Ok(set);
-            }
-        }
+        let envs = self.envsets.get_or_compute(key, || {
+            Ok::<_, ScanError>(dynsource::live_environments(reference, fuzz_cfg, vm).envs)
+        })?;
+        // Recomputing the fingerprint from the stored contents (rather
+        // than persisting it) keeps the env-set → profile linkage
+        // self-validating: a tampered env list that somehow survived the
+        // checksum would fingerprint differently and miss every profile
+        // derived from the original.
+        Ok(EnvSet::new((*envs).clone(), vm))
     }
 
-    /// [`DynProfileSource::profile`] in the namespace named by `salt`.
-    /// Concurrent misses single-flight: one live profiling run (a whole
-    /// batch of VM executions) serves every concurrent requester.
+    /// [`DynProfileSource::profile`] in the namespace named by `salt`. One
+    /// live profiling run (a whole batch of VM executions) serves every
+    /// concurrent requester.
     ///
     /// # Errors
     /// Infallible today; `Result` for seam-compatibility.
@@ -712,17 +546,11 @@ impl ArtifactStore {
         );
         let key =
             ArtifactKey::for_dyn_profile(target.binary(), func, envs.fingerprint).namespaced(salt);
-        loop {
-            if let Some(profile) = self.dyn_lane.lookup_profile(key) {
-                return Ok((*profile).clone());
-            }
-            if let Some(_claim) = self.flight.claim(key) {
-                self.dyn_lane.profiled.inc();
-                let profile = dynsource::live_profile(target, func, &envs.envs, vm);
-                self.dyn_lane.insert_profile(key, profile.clone());
-                return Ok(profile);
-            }
-        }
+        let profile = self.profiles.get_or_compute(key, || {
+            self.profiled.inc();
+            Ok::<_, ScanError>(dynsource::live_profile(target, func, &envs.envs, vm))
+        })?;
+        Ok((*profile).clone())
     }
 }
 
@@ -770,6 +598,8 @@ impl DynProfileSource for ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::SCHEMA_VERSION;
+    use crate::lane::Envelope;
     use crate::testfix::{dyn_fixture, store_binary as sample_binary};
     use patchecko_core::pipeline::DirectExtraction;
 
@@ -902,7 +732,7 @@ mod tests {
         store.features_all(&bin).unwrap();
         store.save(&dir).unwrap();
         // Rewrite the document under an old schema version.
-        let path = dir.join("artifacts.json");
+        let path = dir.join(ARTIFACTS_FILE);
         let json = std::fs::read_to_string(&path).unwrap();
         let stale = json.replacen(
             &format!("\"schema\":{SCHEMA_VERSION}"),
@@ -928,11 +758,11 @@ mod tests {
         store.save(&dir).unwrap();
         // Corrupt one entry's checksum so its artifact no longer validates
         // (equivalent to the artifact bytes having been tampered with).
-        let path = dir.join("artifacts.json");
-        let mut doc: PersistedStore =
+        let path = dir.join(ARTIFACTS_FILE);
+        let mut doc: Envelope =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let n_entries = doc.artifacts.len();
-        doc.artifacts.values_mut().next().unwrap().checksum ^= 1;
+        let n_entries = doc.entries.len();
+        doc.entries.values_mut().next().unwrap().checksum ^= 1;
         std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
 
         let reloaded = ArtifactStore::load(&dir).unwrap();
@@ -1065,10 +895,10 @@ mod tests {
         store.save(&dir).unwrap();
 
         // Flip one profile checksum so the entry no longer validates.
-        let path = dir.join(crate::dynstore::DYN_CACHE_FILE);
-        let mut doc: crate::dynstore::PersistedDynStore =
+        let path = dir.join(DYN_PROFILES_FILE);
+        let mut doc: Envelope =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        doc.profiles.values_mut().next().unwrap().checksum ^= 1;
+        doc.entries.values_mut().next().unwrap().checksum ^= 1;
         std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
 
         let reloaded = ArtifactStore::load(&dir).unwrap();
@@ -1076,7 +906,7 @@ mod tests {
         assert!(reloaded
             .quarantine_records()
             .iter()
-            .any(|r| r.contains("dyn profile") && r.contains("checksum mismatch")));
+            .any(|r| r.contains(DYN_PROFILES_FILE) && r.contains("checksum mismatch")));
         // The evicted profile is recomputed live, bitwise-identical.
         let envs2 = reloaded.environments(&lb, &fuzz, &vmc).unwrap();
         let warm = reloaded.profile(&lb, 0, &envs2, &vmc).unwrap();
@@ -1095,15 +925,17 @@ mod tests {
         store.profile(&lb, 0, &envs, &vmc).unwrap();
         store.save(&dir).unwrap();
 
-        let path = dir.join(crate::dynstore::DYN_CACHE_FILE);
-        let json = std::fs::read_to_string(&path).unwrap();
-        let stale = json.replacen(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":2", 1);
-        assert_ne!(json, stale, "schema field rewritten");
-        std::fs::write(&path, stale).unwrap();
+        for file in [DYN_ENVSETS_FILE, DYN_PROFILES_FILE] {
+            let path = dir.join(file);
+            let json = std::fs::read_to_string(&path).unwrap();
+            let stale = json.replacen(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":2", 1);
+            assert_ne!(json, stale, "schema field rewritten");
+            std::fs::write(&path, stale).unwrap();
+        }
 
         let reloaded = ArtifactStore::load(&dir).unwrap();
         assert_eq!(reloaded.stats().dyn_entries, 0, "stale dyn entries are discarded");
-        assert_eq!(reloaded.stats().dyn_quarantined, 1);
+        assert_eq!(reloaded.stats().dyn_quarantined, 2, "one discard per dynamic-lane file");
         assert!(reloaded.quarantine_records().iter().any(|r| r.contains("stale schema")));
         // The static lane is untouched by dynamic-lane staleness.
         assert_eq!(reloaded.len(), store.len());
@@ -1164,15 +996,65 @@ mod tests {
     fn checksum_is_structural_and_stable() {
         let bin = sample_binary();
         let store = ArtifactStore::new();
-        let a = store.get_or_extract(&bin, 0).unwrap();
-        let c1 = artifact_checksum(&a);
+        let a = store.get_or_extract_ns(&bin, 0, (0, 0)).unwrap();
+        let c1 = a.checksum();
         // A JSON round-trip preserves the checksum (bit-exact floats).
         let json = serde_json::to_string(&*a).unwrap();
         let back: Artifact = serde_json::from_str(&json).unwrap();
-        assert_eq!(artifact_checksum(&back), c1);
+        assert_eq!(back.checksum(), c1);
         // Any field change moves it.
         let mut tampered = back.clone();
         tampered.cfg.num_blocks += 1;
-        assert_ne!(artifact_checksum(&tampered), c1);
+        assert_ne!(tampered.checksum(), c1);
+    }
+
+    #[test]
+    fn env_set_checksum_is_content_sensitive_and_json_stable() {
+        let envs = crate::testfix::sample_envs();
+        let c = envs.checksum();
+        let json = serde_json::to_string(&envs).unwrap();
+        let back: Vec<ExecEnv> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.checksum(), c, "JSON round-trip preserves the checksum");
+
+        let mut tampered = envs.clone();
+        tampered[0].input[1] ^= 1;
+        assert_ne!(tampered.checksum(), c);
+        let mut reargued = envs.clone();
+        reargued[1].args.pop();
+        assert_ne!(reargued.checksum(), c);
+    }
+
+    #[test]
+    fn profile_checksum_is_content_sensitive_and_json_stable() {
+        let p = crate::testfix::sample_profile();
+        let c = p.checksum();
+        let json = serde_json::to_string(&p).unwrap();
+        let back: DynProfile = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.checksum(), c, "JSON round-trip preserves the checksum");
+
+        let mut flipped = p.clone();
+        flipped.ok[1] = true;
+        assert_ne!(flipped.checksum(), c);
+        let mut nudged = p.clone();
+        nudged.features[0].0[0] = 1.250_000_001;
+        assert_ne!(nudged.checksum(), c);
+    }
+
+    #[test]
+    fn signature_checksum_is_content_sensitive_and_json_stable() {
+        let feats = features::extract_all(&sample_binary()).unwrap();
+        let sig = FunctionSignature::of(&feats[0]);
+        let c = sig.checksum();
+        let json = serde_json::to_string(&sig).unwrap();
+        let back: FunctionSignature = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, sig, "JSON round-trip preserves the signature");
+        assert_eq!(back.checksum(), c);
+
+        let mut tampered = sig.clone();
+        tampered.q[7] ^= 1;
+        assert_ne!(tampered.checksum(), c);
+        let mut rehashed = sig.clone();
+        rehashed.minhash[3] ^= 1;
+        assert_ne!(rehashed.checksum(), c);
     }
 }

@@ -31,18 +31,6 @@ pub enum Engine {
     Interp,
 }
 
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Engine, String> {
-        match s {
-            "fast" => Ok(Engine::Fast),
-            "interp" | "interpreter" => Ok(Engine::Interp),
-            other => Err(format!("unknown engine `{other}` (expected `fast` or `interp`)")),
-        }
-    }
-}
-
 /// Interpreter limits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VmConfig {

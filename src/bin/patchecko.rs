@@ -23,9 +23,7 @@
 //! persistent content-addressed artifact cache across invocations and
 //! `--cache-stats` to print hit/miss/extraction counters; `--threads N`
 //! pins the scheduler/pipeline worker count (`PipelineConfig::threads`,
-//! overriding the `PATCHECKO_THREADS` environment variable); `--engine
-//! interp` swaps the dynamic stage onto the reference interpreter (the
-//! fast engine is the default and produces bitwise-identical profiles).
+//! overriding the `PATCHECKO_THREADS` environment variable).
 //!
 //! Observability (same three commands): `--metrics` prints the run's full
 //! telemetry table — per-stage span timings plus cache / scheduler / pool
@@ -125,11 +123,6 @@ CACHING / SCHEDULING (scan, audit, batch-audit, serve):
                     count is bitwise-identical to exact). Pruning shows
                     up in --metrics as the `index.candidates` and
                     `index.pairs_pruned` counters
-  --engine MODE     dynamic-stage execution engine: `fast` (pre-lowered
-                    dispatch, dense tracing, dirty-tracked environment
-                    resets; the default) or `interp` (the reference
-                    interpreter). Both produce bitwise-identical dynamic
-                    profiles; `interp` exists for differential testing
 
 OBSERVABILITY (scan, audit, batch-audit):
   --metrics         print the run's telemetry table: per-stage span timings
@@ -360,9 +353,6 @@ fn build_analyzer(flags: &HashMap<String, String>) -> Result<Patchecko, String> 
     }
     if let Some(r) = flags.get("retrieval") {
         cfg.retrieval = r.parse().map_err(|e| format!("--retrieval: {e}"))?;
-    }
-    if let Some(e) = flags.get("engine") {
-        cfg.vm.engine = e.parse().map_err(|e| format!("--engine: {e}"))?;
     }
     Ok(Patchecko::new(det, cfg))
 }

@@ -106,7 +106,7 @@ fn sigkilled_daemon_is_replaced_on_the_same_socket_and_serves_warm() {
     // saves are atomic — it just loses the un-checkpointed tail, which
     // would void this test's warm-restart claim.)
     let deadline = Instant::now() + Duration::from_secs(60);
-    for lane in ["artifacts.json", "dyn_artifacts.json", "sig_index.json"] {
+    for lane in patchecko::scanhub::LANE_FILES {
         while !cache.join(lane).exists() {
             assert!(Instant::now() < deadline, "checkpoint never landed: {lane}");
             std::thread::sleep(Duration::from_millis(20));
