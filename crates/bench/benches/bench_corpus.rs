@@ -166,9 +166,9 @@ fn main() {
     let mut curve = Vec::new();
     for &size in sizes {
         let cfg = stream_cfg(size);
-        let report = hub
-            .scan_stream(CorpusStream::new(cfg.clone()).map(|u| u.binary), &refs, working_set)
-            .unwrap();
+        let units = CorpusStream::new(cfg.clone()).map(|u| u.binary);
+        let report =
+            hub.analyzer.scan_stream_with(units, &refs, working_set, hub.store()).unwrap();
         println!(
             "corpus/{size}: {} units / {} functions in {:.2}s — {:.0} functions/s, \
              {} matches, peak working set {} of {working_set}",

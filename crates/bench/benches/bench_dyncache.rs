@@ -17,7 +17,7 @@ use corpus::vulndb::VulnDb;
 use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::differential::DifferentialConfig;
-use patchecko_core::pipeline::{live_profiling, Patchecko, PipelineConfig, StaticScan};
+use patchecko_core::pipeline::{Patchecko, PipelineConfig, RunCtx, StaticScan};
 use patchecko_scanhub::ScanHub;
 use vm::loader::LoadedBinary;
 use vm::trace::DynFeatures;
@@ -129,7 +129,7 @@ fn bench_dyn_stage(c: &mut Criterion, detector: &Detector, device: &corpus::devi
     };
     let fast = pipeline_for(vm::Engine::Fast);
     let interp = pipeline_for(vm::Engine::Interp);
-    let dynsrc = live_profiling();
+    let dynsrc = RunCtx::default().profiles;
 
     // Correctness gate before any timing: both engines must produce
     // bitwise-identical dynamic analyses (floats compared by bit pattern).

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use corpus::dataset1::Dataset1Config;
 use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
-use patchecko_core::pipeline::{live_profiling, Basis, Patchecko, PipelineConfig};
+use patchecko_core::pipeline::{Basis, DirectExtraction, Patchecko, PipelineConfig, RunCtx};
 use patchecko_core::{features, similarity};
 use std::sync::Arc;
 use vm::loader::LoadedBinary;
@@ -41,7 +41,7 @@ fn bench_stages(c: &mut Criterion) {
 
     // DP column: whole-library static scan (features + batched NN forward).
     c.bench_function("static_stage/scan_library_56fn", |b| {
-        b.iter(|| black_box(patchecko.scan_library(&bin, &references).unwrap()))
+        b.iter(|| black_box(patchecko.scan_library(&bin, &references, &DirectExtraction).unwrap()))
     });
 
     // Feature extraction alone (the IDA-plugin analog).
@@ -50,10 +50,10 @@ fn bench_stages(c: &mut Criterion) {
     });
 
     // DA column: dynamic stage over the scan's candidate set.
-    let scan = patchecko.scan_library(&bin, &references).unwrap();
+    let scan = patchecko.scan_library(&bin, &references, &DirectExtraction).unwrap();
     let ref_loaded = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
     let target_loaded = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
-    let dynsrc = live_profiling();
+    let dynsrc = RunCtx::default().profiles;
     c.bench_function("dynamic_stage/validate_and_profile", |b| {
         b.iter(|| {
             black_box(patchecko.dynamic_stage(&target_loaded, &scan, &ref_loaded, &dynsrc))

@@ -11,7 +11,7 @@
 //! ```
 
 use patchecko_bench::{build, write_json, HarnessOpts};
-use patchecko_core::pipeline::Basis;
+use patchecko_core::pipeline::{Basis, RunCtx};
 use vm::loader::LoadedBinary;
 
 #[derive(serde::Serialize)]
@@ -29,7 +29,8 @@ fn main() {
     let truth = device.truth_for("CVE-2018-9412").expect("ground truth");
     let bin = device.image.binary(&truth.library).expect("libstagefright");
 
-    let analysis = ev.patchecko.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
+    let analysis =
+        ev.patchecko.analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default()).unwrap();
     eprintln!(
         "[table3] candidates {} -> validated {}",
         analysis.scan.candidates.len(),

@@ -12,7 +12,7 @@
 //! ```
 
 use patchecko_bench::{build, write_json, HarnessOpts, Table};
-use patchecko_core::pipeline::Basis;
+use patchecko_core::pipeline::{Basis, RunCtx};
 
 #[derive(serde::Serialize)]
 struct RankRow {
@@ -35,7 +35,7 @@ fn main() {
     for (label, basis) in
         [("Table IV (vulnerable basis)", Basis::Vulnerable), ("Table V (patched basis)", Basis::Patched)]
     {
-        let analysis = ev.patchecko.analyze_library(bin, entry, basis).unwrap();
+        let analysis = ev.patchecko.analyze_library(bin, entry, basis, &RunCtx::default()).unwrap();
         println!("\n{label}: top-10 ranking for CVE-2018-9412\n");
         let table = Table::new(&[("rank", 4), ("candidate", 14), ("sim", 9), ("ground truth", 42)]);
         let mut rows = Vec::new();

@@ -9,8 +9,9 @@
 //! [`ScanError::DeadlineExceeded`], which the service layer maps to a
 //! per-tenant `expired` counter and a typed wire rejection.
 //!
-//! Tokens are plain `Copy` values: an unbounded token costs nothing and
-//! every legacy entry point threads one through unchanged.
+//! Tokens are plain `Copy` values carried in the run context
+//! ([`crate::pipeline::RunCtx::cancel`]); the default context holds an
+//! unbounded token, which costs nothing to check.
 
 use std::time::{Duration, Instant};
 
@@ -24,8 +25,9 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// A token that never expires — used by every caller that predates
-    /// deadlines (CLI batch audits, benches, the scheduler's own jobs).
+    /// A token that never expires — the [`crate::pipeline::RunCtx`]
+    /// default, used by every caller without a deadline (CLI batch
+    /// audits, benches, the scheduler's own jobs).
     pub fn unbounded() -> CancelToken {
         CancelToken { deadline: None, budget_ms: 0 }
     }

@@ -17,17 +17,16 @@
 //! patch changes one integer constant and is invisible to all three
 //! channels.
 
-use crate::dynsource::{DynProfileSource, EnvSet};
+use crate::dynsource::EnvSet;
 use crate::error::ScanError;
 use crate::features::StaticFeatures;
-use crate::pipeline::{live_profiling, DirectExtraction, FeatureSource, Patchecko};
+use crate::pipeline::{Basis, Patchecko, RunCtx};
 use crate::similarity;
 use corpus::vulndb::DbEntry;
 use fwbin::format::Binary;
 use fwbin::isa::Inst;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use vm::loader::LoadedBinary;
 
 /// Differential-engine tuning.
@@ -192,54 +191,38 @@ fn share(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Run the differential engine for one located target function.
+/// Run the differential engine for one located target function, static
+/// features and dynamic profiles served by `ctx`: cached sources let a
+/// warm re-audit skip all three static extractions *and* every VM
+/// execution here.
 ///
 /// `target_idx` is the function (from the pipeline's ranking) inside
 /// `target_bin`. Environments are generated from both references and
 /// filtered to those all three functions survive, so the three dynamic
 /// profiles are comparable.
+///
+/// # Errors
+/// [`ScanError::DeadlineExceeded`] when `ctx.cancel` has expired;
+/// otherwise static extraction failures from the source. Loader failures
+/// on the dynamic side do **not** error: the verdict degrades to the
+/// static and signature channels with [`PatchVerdict::degraded`] set.
 pub fn detect_patch(
     patchecko: &Patchecko,
     entry: &DbEntry,
     target_bin: &Binary,
     target_idx: usize,
     cfg: &DifferentialConfig,
+    ctx: &RunCtx,
 ) -> Result<PatchVerdict, ScanError> {
-    detect_patch_with(
-        patchecko,
-        entry,
-        target_bin,
-        target_idx,
-        cfg,
-        &DirectExtraction,
-        &live_profiling(),
-    )
-}
-
-/// [`detect_patch`] with static features served by `source` and dynamic
-/// profiles served by `dynsrc`: cached sources let a warm re-audit skip
-/// all three static extractions *and* every VM execution here.
-///
-/// # Errors
-/// Propagates static extraction failures from the source. Loader failures
-/// on the dynamic side do **not** error: the verdict degrades to the
-/// static and signature channels with [`PatchVerdict::degraded`] set.
-pub fn detect_patch_with(
-    patchecko: &Patchecko,
-    entry: &DbEntry,
-    target_bin: &Binary,
-    target_idx: usize,
-    cfg: &DifferentialConfig,
-    source: &dyn FeatureSource,
-    dynsrc: &Arc<dyn DynProfileSource>,
-) -> Result<PatchVerdict, ScanError> {
+    ctx.cancel.check()?;
     let _span = scope::SpanGuard::enter("differential").with_detail(entry.entry.cve.clone());
     let vm_cfg = &patchecko.config.vm;
+    let dynsrc = &ctx.profiles;
 
     // --- static channel ---
-    let fv = Patchecko::reference_features_with(entry, crate::pipeline::Basis::Vulnerable, source)?;
-    let fp = Patchecko::reference_features_with(entry, crate::pipeline::Basis::Patched, source)?;
-    let ft = source.features_one(target_bin, target_idx)?;
+    let fv = Patchecko::reference_features(entry, Basis::Vulnerable, ctx.features)?;
+    let fp = Patchecko::reference_features(entry, Basis::Patched, ctx.features)?;
+    let ft = ctx.features.features_one(target_bin, target_idx)?;
     let norm = &patchecko.detector.norm;
     let sv = static_distance(norm, &fv, &ft);
     let sp = static_distance(norm, &fp, &ft);
@@ -471,41 +454,22 @@ fn exploit_behaviour_vote(
 /// decisive margin.
 ///
 /// Returns `None` if `candidates` is empty.
+///
+/// # Errors
+/// The first per-candidate [`ScanError`], if any — including
+/// [`ScanError::DeadlineExceeded`], which [`detect_patch`] checks before
+/// every candidate.
 pub fn detect_patch_best(
     patchecko: &Patchecko,
     entry: &DbEntry,
     target_bin: &Binary,
     candidates: &[usize],
     cfg: &DifferentialConfig,
-) -> Result<Option<(usize, PatchVerdict)>, ScanError> {
-    detect_patch_best_with(
-        patchecko,
-        entry,
-        target_bin,
-        candidates,
-        cfg,
-        &DirectExtraction,
-        &live_profiling(),
-    )
-}
-
-/// [`detect_patch_best`] with static features served by `source` and
-/// dynamic profiles served by `dynsrc`.
-///
-/// # Errors
-/// The first per-candidate [`ScanError`], if any.
-pub fn detect_patch_best_with(
-    patchecko: &Patchecko,
-    entry: &DbEntry,
-    target_bin: &Binary,
-    candidates: &[usize],
-    cfg: &DifferentialConfig,
-    source: &dyn FeatureSource,
-    dynsrc: &Arc<dyn DynProfileSource>,
+    ctx: &RunCtx,
 ) -> Result<Option<(usize, PatchVerdict)>, ScanError> {
     let mut best: Option<(usize, PatchVerdict, f64)> = None;
     for &c in candidates {
-        let v = detect_patch_with(patchecko, entry, target_bin, c, cfg, source, dynsrc)?;
+        let v = detect_patch(patchecko, entry, target_bin, c, cfg, ctx)?;
         // Degraded verdicts have infinite dynamic distances; fall back to
         // static proximity alone so candidate selection stays meaningful.
         let dyn_proximity = v.dyn_dist_vulnerable.min(v.dyn_dist_patched);
@@ -582,7 +546,8 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9412").unwrap();
         let target = target_with(entry, false);
-        let v = detect_patch(&patchecko, entry, &target, 0, &DifferentialConfig::default()).unwrap();
+        let cfg = DifferentialConfig::default();
+        let v = detect_patch(&patchecko, entry, &target, 0, &cfg, &RunCtx::default()).unwrap();
         assert!(!v.patched, "margin {}, dv {} dp {}", v.margin, v.dyn_dist_vulnerable, v.dyn_dist_patched);
         // The paper's case-study signal: memmove in the vulnerable import
         // set, absent from the patched one, present in the target.
@@ -597,7 +562,8 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9412").unwrap();
         let target = target_with(entry, true);
-        let v = detect_patch(&patchecko, entry, &target, 0, &DifferentialConfig::default()).unwrap();
+        let cfg = DifferentialConfig::default();
+        let v = detect_patch(&patchecko, entry, &target, 0, &cfg, &RunCtx::default()).unwrap();
         assert!(v.patched, "margin {}", v.margin);
     }
 
@@ -610,10 +576,11 @@ mod tests {
         let entry = db.get("CVE-2018-9470").unwrap();
         assert!(entry.entry.poc.is_some(), "9470 carries a PoC");
         let cfg = DifferentialConfig { use_exploit_channel: true, ..Default::default() };
-        let v = detect_patch(&patchecko, entry, &target_with(entry, false), 0, &cfg).unwrap();
+        let ctx = RunCtx::default();
+        let v = detect_patch(&patchecko, entry, &target_with(entry, false), 0, &cfg, &ctx).unwrap();
         assert_eq!(v.exploit_vote, Some(-1), "target behaves like the vulnerable build");
         assert!(!v.patched, "exploit evidence overrides the tie");
-        let v = detect_patch(&patchecko, entry, &target_with(entry, true), 0, &cfg).unwrap();
+        let v = detect_patch(&patchecko, entry, &target_with(entry, true), 0, &cfg, &ctx).unwrap();
         assert_eq!(v.exploit_vote, Some(1));
         assert!(v.patched);
     }
@@ -626,7 +593,8 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9412").unwrap();
         let cfg = DifferentialConfig { use_exploit_channel: true, ..Default::default() };
-        let v = detect_patch(&patchecko, entry, &target_with(entry, false), 0, &cfg).unwrap();
+        let ctx = RunCtx::default();
+        let v = detect_patch(&patchecko, entry, &target_with(entry, false), 0, &cfg, &ctx).unwrap();
         assert_eq!(v.exploit_vote, Some(-1));
         assert!(!v.patched);
     }
@@ -687,10 +655,12 @@ mod tests {
             let mut permuted = base.clone();
             permuted.rotate_left(rot);
             permuted.reverse();
+            let ctx = RunCtx::default();
             let (ac, av) =
-                detect_patch_best(&patchecko, entry, &target, &base, &cfg).unwrap().unwrap();
-            let (bc, bv) =
-                detect_patch_best(&patchecko, entry, &target, &permuted, &cfg).unwrap().unwrap();
+                detect_patch_best(&patchecko, entry, &target, &base, &cfg, &ctx).unwrap().unwrap();
+            let (bc, bv) = detect_patch_best(&patchecko, entry, &target, &permuted, &cfg, &ctx)
+                .unwrap()
+                .unwrap();
             prop_assert_eq!(ac, bc, "chosen candidate depends on supply order");
             prop_assert_eq!(av.patched, bv.patched);
             prop_assert_eq!(av.tie_break, bv.tie_break);
@@ -714,8 +684,9 @@ mod tests {
             let entry = db.get(PROP_CVES[cve_i]).unwrap();
             let target = target_with(entry, target_patched);
             let cfg = DifferentialConfig::default();
-            let v = detect_patch(&patchecko, entry, &target, 0, &cfg).unwrap();
-            let w = detect_patch(&patchecko, &role_flipped(entry), &target, 0, &cfg).unwrap();
+            let ctx = RunCtx::default();
+            let v = detect_patch(&patchecko, entry, &target, 0, &cfg, &ctx).unwrap();
+            let w = detect_patch(&patchecko, &role_flipped(entry), &target, 0, &cfg, &ctx).unwrap();
             prop_assert_eq!(v.tie_break, w.tie_break, "tie is role-symmetric");
             if v.tie_break {
                 prop_assert!(v.patched && w.patched, "tie-break defaults to patched");
@@ -742,7 +713,8 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9470").unwrap();
         let target = target_with(entry, false); // actually vulnerable
-        let v = detect_patch(&patchecko, entry, &target, 0, &DifferentialConfig::default()).unwrap();
+        let cfg = DifferentialConfig::default();
+        let v = detect_patch(&patchecko, entry, &target, 0, &cfg, &RunCtx::default()).unwrap();
         // The engine cannot tell and defaults to "patched" — the paper's
         // one Table VIII miss.
         assert!(v.tie_break, "expected inconclusive evidence, margin {}", v.margin);

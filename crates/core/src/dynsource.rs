@@ -26,30 +26,49 @@ use vm::fuzz::{self, FuzzConfig};
 use vm::loader::LoadedBinary;
 use vm::DynFeatures;
 
-/// Dual-lane 64-bit FNV-1a, same construction as scanhub's `ArtifactKey`
-/// hasher: the `hi` lane hashes bytes as-is, the `lo` lane hashes each
-/// byte rotated left by 3, giving two independent 64-bit digests.
-struct Fnv2 {
-    hi: u64,
-    lo: u64,
+/// Dual-lane 64-bit FNV-1a: the `hi` lane hashes bytes as-is, the `lo`
+/// lane hashes each byte rotated left by 3 from a different offset basis,
+/// giving two decorrelated 64-bit digests. It names every cached artifact
+/// (scanhub's `ArtifactKey`, tenant salts, entry checksums) and every
+/// [`EnvSet`] fingerprint, so its output is part of the persisted cache
+/// format: changing it cold-misses every on-disk cache.
+pub struct Fnv2 {
+    /// The plain-byte lane.
+    pub hi: u64,
+    /// The rotated-byte lane.
+    pub lo: u64,
 }
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Fnv2 {
-    fn new() -> Fnv2 {
+    /// A hasher at the two offset bases.
+    pub fn new() -> Fnv2 {
         Fnv2 { hi: 0xcbf2_9ce4_8422_2325, lo: 0x6c62_272e_07bb_0142 }
     }
 
-    fn update(&mut self, bytes: &[u8]) {
+    /// Feed `bytes` to both lanes.
+    pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
             self.lo = (self.lo ^ u64::from(b.rotate_left(3))).wrapping_mul(FNV_PRIME);
         }
     }
 
-    fn update_u64(&mut self, v: u64) {
+    /// Feed `v` as 4 little-endian bytes.
+    pub fn update_u32(&mut self, v: u32) {
         self.update(&v.to_le_bytes());
+    }
+
+    /// Feed `v` as 8 little-endian bytes.
+    pub fn update_u64(&mut self, v: u64) {
+        self.update(&v.to_le_bytes());
+    }
+}
+
+impl Default for Fnv2 {
+    fn default() -> Fnv2 {
+        Fnv2::new()
     }
 }
 

@@ -4,14 +4,18 @@
 
 use crate::detector::{self, DetectorConfig, TestMetrics};
 use crate::differential::{self, DifferentialConfig, PatchVerdict};
+use crate::dynsource::DynProfileSource;
 use crate::error::ScanError;
-use crate::pipeline::{Basis, CveAnalysis, Patchecko, PipelineConfig};
+use crate::pipeline::{Basis, CveAnalysis, FeatureSource, Patchecko, PipelineConfig, RunCtx};
+use crate::report::{AuditFinding, AuditReport, AuditStatus};
 use crate::similarity;
 use corpus::device::DeviceBuild;
 use corpus::vulndb::{DbEntry, VulnDb};
 use corpus::dataset1::Dataset1Config;
 use neural::net::TrainHistory;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One row of Table VI / Table VII.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,7 +86,7 @@ pub fn evaluate_cve(
         .image
         .binary(&truth.library)
         .unwrap_or_else(|| panic!("{} missing from image", truth.library));
-    let analysis = patchecko.analyze_library(bin, entry, basis)?;
+    let analysis = patchecko.analyze_library(bin, entry, basis, &RunCtx::default())?;
 
     let mut tp = 0u32;
     let mut fp = 0u32;
@@ -148,8 +152,9 @@ pub fn evaluate_patch_detection(
         .ok_or_else(|| ScanError::UnknownCve(entry.entry.cve.clone()))?;
     let candidates = locate_candidates(&va, &pa);
     let bin = device.image.binary(&truth.library).expect("library present");
+    let ctx = RunCtx::default();
     let Some((_, verdict)) =
-        differential::detect_patch_best(patchecko, entry, bin, &candidates, diff_cfg)?
+        differential::detect_patch_best(patchecko, entry, bin, &candidates, diff_cfg, &ctx)?
     else {
         return Ok((
             PatchRow {
@@ -170,143 +175,99 @@ pub fn evaluate_patch_detection(
     Ok((row, Some(verdict)))
 }
 
-/// Audit a whole firmware image against the vulnerability database,
-/// producing the deployment-facing [`crate::report::AuditReport`]: per CVE,
-/// locate the target via both search bases, arbitrate with
-/// [`differential::detect_patch_best`], and classify.
-pub fn audit_image(
-    patchecko: &Patchecko,
-    db: &VulnDb,
-    image: &fwbin::FirmwareImage,
-    diff_cfg: &DifferentialConfig,
-) -> Result<crate::report::AuditReport, ScanError> {
-    audit_image_with(
-        patchecko,
-        db,
-        image,
-        diff_cfg,
-        &crate::pipeline::DirectExtraction,
-        &crate::pipeline::live_profiling(),
-    )
-}
-
-/// One CVE's share of [`audit_image_with`]: both-basis image analysis,
-/// per-library candidate collection, differential arbitration.
-fn audit_one_cve(
+/// One CVE's share of [`audit_image`]: both-basis image analysis,
+/// per-library candidate collection, differential arbitration. Returns
+/// the located target as `library:function` with its verdict, or `None`
+/// when neither basis located the CVE function. Across libraries the
+/// target is the verdict closest to either reference version, the same
+/// proximity [`differential::detect_patch_best`] ranks candidates by.
+///
+/// # Errors
+/// The first [`ScanError`] from the analyses or the differential engine,
+/// including [`ScanError::DeadlineExceeded`] once `ctx.cancel` expires.
+pub fn audit_one_cve(
     patchecko: &Patchecko,
     entry: &DbEntry,
     image: &fwbin::FirmwareImage,
     diff_cfg: &DifferentialConfig,
-    source: &dyn crate::pipeline::FeatureSource,
-    dynsrc: &std::sync::Arc<dyn crate::dynsource::DynProfileSource>,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<(crate::report::AuditStatus, Option<String>, Option<PatchVerdict>), ScanError> {
-    use crate::report::AuditStatus;
-    let va = patchecko.analyze_image_ctl(image, entry, Basis::Vulnerable, source, dynsrc, cancel)?;
-    let pa = patchecko.analyze_image_ctl(image, entry, Basis::Patched, source, dynsrc, cancel)?;
+    ctx: &RunCtx,
+) -> Result<Option<(String, PatchVerdict)>, ScanError> {
+    let va = patchecko.analyze_image(image, entry, Basis::Vulnerable, ctx)?;
+    let pa = patchecko.analyze_image(image, entry, Basis::Patched, ctx)?;
     // Per-library candidate sets from both bases.
-    let mut by_lib: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+    let mut by_lib: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for m in va.best.iter().chain(pa.best.iter()) {
         let cands = by_lib.entry(m.library_index).or_default();
         if !cands.contains(&m.function_index) {
             cands.push(m.function_index);
         }
     }
-    let mut best: Option<(String, usize, PatchVerdict, f64)> = None;
+    let mut best: Option<(String, PatchVerdict, f64)> = None;
     for (li, cands) in by_lib {
-        cancel.check()?;
         let bin = &image.binaries[li];
         if let Some((idx, v)) =
-            differential::detect_patch_best_with(
-                patchecko, entry, bin, &cands, diff_cfg, source, dynsrc,
-            )?
+            differential::detect_patch_best(patchecko, entry, bin, &cands, diff_cfg, ctx)?
         {
             let dyn_prox = v.dyn_dist_vulnerable.min(v.dyn_dist_patched);
             let proximity = if dyn_prox.is_finite() { dyn_prox } else { 0.0 }
                 + v.static_dist_vulnerable.min(v.static_dist_patched);
             let better = match &best {
-                Some((_, _, _, d)) => proximity < *d,
+                Some((_, _, d)) => proximity < *d,
                 None => true,
             };
             if better {
-                best = Some((bin.lib_name.clone(), idx, v, proximity));
+                best = Some((format!("{}:{idx}", bin.lib_name), v, proximity));
             }
         }
     }
-    Ok(match best {
-        Some((lib, idx, v, _)) => (
-            if v.patched { AuditStatus::Patched } else { AuditStatus::Vulnerable },
-            Some(format!("{lib}:{idx}")),
-            Some(v),
-        ),
-        None => (AuditStatus::NotFound, None, None),
-    })
+    Ok(best.map(|(located, v, _)| (located, v)))
 }
 
-/// [`audit_image`] with static features served by `source` and dynamic
-/// profiles served by `dynsrc`: with a warm scanhub artifact store, the
-/// whole audit performs zero disassembly / feature-extraction work *and*
-/// zero VM executions.
+/// Audit a whole firmware image against the vulnerability database,
+/// producing the deployment-facing [`AuditReport`]: per CVE,
+/// [`audit_one_cve`] locates the target via both search bases,
+/// arbitrates with [`differential::detect_patch_best`], and classifies.
+/// With a warm scanhub context, the whole audit performs zero
+/// disassembly / feature-extraction work *and* zero VM executions.
+///
+/// `ctx.cancel` is checked before every CVE (and, inside each CVE,
+/// between per-library stages and per differential candidate), so an
+/// audit whose end-to-end deadline has passed surfaces the typed
+/// [`ScanError::DeadlineExceeded`] at the next stage boundary instead of
+/// running the database to completion.
 ///
 /// Failure policy: a *permanent* per-CVE failure (malformed input) is
-/// recorded as an [`AuditStatus::Error`](crate::report::AuditStatus::Error)
-/// finding and the audit continues — one poisoned entry must not sink the
-/// image. A *transient* failure (quarantined artifact, injected fault,
-/// worker death) propagates as `Err` so the caller — typically the scanhub
+/// recorded as an [`AuditStatus::Error`] finding and the audit continues
+/// — one poisoned entry must not sink the image. A *transient* failure
+/// (quarantined artifact, injected fault, worker death, expired
+/// deadline) propagates as `Err` so the caller — typically the scanhub
 /// scheduler — can retry the whole job.
 ///
 /// # Errors
 /// The first transient [`ScanError`] encountered.
-pub fn audit_image_with(
+pub fn audit_image(
     patchecko: &Patchecko,
     db: &VulnDb,
     image: &fwbin::FirmwareImage,
     diff_cfg: &DifferentialConfig,
-    source: &dyn crate::pipeline::FeatureSource,
-    dynsrc: &std::sync::Arc<dyn crate::dynsource::DynProfileSource>,
-) -> Result<crate::report::AuditReport, ScanError> {
-    audit_image_ctl(
-        patchecko,
-        db,
-        image,
-        diff_cfg,
-        source,
-        dynsrc,
-        &crate::cancel::CancelToken::unbounded(),
-    )
-}
-
-/// [`audit_image_with`] under a cancellation token: the token is checked
-/// before every CVE (and, inside each CVE, between per-library stages),
-/// so an audit whose end-to-end deadline has passed surfaces the typed
-/// [`ScanError::DeadlineExceeded`] at the next stage boundary instead of
-/// running the database to completion.
-///
-/// # Errors
-/// [`ScanError::DeadlineExceeded`] on expiry; otherwise the first
-/// transient [`ScanError`] encountered.
-pub fn audit_image_ctl(
-    patchecko: &Patchecko,
-    db: &VulnDb,
-    image: &fwbin::FirmwareImage,
-    diff_cfg: &DifferentialConfig,
-    source: &dyn crate::pipeline::FeatureSource,
-    dynsrc: &std::sync::Arc<dyn crate::dynsource::DynProfileSource>,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<crate::report::AuditReport, ScanError> {
-    use crate::report::{AuditFinding, AuditReport, AuditStatus};
+    ctx: &RunCtx,
+) -> Result<AuditReport, ScanError> {
     let _span = scope::SpanGuard::enter("audit").with_detail(image.device.clone());
     let mut findings = Vec::new();
     // The whole database, not just the featured Table VI slice: a
     // production audit answers for every CVE the reference DB knows.
     for entry in &db.entries {
-        cancel.check()?;
-        let (status, located, verdict, error) =
-            match audit_one_cve(patchecko, entry, image, diff_cfg, source, dynsrc, cancel) {
-                Ok((status, located, verdict)) => (status, located, verdict, None),
-                Err(e) if e.is_transient() => return Err(e),
-                Err(e) => (AuditStatus::Error, None, None, Some(e)),
-            };
+        ctx.cancel.check()?;
+        let found = audit_one_cve(patchecko, entry, image, diff_cfg, ctx);
+        let (status, located, verdict, error) = match found {
+            Ok(Some((located, v))) => {
+                let status = if v.patched { AuditStatus::Patched } else { AuditStatus::Vulnerable };
+                (status, Some(located), Some(v), None)
+            }
+            Ok(None) => (AuditStatus::NotFound, None, None, None),
+            Err(e) if e.is_transient() => return Err(e),
+            Err(e) => (AuditStatus::Error, None, None, Some(e)),
+        };
         let degraded = verdict.as_ref().is_some_and(|v| v.degraded);
         findings.push(AuditFinding {
             cve: entry.entry.cve.clone(),
@@ -329,6 +290,23 @@ pub fn audit_image_ctl(
         findings,
         telemetry: None,
     })
+}
+
+/// [`audit_image`] through explicit sources with an unbounded deadline.
+///
+/// # Errors
+/// As for [`audit_image`].
+pub fn audit_image_with(
+    patchecko: &Patchecko,
+    db: &VulnDb,
+    image: &fwbin::FirmwareImage,
+    diff_cfg: &DifferentialConfig,
+    source: &dyn FeatureSource,
+    dynsrc: &Arc<dyn DynProfileSource>,
+) -> Result<AuditReport, ScanError> {
+    // Kept: the frozen `hybridbench` calls this name to inject tracing sources.
+    let ctx = RunCtx { features: source, profiles: Arc::clone(dynsrc), ..RunCtx::default() };
+    audit_image(patchecko, db, image, diff_cfg, &ctx)
 }
 
 /// A full evaluation context: trained detector + datasets.

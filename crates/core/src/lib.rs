@@ -65,7 +65,7 @@ pub use eval::{build_evaluation, Evaluation, EvaluationConfig};
 pub use features::{Normalizer, StaticFeatures, NUM_STATIC_FEATURES, STATIC_FEATURE_NAMES};
 pub use pipeline::{
     Basis, Confidence, CveAnalysis, DirectExtraction, FeatureSource, ImageAnalysis, ImageMatch,
-    Patchecko, PipelineConfig,
+    Patchecko, PipelineConfig, RunCtx,
 };
 pub use report::{AuditFinding, AuditReport, AuditStatus};
 pub use retrieval::{FunctionSignature, Retrieval, SignatureSet, DEFAULT_TOP_K};

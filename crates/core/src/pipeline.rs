@@ -158,12 +158,37 @@ impl FeatureSource for DirectExtraction {
     }
 }
 
-/// A fresh [`LiveProfiling`] handle as a shareable trait object — the
-/// default `dynsrc` of every non-`_with` entry point. Construction is
-/// free (the type is a unit struct); scanhub passes its dynamic artifact
-/// lane here instead.
-pub fn live_profiling() -> Arc<dyn DynProfileSource> {
-    Arc::new(LiveProfiling)
+/// Where one run gets its artifacts from and when it must stop: the
+/// static feature source, the dynamic profile source and the request's
+/// cancellation token. Every entry point that can reach the dynamic stage
+/// takes one ([`Patchecko::analyze_library`], [`Patchecko::analyze_image`],
+/// [`crate::differential::detect_patch`],
+/// [`crate::differential::detect_patch_best`],
+/// [`crate::eval::audit_one_cve`], [`crate::eval::audit_image`]); the
+/// static-only scans take just a [`FeatureSource`].
+///
+/// [`RunCtx::default`] is the uncached, unbounded run: [`DirectExtraction`],
+/// [`LiveProfiling`] and [`CancelToken::unbounded`]. scanhub builds a
+/// tenant's context from its cache namespace
+/// (`patchecko_scanhub::TenantView::ctx`).
+pub struct RunCtx<'a> {
+    /// Static features, target and reference sides alike.
+    pub features: &'a dyn FeatureSource,
+    /// Execution environments and dynamic profiles.
+    pub profiles: Arc<dyn DynProfileSource>,
+    /// Checked between stages; expiry surfaces as
+    /// [`ScanError::DeadlineExceeded`].
+    pub cancel: CancelToken,
+}
+
+impl Default for RunCtx<'_> {
+    fn default() -> Self {
+        RunCtx {
+            features: &DirectExtraction,
+            profiles: Arc::new(LiveProfiling),
+            cancel: CancelToken::unbounded(),
+        }
+    }
 }
 
 /// Result of the static (deep learning) stage on one library.
@@ -284,29 +309,22 @@ impl Patchecko {
         Patchecko { detector, config, ref_index: Mutex::new(HashMap::new()) }
     }
 
-    /// Static features of a database entry's primary reference function.
+    /// Static features of a database entry's primary reference function,
+    /// served by `features` (reference binaries are content-addressable
+    /// too).
     ///
     /// # Errors
     /// Propagates extraction failures from the source.
-    pub fn reference_features(entry: &DbEntry, basis: Basis) -> Result<StaticFeatures, ScanError> {
-        Self::reference_features_with(entry, basis, &DirectExtraction)
-    }
-
-    /// [`Patchecko::reference_features`] through an explicit
-    /// [`FeatureSource`] (reference binaries are content-addressable too).
-    ///
-    /// # Errors
-    /// Propagates extraction failures from the source.
-    pub fn reference_features_with(
+    pub fn reference_features(
         entry: &DbEntry,
         basis: Basis,
-        source: &dyn FeatureSource,
+        features: &dyn FeatureSource,
     ) -> Result<StaticFeatures, ScanError> {
         let bin = match basis {
             Basis::Vulnerable => &entry.vulnerable_bin,
             Basis::Patched => &entry.patched_bin,
         };
-        source.features_one(bin, 0)
+        features.features_one(bin, 0)
     }
 
     /// Static features of every multi-platform reference variant (§II-A:
@@ -319,6 +337,7 @@ impl Patchecko {
         entry: &DbEntry,
         basis: Basis,
     ) -> Result<Vec<StaticFeatures>, ScanError> {
+        // Kept: the frozen `hybridbench` calls this two-argument form.
         Self::reference_feature_set_with(entry, basis, &DirectExtraction)
     }
 
@@ -340,20 +359,9 @@ impl Patchecko {
     }
 
     /// Stage 1: scan every function of `bin` against the reference feature
-    /// vectors with the deep-learning classifier. A function's score is
-    /// its best match across the reference variants.
-    ///
-    /// # Errors
-    /// Propagates extraction failures from the source.
-    pub fn scan_library(
-        &self,
-        bin: &Binary,
-        references: &[StaticFeatures],
-    ) -> Result<StaticScan, ScanError> {
-        self.scan_library_with(bin, references, &DirectExtraction)
-    }
-
-    /// [`Patchecko::scan_library`] with features served by `source`.
+    /// vectors with the deep-learning classifier, features served by
+    /// `features`. A function's score is its best match across the
+    /// reference variants.
     ///
     /// Under [`Retrieval::Exact`] (the default) all (reference × function)
     /// pairs are packed into one
@@ -371,15 +379,15 @@ impl Patchecko {
     ///
     /// # Errors
     /// Propagates extraction failures from the source.
-    pub fn scan_library_with(
+    pub fn scan_library(
         &self,
         bin: &Binary,
         references: &[StaticFeatures],
-        source: &dyn FeatureSource,
+        features: &dyn FeatureSource,
     ) -> Result<StaticScan, ScanError> {
         let _span = scope::SpanGuard::enter("static_scan").with_detail(bin.lib_name.clone());
         let started = Instant::now();
-        let feats = source.features_all(bin)?;
+        let feats = features.features_all(bin)?;
         // Degenerate scans (nothing to compare) return a well-formed empty
         // result: zero probabilities, no candidates, no best references —
         // never NaNs or spurious threshold hits.
@@ -388,7 +396,7 @@ impl Patchecko {
         } else {
             let (probs, best_ref) = match self.config.retrieval {
                 Retrieval::Exact => self.exact_scores(references, &feats),
-                Retrieval::TopK { k } => self.indexed_scores(bin, references, &feats, k, source),
+                Retrieval::TopK { k } => self.indexed_scores(bin, references, &feats, k, features),
             };
             let candidates = probs
                 .iter()
@@ -672,70 +680,38 @@ impl Patchecko {
     }
 
     /// Run the full hybrid analysis of one CVE against one target library
-    /// binary.
+    /// binary, artifacts served by `ctx`.
+    ///
+    /// `ctx.cancel` is checked between stages — before static extraction
+    /// and again before the (much more expensive) dynamic stage — so a
+    /// request whose end-to-end deadline has passed stops within one
+    /// stage boundary instead of running the library to completion.
     ///
     /// # Errors
-    /// [`ScanError::Extraction`] (or a source-specific transient error)
-    /// when static features cannot be produced. Loader failures on the
-    /// dynamic side do **not** error: the analysis degrades to
+    /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires between
+    /// stages; [`ScanError::Extraction`] (or a source-specific transient
+    /// error) when static features cannot be produced. Loader failures on
+    /// the dynamic side do **not** error: the analysis degrades to
     /// static-only ranking instead.
     pub fn analyze_library(
         &self,
         target_bin: &Binary,
         entry: &DbEntry,
         basis: Basis,
+        ctx: &RunCtx,
     ) -> Result<CveAnalysis, ScanError> {
-        self.analyze_library_with(target_bin, entry, basis, &DirectExtraction, &live_profiling())
-    }
-
-    /// [`Patchecko::analyze_library`] with static features served by
-    /// `source` (target and reference sides alike) and dynamic profiles
-    /// served by `dynsrc`.
-    ///
-    /// # Errors
-    /// As for [`Patchecko::analyze_library`].
-    pub fn analyze_library_with(
-        &self,
-        target_bin: &Binary,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-    ) -> Result<CveAnalysis, ScanError> {
-        self.analyze_library_ctl(target_bin, entry, basis, source, dynsrc, &CancelToken::unbounded())
-    }
-
-    /// [`Patchecko::analyze_library_with`] under a cancellation token.
-    ///
-    /// The token is checked between stages — before static extraction and
-    /// again before the (much more expensive) dynamic stage — so a
-    /// request whose end-to-end deadline has passed stops within one
-    /// stage boundary instead of running the library to completion.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] when `cancel` expires between
-    /// stages; otherwise as for [`Patchecko::analyze_library`].
-    pub fn analyze_library_ctl(
-        &self,
-        target_bin: &Binary,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-        cancel: &CancelToken,
-    ) -> Result<CveAnalysis, ScanError> {
-        cancel.check()?;
-        let references = Self::reference_feature_set_with(entry, basis, source)?;
-        let scan = self.scan_library_with(target_bin, &references, source)?;
-        cancel.check()?;
+        ctx.cancel.check()?;
+        let references = Self::reference_feature_set_with(entry, basis, ctx.features)?;
+        let scan = self.scan_library(target_bin, &references, ctx.features)?;
+        ctx.cancel.check()?;
         // Dynamic stage: reference compiled for the *target's* platform —
         // the paper executes both functions on the device itself. A binary
         // that scanned statically but fails to *load* degrades the dynamic
         // stage rather than sinking the job.
         let ref_bin = entry.reference_for(target_bin.arch, basis == Basis::Patched);
         let dynamic = match (LoadedBinary::load(ref_bin), LoadedBinary::load(target_bin.clone())) {
-            (Ok(ref_loaded), Ok(target_loaded)) => {
-                self.dynamic_stage(&Arc::new(target_loaded), &scan, &Arc::new(ref_loaded), dynsrc)
+            (Ok(reference), Ok(target)) => {
+                self.dynamic_stage(&Arc::new(target), &scan, &Arc::new(reference), &ctx.profiles)
             }
             (Err(e), _) => Self::degraded_analysis(
                 &scan,
@@ -756,54 +732,26 @@ impl Patchecko {
     /// best match. This is PATCHECKO's deployment interface — "PATCHECKO
     /// outputs the vulnerable points (functions) within the target firmware
     /// image and the corresponding CVE numbers".
+    ///
+    /// Every library goes through [`Patchecko::analyze_library`] with the
+    /// same `ctx`, so an expired request stops at the next library
+    /// boundary.
+    ///
+    /// # Errors
+    /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires; otherwise
+    /// the first per-library [`ScanError`] encountered.
     pub fn analyze_image(
         &self,
         image: &fwbin::FirmwareImage,
         entry: &DbEntry,
         basis: Basis,
+        ctx: &RunCtx,
     ) -> Result<ImageAnalysis, ScanError> {
-        self.analyze_image_with(image, entry, basis, &DirectExtraction, &live_profiling())
-    }
-
-    /// [`Patchecko::analyze_image`] with static features served by `source`
-    /// and dynamic profiles served by `dynsrc`.
-    ///
-    /// # Errors
-    /// The first per-library [`ScanError`] encountered, if any.
-    pub fn analyze_image_with(
-        &self,
-        image: &fwbin::FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-    ) -> Result<ImageAnalysis, ScanError> {
-        self.analyze_image_ctl(image, entry, basis, source, dynsrc, &CancelToken::unbounded())
-    }
-
-    /// [`Patchecko::analyze_image_with`] under a cancellation token: the
-    /// token is checked before every library so an expired request stops
-    /// at the next library boundary.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] when `cancel` expires; otherwise
-    /// the first per-library [`ScanError`] encountered.
-    pub fn analyze_image_ctl(
-        &self,
-        image: &fwbin::FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-        cancel: &CancelToken,
-    ) -> Result<ImageAnalysis, ScanError> {
+        ctx.cancel.check()?;
         let analyses: Vec<CveAnalysis> = image
             .binaries
             .iter()
-            .map(|bin| {
-                cancel.check()?;
-                self.analyze_library_ctl(bin, entry, basis, source, dynsrc, cancel)
-            })
+            .map(|bin| self.analyze_library(bin, entry, basis, ctx))
             .collect::<Result<_, _>>()?;
         // Best match: the lowest-distance top candidate across libraries.
         // Full-confidence matches always beat degraded (static-only) ones,
@@ -887,7 +835,9 @@ mod tests {
         let truth = device.truth_for("CVE-2018-9412").unwrap();
         let target_bin = device.image.binary(&truth.library).unwrap();
 
-        let analysis = patchecko.analyze_library(target_bin, entry, Basis::Vulnerable).unwrap();
+        let analysis = patchecko
+            .analyze_library(target_bin, entry, Basis::Vulnerable, &RunCtx::default())
+            .unwrap();
         assert_eq!(analysis.dynamic.confidence, Confidence::Full);
         assert!(analysis.dynamic.degradation.is_none());
         assert!(analysis.scan.total > 10);
@@ -922,8 +872,9 @@ mod tests {
         let device = corpus::build_device(&corpus::android_things_spec(), &cat, 0.05);
         let truth = device.truth_for("CVE-2018-9451").unwrap();
         let bin = device.image.binary(&truth.library).unwrap();
-        let a = patchecko.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
-        let b = patchecko.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
+        let ctx = RunCtx::default();
+        let a = patchecko.analyze_library(bin, entry, Basis::Vulnerable, &ctx).unwrap();
+        let b = patchecko.analyze_library(bin, entry, Basis::Vulnerable, &ctx).unwrap();
         assert_eq!(a.scan.probs, b.scan.probs);
         assert_eq!(a.scan.candidates, b.scan.candidates);
         assert_eq!(a.dynamic.validated, b.dynamic.validated);
@@ -1007,7 +958,8 @@ mod tests {
             .map(|t| {
                 let cfg = PipelineConfig { threads: Some(t), ..PipelineConfig::default() };
                 let patchecko = Patchecko::new(quick_detector(), cfg);
-                (t, patchecko.dynamic_stage(&target, &scan, &reference, &live_profiling()))
+                let profiles = RunCtx::default().profiles;
+                (t, patchecko.dynamic_stage(&target, &scan, &reference, &profiles))
             })
             .collect();
         let (_, serial) = &runs[0];
@@ -1049,7 +1001,8 @@ mod tests {
                     ..PipelineConfig::default()
                 };
                 let patchecko = Patchecko::new(quick_detector(), cfg);
-                (engine, patchecko.dynamic_stage(&target, &scan, &reference, &live_profiling()))
+                let profiles = RunCtx::default().profiles;
+                (engine, patchecko.dynamic_stage(&target, &scan, &reference, &profiles))
             })
             .collect();
         let (_, fast) = &runs[0];
@@ -1087,7 +1040,8 @@ mod tests {
             .map(|t| {
                 let cfg = PipelineConfig { threads: Some(t), ..PipelineConfig::default() };
                 let patchecko = Patchecko::new(quick_detector(), cfg);
-                (t, patchecko.dynamic_stage(&target, &scan, &reference, &live_profiling()))
+                let profiles = RunCtx::default().profiles;
+                (t, patchecko.dynamic_stage(&target, &scan, &reference, &profiles))
             })
             .collect();
         let (_, serial) = &runs[0];
@@ -1117,7 +1071,7 @@ mod tests {
             let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
             let mut patchecko = Patchecko::new(quick_detector(), cfg);
             patchecko.detector.threshold = 0.0;
-            let scan = patchecko.scan_library(bin, &[]).unwrap();
+            let scan = patchecko.scan_library(bin, &[], &DirectExtraction).unwrap();
             assert_eq!(scan.total, bin.function_count(), "{retrieval}");
             assert_eq!(scan.probs.len(), scan.total, "{retrieval}");
             assert!(scan.probs.iter().all(|p| *p == 0.0), "{retrieval}: probs {:?}", scan.probs);
@@ -1146,7 +1100,7 @@ mod tests {
         for retrieval in [Retrieval::Exact, Retrieval::TopK { k: 4 }] {
             let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
             let patchecko = Patchecko::new(quick_detector(), cfg);
-            let scan = patchecko.scan_library(&empty, &references).unwrap();
+            let scan = patchecko.scan_library(&empty, &references, &DirectExtraction).unwrap();
             assert_eq!(scan.total, 0, "{retrieval}");
             assert!(scan.probs.is_empty(), "{retrieval}");
             assert!(scan.candidates.is_empty(), "{retrieval}");
@@ -1169,7 +1123,7 @@ mod tests {
         let bin = device.image.binary(&truth.library).unwrap();
 
         let exact_p = Patchecko::new(quick_detector(), PipelineConfig::default());
-        let exact = exact_p.scan_library(bin, &references).unwrap();
+        let exact = exact_p.scan_library(bin, &references, &DirectExtraction).unwrap();
         let topk_p = Patchecko::new(
             quick_detector(),
             PipelineConfig {
@@ -1177,7 +1131,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let indexed = topk_p.scan_library(bin, &references).unwrap();
+        let indexed = topk_p.scan_library(bin, &references, &DirectExtraction).unwrap();
 
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         assert_eq!(exact.total, indexed.total);
@@ -1200,6 +1154,79 @@ mod tests {
             }
             assert_eq!(exact.best_ref[f], arg, "function {f}");
             assert_eq!(exact.probs[f].to_bits(), best.to_bits(), "function {f}");
+        }
+    }
+
+    /// Counts every call into the static stage's source.
+    #[derive(Default)]
+    struct CountingSource(std::sync::atomic::AtomicUsize);
+
+    impl CountingSource {
+        fn bump(&self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        fn calls(&self) -> usize {
+            self.0.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl FeatureSource for CountingSource {
+        fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError> {
+            self.bump();
+            DirectExtraction.features_all(bin)
+        }
+
+        fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
+            self.bump();
+            DirectExtraction.features_one(bin, idx)
+        }
+
+        fn signatures_all(&self, bin: &Binary, feats: &[StaticFeatures]) -> Vec<FunctionSignature> {
+            self.bump();
+            DirectExtraction.signatures_all(bin, feats)
+        }
+    }
+
+    /// Every entry point that takes a context honours `ctx.cancel`: an
+    /// already-expired token returns the typed deadline error before a
+    /// single feature is extracted.
+    #[test]
+    fn expired_token_stops_every_context_entry_point_before_extraction() {
+        use crate::differential::{detect_patch, detect_patch_best, DifferentialConfig};
+        use crate::eval::audit_image;
+        let patchecko = Patchecko::new(quick_detector(), PipelineConfig::default());
+        let db = corpus::build_vulndb(0, 1);
+        let entry = db.get("CVE-2018-9412").unwrap();
+        let mut image = fwbin::FirmwareImage::new("cancel_fixture", "2018-05");
+        image.binaries.push(entry.vulnerable_bin.clone());
+        let bin = &image.binaries[0];
+        let diff = DifferentialConfig::default();
+        let counting = CountingSource::default();
+        let ctx = RunCtx {
+            features: &counting,
+            cancel: CancelToken::with_budget(std::time::Duration::ZERO),
+            ..RunCtx::default()
+        };
+        type Case<'a> = (&'static str, Box<dyn Fn() -> Result<(), ScanError> + 'a>);
+        let (p, vuln) = (&patchecko, Basis::Vulnerable);
+        let cases: Vec<Case> = vec![
+            ("analyze_library", Box::new(|| p.analyze_library(bin, entry, vuln, &ctx).map(drop))),
+            ("analyze_image", Box::new(|| p.analyze_image(&image, entry, vuln, &ctx).map(drop))),
+            ("detect_patch", Box::new(|| detect_patch(p, entry, bin, 0, &diff, &ctx).map(drop))),
+            (
+                "detect_patch_best",
+                Box::new(|| detect_patch_best(p, entry, bin, &[0, 1], &diff, &ctx).map(drop)),
+            ),
+            ("audit_image", Box::new(|| audit_image(p, &db, &image, &diff, &ctx).map(drop))),
+        ];
+        for (name, run) in &cases {
+            let result = run();
+            assert!(
+                matches!(result, Err(ScanError::DeadlineExceeded { budget_ms: 0 })),
+                "{name}: expected DeadlineExceeded, got {result:?}"
+            );
+            assert_eq!(counting.calls(), 0, "{name} called into the feature source");
         }
     }
 

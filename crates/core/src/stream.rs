@@ -137,7 +137,7 @@ impl Patchecko {
     /// most `working_set` units in memory at any point.
     ///
     /// Units are pulled in working-set-sized batches; each unit is
-    /// scanned with [`Patchecko::scan_library_with`] (so `--retrieval
+    /// scanned with [`Patchecko::scan_library`] (so `--retrieval
     /// topk` prunes pairs exactly as in image scans, and the NN forward
     /// passes parallelize on the shared pool), reduced to its
     /// above-threshold [`StreamMatch`]es, and dropped before the next
@@ -156,6 +156,7 @@ impl Patchecko {
     where
         I: IntoIterator<Item = Binary>,
     {
+        // Kept: the frozen `hybridbench` calls this name.
         self.scan_stream_with(units, references, working_set, &crate::pipeline::DirectExtraction)
     }
 
@@ -196,7 +197,7 @@ impl Patchecko {
                 break;
             }
             for (bin, permit) in batch {
-                let scan = self.scan_library_with(&bin, references, source)?;
+                let scan = self.scan_library(&bin, references, source)?;
                 functions += scan.total;
                 for &f in &scan.candidates {
                     matches.push(StreamMatch {

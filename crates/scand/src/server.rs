@@ -14,8 +14,9 @@
 //! must be able to stop a saturated daemon.
 //!
 //! Tenancy is a cache-namespace property, not a data-path one: every job
-//! runs through [`ScanHub::audit_tenant_ctl`]/[`ScanHub::scan_image_tenant_ctl`],
-//! which relocate artifact keys into the tenant's namespace, so tenants
+//! runs `eval::audit_image` or `Patchecko::analyze_image` with the
+//! context of the tenant's [`TenantView`](patchecko_scanhub::TenantView),
+//! which relocates artifact keys into the tenant's namespace, so tenants
 //! share the hub's warm memory without ever reading each other's cache
 //! entries. Per-tenant counters and latency histograms record under
 //! `tenant.<name>.*` in the hub's registry via scoped views.
@@ -69,6 +70,8 @@ use patchecko_core::cancel::CancelToken;
 use patchecko_core::differential::DifferentialConfig;
 use patchecko_core::dynsource::{DynProfile, DynProfileSource, EnvSet};
 use patchecko_core::error::ScanError;
+use patchecko_core::eval::audit_image;
+use patchecko_core::pipeline::RunCtx;
 use patchecko_scanhub::ScanHub;
 use scope::MetricsRegistry;
 use std::collections::BTreeMap;
@@ -242,14 +245,8 @@ impl Shared {
             .ok_or(ScanError::ImageOutOfRange { index, images: self.images.len() })
     }
 
-    fn execute(
-        &self,
-        tenant: &str,
-        op: &Op,
-        dynsrc: Option<&Arc<dyn DynProfileSource>>,
-        cancel: &CancelToken,
-    ) -> Outcome {
-        let over = || dynsrc.map(Arc::clone);
+    fn execute(&self, op: &Op, ctx: &RunCtx) -> Outcome {
+        let analyzer = &self.hub.analyzer;
         match op {
             Op::Scan { image, cve, basis } => {
                 let img = match self.image(*image) {
@@ -259,23 +256,25 @@ impl Shared {
                 let Some(entry) = self.db.get(cve) else {
                     return Outcome::Error(ScanError::UnknownCve(cve.clone()));
                 };
-                match self.hub.scan_image_tenant_ctl(img, entry, *basis, tenant, over(), cancel) {
+                match analyzer.analyze_image(img, entry, *basis, ctx) {
                     Ok(analysis) => Outcome::Scan(ScanSummary::from_analysis(&analysis)),
                     Err(e) => Outcome::Error(e),
                 }
             }
-            Op::Audit { image } => match self.image(*image).and_then(|img| {
-                self.hub.audit_tenant_ctl(&self.db, img, &self.diff, tenant, over(), cancel)
-            }) {
+            Op::Audit { image } => match self
+                .image(*image)
+                .and_then(|img| audit_image(analyzer, &self.db, img, &self.diff, ctx))
+            {
                 Ok(report) => Outcome::Audit(Box::new(report)),
                 Err(e) => Outcome::Error(e),
             },
             Op::BatchAudit { images } => {
                 let mut reports = Vec::with_capacity(images.len());
                 for &index in images {
-                    match self.image(index).and_then(|img| {
-                        self.hub.audit_tenant_ctl(&self.db, img, &self.diff, tenant, over(), cancel)
-                    }) {
+                    match self
+                        .image(index)
+                        .and_then(|img| audit_image(analyzer, &self.db, img, &self.diff, ctx))
+                    {
                         Ok(report) => reports.push(report),
                         Err(e) => return Outcome::Error(e),
                     }
@@ -430,18 +429,22 @@ impl Shared {
                 .fault_vm_tenants
                 .iter()
                 .any(|t| t == tenant_label(&tenant));
-            let dynsrc = match decision {
-                DynDecision::Shed => Some(&self.tripped_dynsrc),
+            // The breaker and the chaos seam swap only the dynamic source:
+            // the tenant's static namespace still serves warm artifacts,
+            // and its dynamic lane is left untouched rather than poisoned.
+            let view = self.hub.tenant_view(&tenant);
+            let mut ctx = view.ctx(cancel);
+            match decision {
+                DynDecision::Shed => ctx.profiles = Arc::clone(&self.tripped_dynsrc),
                 // A chaos tenant still "attempts" dynamics — they fail,
                 // feeding the breaker exactly like real VM crashes.
-                DynDecision::Attempt | DynDecision::Probe if chaos => Some(&self.chaos_dynsrc),
-                _ => None,
-            };
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| self.execute(&tenant, &op, dynsrc, &cancel)))
-                    .unwrap_or_else(|payload| {
-                        Outcome::Error(ScanError::from_panic(payload.as_ref()))
-                    });
+                DynDecision::Attempt | DynDecision::Probe if chaos => {
+                    ctx.profiles = Arc::clone(&self.chaos_dynsrc);
+                }
+                _ => {}
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(&op, &ctx)))
+                .unwrap_or_else(|payload| Outcome::Error(ScanError::from_panic(payload.as_ref())));
             let dyn_failed = Self::dyn_failed(&outcome);
             if decision != DynDecision::Shed {
                 self.breaker.after_job(tenant_label(&tenant), decision, dyn_failed);

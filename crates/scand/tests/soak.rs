@@ -10,7 +10,9 @@
 mod common;
 
 use common::{analyzer, shared_device, small_db, temp_path};
+use patchecko_core::cancel::CancelToken;
 use patchecko_core::differential::DifferentialConfig;
+use patchecko_core::eval::audit_image;
 use patchecko_core::error::ScanError;
 use patchecko_core::report::AuditReport;
 use patchecko_scand::{ScanClient, ScanServer, ServerConfig};
@@ -150,8 +152,9 @@ fn soak_two_tenants_eight_clients_cold_warm_drain_and_checksum_clean_reload() {
     // extractions AND zero VM executions across the restart.
     let hub = ScanHub::with_cache_dir(analyzer(), &cache_dir).unwrap();
     let vm_before = scope::snapshot().counter("vm.executions");
-    let report = hub
-        .audit_tenant(&small_db(), &shared_device().image, &DifferentialConfig::default(), "acme")
+    let acme = hub.tenant_view("acme");
+    let (diff, ctx) = (DifferentialConfig::default(), acme.ctx(CancelToken::unbounded()));
+    let report = audit_image(&hub.analyzer, &small_db(), &shared_device().image, &diff, &ctx)
         .unwrap();
     assert_eq!(serde_json::to_string(&report.findings).unwrap(), reference);
     assert_eq!(hub.stats().extractions, 0, "restart-warm audit extracts nothing");

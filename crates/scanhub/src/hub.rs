@@ -1,17 +1,20 @@
 //! The scan service: a trained analyzer bound to an artifact store.
 //!
 //! `ScanHub` is the long-lived object a deployment keeps between requests.
-//! Every static-stage feature lookup — target functions, reference
-//! variants, the differential engine's three-way comparison — routes
-//! through the content-addressed store, so the first scan of an image pays
-//! for disassembly and feature extraction once and every later scan (new
+//! A run goes through the pipeline's own entry points
+//! ([`Patchecko::analyze_image`], [`eval::audit_image`]) with a context
+//! from [`ScanHub::tenant_view`] + [`TenantView::ctx`], so every
+//! static-stage feature lookup — target functions, reference variants,
+//! the differential engine's three-way comparison — routes through the
+//! content-addressed store: the first scan of an image pays for
+//! disassembly and feature extraction once and every later scan (new
 //! CVE, other basis, re-audit after reboot via the on-disk layer) reuses
 //! the artifacts. The dynamic stage routes through the store's dynamic
-//! lane the same way ([`ScanHub::dyn_source`]): environment sets and
-//! per-function dynamic profiles are cached by content, so a warm
-//! re-audit performs zero VM executions. Scan entry points return typed [`ScanError`]s rather
-//! than panicking; batch scheduling retries transient failures per the
-//! hub's [`RetryPolicy`].
+//! lane the same way: environment sets and per-function dynamic profiles
+//! are cached by content, so a warm re-audit performs zero VM
+//! executions. Entry points return typed [`ScanError`]s rather than
+//! panicking; batch scheduling retries transient failures per the hub's
+//! [`RetryPolicy`].
 
 use crate::namespace::TenantView;
 use crate::schedule::{self, FaultHook, JobRecord, JobSpec, RetryPolicy};
@@ -23,10 +26,10 @@ use patchecko_core::cancel::CancelToken;
 use patchecko_core::differential::DifferentialConfig;
 use patchecko_core::dynsource::DynProfileSource;
 use patchecko_core::error::ScanError;
-use patchecko_core::features::StaticFeatures;
-use patchecko_core::pipeline::{Basis, CveAnalysis, ImageAnalysis, Patchecko, StaticScan};
+use patchecko_core::eval;
+use patchecko_core::pipeline::{Basis, ImageAnalysis, Patchecko, StaticScan};
 use patchecko_core::report::AuditReport;
-use patchecko_core::stream::{StreamScanReport, WorkingSet};
+use patchecko_core::stream::WorkingSet;
 use scope::{MetricsRegistry, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -125,10 +128,9 @@ impl ScanHub {
         &self.store
     }
 
-    /// The store viewed as the pipeline's dynamic-profile source: cached
-    /// environment sets and profiles, live fuzzing/execution on miss.
-    /// This is what makes a warm re-audit perform zero VM executions.
+    /// The store viewed as the base namespace's dynamic-profile source.
     pub fn dyn_source(&self) -> Arc<dyn DynProfileSource> {
+        // Kept: `hybridbench` wraps this in a tracing source.
         Arc::clone(&self.store) as Arc<dyn DynProfileSource>
     }
 
@@ -152,15 +154,6 @@ impl ScanHub {
         }
     }
 
-    /// Pre-extract artifacts for every function of `image`; returns the
-    /// function count visited.
-    ///
-    /// # Errors
-    /// Returns the first extraction failure.
-    pub fn warm_image(&self, image: &FirmwareImage) -> Result<usize, ScanError> {
-        self.store.warm_image(image)
-    }
-
     /// Static-stage scan of one library through the cache.
     ///
     /// # Errors
@@ -172,7 +165,7 @@ impl ScanHub {
         basis: Basis,
     ) -> Result<StaticScan, ScanError> {
         let references = Patchecko::reference_feature_set_with(entry, basis, &*self.store)?;
-        self.analyzer.scan_library_with(bin, &references, &*self.store)
+        self.analyzer.scan_library(bin, &references, &*self.store)
     }
 
     /// Ingest a stream of compiled units into the cache lanes (features
@@ -222,60 +215,16 @@ impl ScanHub {
         Ok((n_units, n_functions, tracker.peak()))
     }
 
-    /// Streaming scan through the cache: scan every unit of a stream
-    /// against `references` with a bounded working set. Thin wrapper over
-    /// [`Patchecko::scan_stream_with`] with the hub's store as the
-    /// feature source, so previously ingested units skip extraction.
-    ///
-    /// # Errors
-    /// Propagates the first extraction failure.
-    pub fn scan_stream<I>(
-        &self,
-        units: I,
-        references: &[StaticFeatures],
-        working_set: usize,
-    ) -> Result<StreamScanReport, ScanError>
-    where
-        I: IntoIterator<Item = Binary>,
-    {
-        self.analyzer.scan_stream_with(units, references, working_set, &*self.store)
-    }
-
-    /// Full hybrid analysis of one library through the cache.
-    ///
-    /// # Errors
-    /// Returns static-stage failures; dynamic-stage trouble degrades the
-    /// analysis instead (see [`patchecko_core::pipeline::Confidence`]).
-    pub fn analyze_library(
-        &self,
-        bin: &Binary,
-        entry: &DbEntry,
-        basis: Basis,
-    ) -> Result<CveAnalysis, ScanError> {
-        self.analyzer.analyze_library_with(bin, entry, basis, &*self.store, &self.dyn_source())
-    }
-
-    /// Full hybrid analysis of a whole image through the cache.
-    ///
-    /// # Errors
-    /// Returns static-stage failures for any library in the image.
-    pub fn scan_image(
-        &self,
-        image: &FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-    ) -> Result<ImageAnalysis, ScanError> {
-        self.analyzer.analyze_image_with(image, entry, basis, &*self.store, &self.dyn_source())
-    }
-
     /// `tenant`'s view of this hub's store: the full feature/dyn-profile
     /// surface with every cache key relocated into the tenant's
-    /// namespace. The empty tenant is the identity view.
+    /// namespace. The empty tenant is the identity view — the base
+    /// namespace every un-namespaced caller shares.
     pub fn tenant_view(&self, tenant: &str) -> TenantView {
         TenantView::new(Arc::clone(&self.store), tenant)
     }
 
-    /// [`ScanHub::scan_image`] through `tenant`'s cache namespace.
+    /// [`Patchecko::analyze_image`] in `tenant`'s cache namespace with no
+    /// deadline.
     ///
     /// # Errors
     /// Returns static-stage failures for any library in the image.
@@ -286,85 +235,13 @@ impl ScanHub {
         basis: Basis,
         tenant: &str,
     ) -> Result<ImageAnalysis, ScanError> {
-        self.scan_image_tenant_ctl(image, entry, basis, tenant, None, &CancelToken::unbounded())
+        // Kept: `hybridbench` calls this name.
+        let view = self.tenant_view(tenant);
+        self.analyzer.analyze_image(image, entry, basis, &view.ctx(CancelToken::unbounded()))
     }
 
-    /// [`ScanHub::scan_image_tenant`] under service control: an optional
-    /// dynamic-profile source override (the scan daemon's circuit breaker
-    /// substitutes a refusing source to force static-only degradation)
-    /// and a cancellation token checked between pipeline stages.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] on token expiry; otherwise as for
-    /// [`ScanHub::scan_image_tenant`].
-    pub fn scan_image_tenant_ctl(
-        &self,
-        image: &FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-        tenant: &str,
-        dynsrc_override: Option<Arc<dyn DynProfileSource>>,
-        cancel: &CancelToken,
-    ) -> Result<ImageAnalysis, ScanError> {
-        let view = Arc::new(self.tenant_view(tenant));
-        let dynsrc =
-            dynsrc_override.unwrap_or_else(|| Arc::clone(&view) as Arc<dyn DynProfileSource>);
-        self.analyzer.analyze_image_ctl(image, entry, basis, &*view, &dynsrc, cancel)
-    }
-
-    /// [`ScanHub::audit`] through `tenant`'s cache namespace: the same
-    /// shared warm store serves the request, but every artifact the audit
-    /// touches lives under the tenant's keys.
-    ///
-    /// # Errors
-    /// As for [`ScanHub::audit`].
-    pub fn audit_tenant(
-        &self,
-        db: &VulnDb,
-        image: &FirmwareImage,
-        diff: &DifferentialConfig,
-        tenant: &str,
-    ) -> Result<AuditReport, ScanError> {
-        self.audit_tenant_ctl(db, image, diff, tenant, None, &CancelToken::unbounded())
-    }
-
-    /// [`ScanHub::audit_tenant`] under service control: an optional
-    /// dynamic-profile source override (circuit breaker → static-only
-    /// degraded findings) and a cancellation token checked per CVE and
-    /// between per-library stages. The tenant's *static* cache namespace
-    /// is served normally either way, so a breaker-tripped tenant still
-    /// gets warm static artifacts and its dynamic lane is left untouched
-    /// rather than poisoned.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] on token expiry; otherwise as for
-    /// [`ScanHub::audit_tenant`].
-    pub fn audit_tenant_ctl(
-        &self,
-        db: &VulnDb,
-        image: &FirmwareImage,
-        diff: &DifferentialConfig,
-        tenant: &str,
-        dynsrc_override: Option<Arc<dyn DynProfileSource>>,
-        cancel: &CancelToken,
-    ) -> Result<AuditReport, ScanError> {
-        let view = Arc::new(self.tenant_view(tenant));
-        let dynsrc =
-            dynsrc_override.unwrap_or_else(|| Arc::clone(&view) as Arc<dyn DynProfileSource>);
-        patchecko_core::eval::audit_image_ctl(
-            &self.analyzer,
-            db,
-            image,
-            diff,
-            &*view,
-            &dynsrc,
-            cancel,
-        )
-    }
-
-    /// Whole-image audit against the vulnerability database through the
-    /// cache — [`patchecko_core::eval::audit_image`] with every static
-    /// feature served by the store.
+    /// [`eval::audit_image`] in the base namespace with no deadline:
+    /// every static feature and dynamic profile served by the store.
     ///
     /// # Errors
     /// Returns transient failures (the caller may retry); permanent
@@ -375,14 +252,9 @@ impl ScanHub {
         image: &FirmwareImage,
         diff: &DifferentialConfig,
     ) -> Result<AuditReport, ScanError> {
-        patchecko_core::eval::audit_image_with(
-            &self.analyzer,
-            db,
-            image,
-            diff,
-            &*self.store,
-            &self.dyn_source(),
-        )
+        // Kept: `hybridbench` calls this name.
+        let view = self.tenant_view("");
+        eval::audit_image(&self.analyzer, db, image, diff, &view.ctx(CancelToken::unbounded()))
     }
 
     /// [`ScanHub::audit`], with the report's `telemetry` field filled by

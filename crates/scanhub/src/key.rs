@@ -14,6 +14,7 @@
 
 use fwbin::format::Binary;
 use fwbin::isa::Arch;
+use patchecko_core::dynsource::Fnv2;
 use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
 
@@ -55,38 +56,6 @@ pub struct ArtifactKey {
     pub hi: u64,
     /// Low 64 bits.
     pub lo: u64,
-}
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV_OFFSET_HI: u64 = 0xcbf2_9ce4_8422_2325;
-// Independent second lane: a different non-zero offset basis decorrelates
-// the two 64-bit FNV streams enough for a corpus-scale 128-bit name.
-const FNV_OFFSET_LO: u64 = 0x6c62_272e_07bb_0142;
-
-pub(crate) struct Fnv2 {
-    pub(crate) hi: u64,
-    pub(crate) lo: u64,
-}
-
-impl Fnv2 {
-    pub(crate) fn new() -> Fnv2 {
-        Fnv2 { hi: FNV_OFFSET_HI, lo: FNV_OFFSET_LO }
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hi = (self.hi ^ b as u64).wrapping_mul(FNV_PRIME);
-            self.lo = (self.lo ^ b.rotate_left(3) as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    pub(crate) fn update_u32(&mut self, v: u32) {
-        self.update(&v.to_le_bytes());
-    }
-
-    pub(crate) fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
-    }
 }
 
 fn arch_tag(arch: Arch) -> u8 {
@@ -286,6 +255,22 @@ mod tests {
         // Within one namespace, distinct content stays distinct.
         let k1 = ArtifactKey::for_function(&bin, 1);
         assert_ne!(k.namespaced(acme), k1.namespaced(acme));
+    }
+
+    /// Golden values captured before the hasher was shared with core. A
+    /// drift in any of them silently cold-misses every persisted schema-5
+    /// cache, so a hash change must come with a `SCHEMA_VERSION` bump.
+    #[test]
+    fn hashes_match_schema_5_golden_values() {
+        assert_eq!(SCHEMA_VERSION, 5);
+        let key = ArtifactKey::for_function(&crate::testfix::store_binary(), 0);
+        assert_eq!(key.to_hex(), "0b52a5e34c66aa96a4b14189ff74646b");
+        assert_eq!(tenant_salt("acme"), (0x057f_017f_5af3_60e9, 0x2355_8ca5_4e83_9da1));
+        let envs = patchecko_core::dynsource::EnvSet::new(
+            crate::testfix::sample_envs(),
+            &VmConfig::default(),
+        );
+        assert_eq!(envs.fingerprint, (0xb3c6_5814_6078_038e, 0x44a2_7777_ac5b_f185));
     }
 
     #[test]

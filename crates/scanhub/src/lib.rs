@@ -25,7 +25,10 @@
 //!   (`--retrieval topk`), each persisted to its own file ([`LANE_FILES`]);
 //! * [`namespace`] — per-tenant [`TenantView`]s over one shared store:
 //!   content keys are relocated by a tenant salt so co-resident tenants
-//!   (the scan daemon's clients) never observe each other's artifacts;
+//!   (the scan daemon's clients) never observe each other's artifacts,
+//!   and [`TenantView::ctx`] builds the pipeline's
+//!   [`RunCtx`](patchecko_core::pipeline::RunCtx) for one tenant (tenant
+//!   `""` is the base namespace);
 //! * [`schedule`] — the (image × CVE × basis) job scheduler over the
 //!   shared persistent worker pool ([`neural::pool`]), with per-job
 //!   wall-clock budgets, timing, and graceful failure records;

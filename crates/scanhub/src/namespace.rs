@@ -12,14 +12,19 @@
 //! persisted document. The anonymous tenant (`""`) salts to zero and
 //! shares the base namespace with un-namespaced callers (the one-shot
 //! CLI).
+//!
+//! [`TenantView::ctx`] is the one place a tenant's pipeline
+//! [`RunCtx`] is built: every hub, scheduler, daemon and CLI run goes
+//! through it, the base namespace included (as tenant `""`).
 
 use crate::key::tenant_salt;
 use crate::store::ArtifactStore;
 use fwbin::format::Binary;
+use patchecko_core::cancel::CancelToken;
 use patchecko_core::dynsource::{DynProfile, DynProfileSource, EnvSet};
 use patchecko_core::error::ScanError;
 use patchecko_core::features::StaticFeatures;
-use patchecko_core::pipeline::FeatureSource;
+use patchecko_core::pipeline::{FeatureSource, RunCtx};
 use patchecko_core::retrieval::FunctionSignature;
 use std::sync::Arc;
 use vm::exec::VmConfig;
@@ -58,6 +63,13 @@ impl TenantView {
     /// The shared store behind the view.
     pub fn store(&self) -> &Arc<ArtifactStore> {
         &self.store
+    }
+
+    /// A pipeline context running in this tenant's namespace: static
+    /// features and dynamic profiles both come from this view, and the
+    /// run stops at the first stage boundary after `cancel` expires.
+    pub fn ctx(&self, cancel: CancelToken) -> RunCtx<'_> {
+        RunCtx { features: self, profiles: Arc::new(self.clone()), cancel }
     }
 }
 

@@ -25,6 +25,7 @@
 use crate::hub::ScanHub;
 use corpus::vulndb::VulnDb;
 use fwbin::FirmwareImage;
+use patchecko_core::cancel::CancelToken;
 use patchecko_core::error::ScanError;
 use patchecko_core::pipeline::{Basis, ImageMatch};
 use serde::{Deserialize, Serialize};
@@ -189,7 +190,9 @@ fn run_attempt(
         .get(spec.image)
         .ok_or(ScanError::ImageOutOfRange { index: spec.image, images: images.len() })?;
     let entry = db.get(&spec.cve).ok_or_else(|| ScanError::UnknownCve(spec.cve.clone()))?;
-    let analysis = hub.scan_image(image, entry, spec.basis)?;
+    let view = hub.tenant_view("");
+    let ctx = view.ctx(CancelToken::unbounded());
+    let analysis = hub.analyzer.analyze_image(image, entry, spec.basis, &ctx)?;
     Ok(JobOutcome::Completed {
         candidates: analysis.analyses.iter().map(|a| a.scan.candidates.len()).sum(),
         validated: analysis.analyses.iter().map(|a| a.dynamic.validated.len()).sum(),

@@ -29,11 +29,11 @@
 //! never observe each other's artifacts. The plain entry points are the
 //! zero-salt (identity) namespace.
 
-use crate::key::{ArtifactKey, Fnv2};
+use crate::key::ArtifactKey;
 use crate::lane::{Checksummed, Lane};
 use disasm::CfgSummary;
 use fwbin::format::Binary;
-use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet};
+use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet, Fnv2};
 use patchecko_core::error::ScanError;
 use patchecko_core::features::{self, StaticFeatures};
 use patchecko_core::pipeline::FeatureSource;

@@ -8,7 +8,8 @@ use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::differential::DifferentialConfig;
 use patchecko_core::error::ScanError;
-use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko_core::cancel::CancelToken;
+use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig, RunCtx};
 use patchecko_scanhub::{full_schedule, JobOutcome, JobSpec, ScanHub};
 use std::sync::OnceLock;
 
@@ -89,8 +90,11 @@ fn cached_scan_matches_direct_pipeline() {
     let truth = device.truth_for("CVE-2018-9412").unwrap();
     let bin = device.image.binary(&truth.library).unwrap();
 
-    let cached = hub.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
-    let direct = hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
+    let base = hub.tenant_view("");
+    let cached_ctx = base.ctx(CancelToken::unbounded());
+    let cached = hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable, &cached_ctx).unwrap();
+    let direct =
+        hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default()).unwrap();
     assert_eq!(cached.scan.probs, direct.scan.probs);
     assert_eq!(cached.scan.candidates, direct.scan.candidates);
     assert_eq!(cached.dynamic.validated, direct.dynamic.validated);
@@ -167,7 +171,7 @@ fn persisted_cache_survives_restart() {
         &dir,
     )
     .unwrap();
-    let warmed = hub.warm_image(image).unwrap();
+    let warmed = hub.store().warm_image(image).unwrap();
     assert_eq!(warmed, image.total_functions());
     // Cache the reference variants too, then persist everything.
     hub.scan_library(image.binary(lib).unwrap(), entry, Basis::Vulnerable).unwrap();

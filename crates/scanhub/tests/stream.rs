@@ -89,9 +89,9 @@ fn streaming_scan_is_bounded_by_the_working_set() {
     assert!(report.peak_live >= 1, "the counter must actually move");
 
     let hub = ScanHub::new(analyzer(Retrieval::TopK { k: DEFAULT_TOP_K }));
-    let hub_report = hub
-        .scan_stream(CorpusStream::new(cfg.clone()).map(|u| u.binary), &refs, WORKING_SET)
-        .unwrap();
+    let units = CorpusStream::new(cfg.clone()).map(|u| u.binary);
+    let hub_report =
+        hub.analyzer.scan_stream_with(units, &refs, WORKING_SET, hub.store()).unwrap();
     assert_eq!(hub_report.units, cfg.units());
     assert!(hub_report.peak_live <= WORKING_SET);
 

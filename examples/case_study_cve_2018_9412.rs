@@ -14,7 +14,7 @@
 
 use patchecko::core::detector::{self, DetectorConfig};
 use patchecko::core::differential::{self, DifferentialConfig};
-use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig, RunCtx};
 use patchecko::core::similarity;
 use patchecko::corpus::{self, catalog};
 use patchecko::corpus::dataset1::Dataset1Config;
@@ -69,7 +69,9 @@ fn main() {
     let patchecko = Patchecko::new(det, PipelineConfig::default());
 
     // --- Vulnerability detection by deep learning ---
-    let analysis = patchecko.analyze_library(bin, entry, Basis::Vulnerable).expect("scan failed");
+    let analysis = patchecko
+        .analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default())
+        .expect("scan failed");
     println!(
         "deep learning stage: {} candidate functions of {} total \
          (paper: 252 of 5,646)",
@@ -118,6 +120,7 @@ fn main() {
         bin,
         truth.function_index,
         &DifferentialConfig::default(),
+        &RunCtx::default(),
     )
     .expect("differential analysis failed");
     println!(

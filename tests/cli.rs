@@ -223,6 +223,35 @@ fn train_build_scan_roundtrip() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("STILL VULNERABLE"), "patch-check output: {text}");
+    let target = text
+        .lines()
+        .find_map(|l| l.strip_prefix("CVE-2018-9412: target "))
+        .unwrap_or_else(|| panic!("patch-check printed no target line: {text}"));
+
+    // The whole-image audit locates the same target as patch-check: both
+    // run the audit's per-CVE path.
+    let report_path = dir.join("audit.json");
+    let out = bin()
+        .args([
+            "audit",
+            "--model",
+            model.to_str().unwrap(),
+            "--image",
+            image.to_str().unwrap(),
+            "--json",
+            report_path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let report: patchecko::core::AuditReport =
+        serde_json::from_str(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
+    let finding = report
+        .findings
+        .iter()
+        .find(|f| f.cve == "CVE-2018-9412")
+        .expect("audit reports the flagship CVE");
+    assert_eq!(finding.located.as_deref(), Some(target), "audit and patch-check disagree");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
