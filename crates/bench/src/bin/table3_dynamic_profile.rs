@@ -68,7 +68,7 @@ fn main() {
     // Reference row (the paper's "Vulnerable function" last row) — the
     // device-architecture reference build, as the dynamic stage uses.
     let reference =
-        LoadedBinary::load(entry.reference_for(bin.arch, false)).expect("reference loads");
+        LoadedBinary::load(entry.reference_for(bin.arch, false).clone()).expect("reference loads");
     let envs = ev.patchecko.make_environments(&reference);
     let ref_profile: Vec<vm::DynFeatures> = envs
         .iter()

@@ -232,9 +232,9 @@ pub fn detect_patch(
     // any of the three binaries degrades the verdict to the remaining
     // channels instead of panicking.
     let loaded: Result<(LoadedBinary, LoadedBinary, LoadedBinary), ScanError> = (|| {
-        let vref = LoadedBinary::load(entry.reference_for(target_bin.arch, false))
+        let vref = LoadedBinary::load(entry.reference_for(target_bin.arch, false).clone())
             .map_err(|e| ScanError::load(&entry.entry.library, &e))?;
-        let pref = LoadedBinary::load(entry.reference_for(target_bin.arch, true))
+        let pref = LoadedBinary::load(entry.reference_for(target_bin.arch, true).clone())
             .map_err(|e| ScanError::load(&entry.entry.library, &e))?;
         let target = LoadedBinary::load(target_bin.clone())
             .map_err(|e| ScanError::load(&target_bin.lib_name, &e))?;
@@ -616,16 +616,11 @@ mod tests {
     /// functions the references are compiled from and the precompiled
     /// signature-channel binaries.
     fn role_flipped(entry: &DbEntry) -> DbEntry {
-        DbEntry {
-            entry: corpus::catalog::CveEntry {
-                vulnerable: entry.entry.patched.clone(),
-                patched: entry.entry.vulnerable.clone(),
-                ..entry.entry.clone()
-            },
-            meta: entry.meta.clone(),
-            vulnerable_bin: entry.patched_bin.clone(),
-            patched_bin: entry.vulnerable_bin.clone(),
-        }
+        DbEntry::new(corpus::catalog::CveEntry {
+            vulnerable: entry.entry.patched.clone(),
+            patched: entry.entry.vulnerable.clone(),
+            ..entry.entry.clone()
+        })
     }
 
     const PROP_CVES: [&str; 3] = ["CVE-2018-9412", "CVE-2018-9451", "CVE-2018-9470"];

@@ -353,7 +353,6 @@ impl Patchecko {
     ) -> Result<Vec<StaticFeatures>, ScanError> {
         entry
             .reference_variants(basis == Basis::Patched)
-            .iter()
             .map(|bin| source.features_one(bin, 0))
             .collect()
     }
@@ -708,7 +707,7 @@ impl Patchecko {
         // the paper executes both functions on the device itself. A binary
         // that scanned statically but fails to *load* degrades the dynamic
         // stage rather than sinking the job.
-        let ref_bin = entry.reference_for(target_bin.arch, basis == Basis::Patched);
+        let ref_bin = entry.reference_for(target_bin.arch, basis == Basis::Patched).clone();
         let dynamic = match (LoadedBinary::load(ref_bin), LoadedBinary::load(target_bin.clone())) {
             (Ok(reference), Ok(target)) => {
                 self.dynamic_stage(&Arc::new(target), &scan, &Arc::new(reference), &ctx.profiles)

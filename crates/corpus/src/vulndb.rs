@@ -7,6 +7,13 @@
 //! generated from the same vulnerable-function builders, each with
 //! pre-compiled vulnerable and patched reference binaries (the paper
 //! compiles its references with Clang `-O0`).
+//!
+//! The other reference builds — the static stage's platform variants and
+//! the dynamic stage's device-architecture builds — are compiled lazily,
+//! at most once per database, and borrowed by every scan after that. So
+//! within one process every audit after the first does zero reference
+//! compilation, and construction still compiles exactly two binaries per
+//! entry.
 
 use crate::catalog::{self, CveEntry};
 use crate::cvemeta::{self, CveMeta};
@@ -15,6 +22,7 @@ use fwbin::isa::{Arch, OptLevel};
 use fwlang::gen::Generator;
 use fwlang::patch::Patch;
 use fwlang::Library;
+use std::sync::OnceLock;
 
 /// A database entry with compiled references.
 pub struct DbEntry {
@@ -27,6 +35,19 @@ pub struct DbEntry {
     pub vulnerable_bin: Binary,
     /// Compiled patched reference.
     pub patched_bin: Binary,
+    /// Lazily built references, indexed by `usize::from(patched)`.
+    builds: [Builds; 2],
+}
+
+/// One basis's memoized reference builds beyond the precompiled one. Each
+/// slot is compiled on first use and never rebuilt, so the memo is bounded
+/// by the database: at most six binaries per basis.
+#[derive(Default)]
+struct Builds {
+    /// The [`STATIC_VARIANTS`] after variant 0.
+    variants: OnceLock<Vec<Binary>>,
+    /// Device builds indexed like [`DEVICE_ARCHS`].
+    device: [OnceLock<Binary>; DEVICE_ARCHS.len()],
 }
 
 /// The vulnerability database.
@@ -43,8 +64,45 @@ pub const REFERENCE_ARCH: Arch = Arch::Arm64;
 /// Reference optimization level.
 pub const REFERENCE_OPT: OptLevel = OptLevel::O2;
 
+/// The static stage's representative (architecture, optimization) pairs.
+/// Variant 0 is the precompiled reference build.
+const STATIC_VARIANTS: [(Arch, OptLevel); 4] = [
+    (REFERENCE_ARCH, REFERENCE_OPT),
+    (Arch::Arm32, OptLevel::Oz),
+    (Arch::Amd64, OptLevel::O3),
+    (Arch::X86, OptLevel::O0),
+];
+
+/// The device architectures built on demand; the precompiled build serves
+/// [`REFERENCE_ARCH`].
+const DEVICE_ARCHS: [Arch; 3] = [Arch::X86, Arch::Amd64, Arch::Arm32];
+
+fn compile_reference(entry: &CveEntry, patched: bool, arch: Arch, opt: OptLevel) -> Binary {
+    let lib = catalog::reference_library(entry, patched);
+    fwbin::compile_library(&lib, arch, opt).expect("reference libraries always compile")
+}
+
 impl DbEntry {
-    /// Compile the entry's reference for a specific target architecture.
+    /// Wrap `entry` with its metadata envelope and its two precompiled
+    /// references (vulnerable and patched, at [`REFERENCE_ARCH`] /
+    /// [`REFERENCE_OPT`]). Every other reference build is made lazily.
+    pub fn new(entry: CveEntry) -> DbEntry {
+        let vulnerable_bin = compile_reference(&entry, false, REFERENCE_ARCH, REFERENCE_OPT);
+        let patched_bin = compile_reference(&entry, true, REFERENCE_ARCH, REFERENCE_OPT);
+        let meta = cvemeta::annotate(&entry);
+        DbEntry { entry, meta, vulnerable_bin, patched_bin, builds: Default::default() }
+    }
+
+    fn precompiled(&self, patched: bool) -> &Binary {
+        if patched {
+            &self.patched_bin
+        } else {
+            &self.vulnerable_bin
+        }
+    }
+
+    /// The entry's reference compiled for a specific target architecture,
+    /// built on first use.
     ///
     /// The paper's dynamic stage runs the CVE reference function and the
     /// target function "within the corresponding mobile/IoT embedded
@@ -52,50 +110,39 @@ impl DbEntry {
     /// reference must be the device-architecture build (otherwise raw
     /// Minkowski distances are dominated by cross-ISA instruction-count
     /// inflation). The pre-compiled `vulnerable_bin`/`patched_bin`
-    /// (always [`REFERENCE_ARCH`]) serve the *static* stage, which is
-    /// cross-platform by construction.
-    pub fn reference_for(&self, arch: Arch, patched: bool) -> Binary {
-        let lib = catalog::reference_library(&self.entry, patched);
-        fwbin::compile_library(&lib, arch, REFERENCE_OPT)
-            .expect("reference libraries always compile")
+    /// (always [`REFERENCE_ARCH`]) serve this for `REFERENCE_ARCH`
+    /// targets; they are also variant 0 of
+    /// [`DbEntry::reference_variants`] and feed the differential's static
+    /// and signature channels.
+    pub fn reference_for(&self, arch: Arch, patched: bool) -> &Binary {
+        match DEVICE_ARCHS.iter().position(|&a| a == arch) {
+            Some(slot) => self.builds[usize::from(patched)].device[slot]
+                .get_or_init(|| compile_reference(&self.entry, patched, arch, REFERENCE_OPT)),
+            None => self.precompiled(patched),
+        }
     }
 
-    /// The multi-platform reference set for the *static* stage. §II-A of
-    /// the paper: "we can generate one vulnerable function binary for
-    /// different hardware architectures (e.g., x86 and ARM) and software
-    /// platforms" — the database carries one compiled reference per
-    /// representative (architecture, optimization) pair and the scan
-    /// scores each target against all of them.
-    pub fn reference_variants(&self, patched: bool) -> Vec<Binary> {
-        let lib = catalog::reference_library(&self.entry, patched);
-        [
-            (Arch::Arm64, OptLevel::O2),
-            (Arch::Arm32, OptLevel::Oz),
-            (Arch::Amd64, OptLevel::O3),
-            (Arch::X86, OptLevel::O0),
-        ]
-        .into_iter()
-        .map(|(arch, opt)| {
-            fwbin::compile_library(&lib, arch, opt).expect("reference libraries always compile")
-        })
-        .collect()
+    /// The multi-platform reference set for the *static* stage, built on
+    /// first use. §II-A of the paper: "we can generate one vulnerable
+    /// function binary for different hardware architectures (e.g., x86
+    /// and ARM) and software platforms" — the database carries one
+    /// compiled reference per representative (architecture, optimization)
+    /// pair and the scan scores each target against all of them. Variant 0
+    /// is the precompiled build.
+    pub fn reference_variants(&self, patched: bool) -> impl Iterator<Item = &Binary> {
+        let built = self.builds[usize::from(patched)].variants.get_or_init(|| {
+            STATIC_VARIANTS[1..]
+                .iter()
+                .map(|&(arch, opt)| compile_reference(&self.entry, patched, arch, opt))
+                .collect()
+        });
+        std::iter::once(self.precompiled(patched)).chain(built)
     }
-}
-
-fn compile_entry(entry: CveEntry) -> DbEntry {
-    let vlib = catalog::reference_library(&entry, false);
-    let plib = catalog::reference_library(&entry, true);
-    let vulnerable_bin = fwbin::compile_library(&vlib, REFERENCE_ARCH, REFERENCE_OPT)
-        .expect("reference libraries always compile");
-    let patched_bin = fwbin::compile_library(&plib, REFERENCE_ARCH, REFERENCE_OPT)
-        .expect("reference libraries always compile");
-    let meta = cvemeta::annotate(&entry);
-    DbEntry { entry, meta, vulnerable_bin, patched_bin }
 }
 
 /// Build the database: the 25 featured CVEs plus `bulk` generated entries.
 pub fn build(bulk: usize, seed: u64) -> VulnDb {
-    let mut entries: Vec<DbEntry> = catalog::full_catalog().into_iter().map(compile_entry).collect();
+    let mut entries: Vec<DbEntry> = catalog::full_catalog().into_iter().map(DbEntry::new).collect();
     // Bulk entries: generated functions patched with a bounds guard, named
     // after synthetic bulletin ids.
     let mut g = Generator::new(seed);
@@ -125,7 +172,7 @@ pub fn build(bulk: usize, seed: u64) -> VulnDb {
             library_functions: 0,
             poc: None,
         };
-        entries.push(compile_entry(entry));
+        entries.push(DbEntry::new(entry));
         made += 1;
     }
     VulnDb { entries }
@@ -170,6 +217,41 @@ mod tests {
                 "{}: compiled references must differ",
                 e.entry.cve
             );
+        }
+    }
+
+    #[test]
+    fn reference_builds_are_memoized_fresh_compiles() {
+        let db = build(2, 42);
+        assert_eq!(db.entries.len(), 27, "featured and bulk entries");
+        for e in &db.entries {
+            for patched in [false, true] {
+                let fresh = |arch, opt| {
+                    let lib = catalog::reference_library(&e.entry, patched);
+                    fwbin::compile_library(&lib, arch, opt).unwrap()
+                };
+                let variants: Vec<&Binary> = e.reference_variants(patched).collect();
+                let platforms = [
+                    (Arch::Arm64, OptLevel::O2),
+                    (Arch::Arm32, OptLevel::Oz),
+                    (Arch::Amd64, OptLevel::O3),
+                    (Arch::X86, OptLevel::O0),
+                ];
+                assert_eq!(variants.len(), platforms.len());
+                for (bin, (arch, opt)) in variants.iter().zip(platforms) {
+                    assert_eq!(**bin, fresh(arch, opt), "{} {arch:?} {opt:?}", e.entry.cve);
+                }
+                let again = e.reference_variants(patched);
+                assert!(variants.iter().zip(again).all(|(a, b)| std::ptr::eq(*a, b)));
+                for arch in Arch::ALL {
+                    let device = e.reference_for(arch, patched);
+                    assert_eq!(*device, fresh(arch, REFERENCE_OPT), "{} {arch:?}", e.entry.cve);
+                    assert!(std::ptr::eq(device, e.reference_for(arch, patched)));
+                }
+                let precompiled = if patched { &e.patched_bin } else { &e.vulnerable_bin };
+                assert!(std::ptr::eq(variants[0], precompiled));
+                assert!(std::ptr::eq(e.reference_for(REFERENCE_ARCH, patched), precompiled));
+            }
         }
     }
 
