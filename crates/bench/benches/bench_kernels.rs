@@ -14,7 +14,8 @@
 //! * `train`    — one epoch: seed training loop (pre-activation clones,
 //!   per-batch gather allocation, unfused kernels) vs the new one;
 //! * `classify` — the static stage at ≥256 pairs: per-pair normalization +
-//!   legacy kernels vs `classify_product` on the new kernels.
+//!   legacy kernels vs `classify_pairs` over every pair on the new kernels
+//!   (the `product/N` row).
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use std::hint::black_box;
@@ -379,6 +380,9 @@ fn bench_extract_and_classify(c: &mut Criterion) {
     let pairs: Vec<(&StaticFeatures, &StaticFeatures)> =
         references.iter().flat_map(|r| targets.iter().map(move |t| (r, t))).collect();
     assert!(pairs.len() >= 256, "classify batch must be >= 256, got {}", pairs.len());
+    let all: Vec<(u32, u32)> = (0..references.len() as u32)
+        .flat_map(|r| (0..targets.len() as u32).map(move |t| (r, t)))
+        .collect();
     let old_net = legacy::Net::from_mlp(&det.net);
     let legacy_classify = |pairs: &[(&StaticFeatures, &StaticFeatures)]| -> Vec<f32> {
         let mut x = Matrix::zeros(pairs.len(), 96);
@@ -389,7 +393,7 @@ fn bench_extract_and_classify(c: &mut Criterion) {
     };
     assert_close(
         &legacy_classify(&pairs),
-        &det.classify_product(&references, &targets),
+        &det.classify_pairs(&references, &targets, &all),
         1e-6,
         "classify",
     );
@@ -398,7 +402,7 @@ fn bench_extract_and_classify(c: &mut Criterion) {
         b.iter(|| black_box(legacy_classify(&pairs)))
     });
     group.bench_function(format!("product/{}", pairs.len()), |b| {
-        b.iter(|| black_box(det.classify_product(&references, &targets)))
+        b.iter(|| black_box(det.classify_pairs(&references, &targets, &all)))
     });
     group.finish();
 }

@@ -214,22 +214,6 @@ impl Detector {
         self.net.predict(&x)[0]
     }
 
-    /// Similarity of a reference against many targets (batched forward
-    /// pass — the "seconds per library" static stage).
-    pub fn batch_similarity(&self, reference: &StaticFeatures, targets: &[StaticFeatures]) -> Vec<f32> {
-        if targets.is_empty() {
-            return Vec::new();
-        }
-        let ref_norm = self.norm.apply(reference);
-        let mut x = Matrix::zeros(targets.len(), ref_norm.len() * 2);
-        for (r, t) in targets.iter().enumerate() {
-            let row = x.row_mut(r);
-            row[..ref_norm.len()].copy_from_slice(&ref_norm);
-            row[ref_norm.len()..].copy_from_slice(&self.norm.apply(t));
-        }
-        self.net.predict(&x)
-    }
-
     /// Classify many arbitrary feature pairs in one forward pass: all 96-wide
     /// pair inputs are packed into a single `(pairs, 96)` matrix, so each
     /// layer runs one GEMM for the whole batch instead of one per pair.
@@ -246,73 +230,28 @@ impl Detector {
         self.net.predict(&x)
     }
 
-    /// Classify the full cross product `references × targets` in one
-    /// forward pass. Row `i * targets.len() + j` holds the score of
-    /// `(references[i], targets[j])` — the same layout as
-    /// [`Detector::classify_batch`] over the references-outer,
-    /// targets-inner pair list, equal within `1e-6`.
+    /// Classify a list of (reference, target) index pairs in one forward
+    /// pass: `scores[p]` is the probability of
+    /// `pairs[p] = (reference_index, target_index)`. The static scan's one
+    /// scoring path — the exact scan passes every pair, indexed retrieval
+    /// only the candidates it selects.
     ///
-    /// Two structural savings over the pairwise path: each feature vector
-    /// is normalized exactly once (not once per pair), and the first
-    /// dense layer is factorized through the pair structure — for input
-    /// `[rn_i, tn_j]`, `x·W₁ = rn_i·W₁ᵗᵒᵖ + tn_j·W₁ᵇᵒᵗ`, so the layer
-    /// costs one small GEMM per *side* plus an O(pairs·width) combine
-    /// instead of a GEMM over every pair. The two partial sums are added
-    /// per element (instead of one long ascending chain), which is why
-    /// scores match the pairwise path to tolerance rather than bitwise.
-    pub fn classify_product(
-        &self,
-        references: &[StaticFeatures],
-        targets: &[StaticFeatures],
-    ) -> Vec<f32> {
-        if references.is_empty() || targets.is_empty() {
-            return Vec::new();
-        }
-        let half = self.net.input_dim() / 2;
-        let (w1, b1) = self.net.layer_params(0);
-        let n1 = w1.cols();
-        let relu = self.net.num_layers() > 1;
-        let rn = Matrix::from_vec(
-            references.len(),
-            half,
-            references.iter().flat_map(|r| self.norm.apply(r)).collect(),
-        );
-        let tn = Matrix::from_vec(
-            targets.len(),
-            half,
-            targets.iter().flat_map(|t| self.norm.apply(t)).collect(),
-        );
-        let w_top = Matrix::from_fn(half, n1, |r, c| w1.get(r, c));
-        let w_bot = Matrix::from_fn(half, n1, |r, c| w1.get(r + half, c));
-        let rpart = rn.matmul(&w_top);
-        let tpart = tn.matmul(&w_bot);
-        let mut h = Matrix::zeros(references.len() * targets.len(), n1);
-        for i in 0..references.len() {
-            let rrow = rpart.row(i);
-            for j in 0..targets.len() {
-                let trow = tpart.row(j);
-                let out = h.row_mut(i * targets.len() + j);
-                for (((o, &rv), &tv), &bv) in out.iter_mut().zip(rrow).zip(trow).zip(b1) {
-                    let z = rv + tv + bv;
-                    *o = if relu { z.max(0.0) } else { z };
-                }
-            }
-        }
-        self.net.predict_from(1, h)
-    }
-
-    /// Classify an explicit sparse list of (reference, target) index pairs
-    /// through the same normalized-once factorization as
-    /// [`Detector::classify_product`]: both sides are normalized and
-    /// pushed through their half of the first dense layer once, then only
-    /// the selected rows are gathered and combined. `scores[p]` is the
-    /// probability of pair `pairs[p] = (reference_index, target_index)`.
+    /// Two structural savings over the pairwise
+    /// [`Detector::classify_batch`]: each feature vector the list touches
+    /// is normalized exactly once (not once per pair), and the first dense
+    /// layer is factorized through the pair structure —
+    /// `[rn_i, tn_j]·W₁ = rn_i·W₁ᵗᵒᵖ + tn_j·W₁ᵇᵒᵗ` — so the layer costs one
+    /// small GEMM per *side* over the touched rows plus an O(pairs·width)
+    /// gather-combine instead of a GEMM over every pair.
+    /// The two partial sums are added per element (instead of one long
+    /// ascending chain), which is why scores match the pairwise path to
+    /// `1e-6` rather than bitwise.
     ///
-    /// Scores are bitwise-identical to the corresponding rows of
-    /// [`Detector::classify_product`] — the combine applies the same
-    /// per-element `rv + tv + bias` and the downstream layers are
-    /// row-independent — which is what makes indexed retrieval at full K
-    /// exactly reproduce the all-pairs scan.
+    /// A pair's score depends only on its own two rows: projection and
+    /// the downstream layers are row-independent, and the combine is the
+    /// same per-element `rv + tv + bias` for every pair. So a score is
+    /// bitwise the same whichever list carries the pair, which is what
+    /// makes indexed retrieval at full K reproduce the exact scan.
     ///
     /// # Panics
     /// Panics if a pair indexes out of `references`/`targets` range.
@@ -432,23 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_similarity_matches_single() {
-        let ds = tiny_dataset();
-        let cfg = DetectorConfig {
-            pairs_per_function: 2,
-            train: TrainConfig { epochs: 20, batch: 64, lr: 2e-3, seed: 3, ..Default::default() },
-            ..DetectorConfig::default()
-        };
-        let (det, _, _) = train(&ds, &cfg);
-        let fs = crate::features::extract_all(&ds.variants[0].binary).unwrap();
-        let batch = det.batch_similarity(&fs[0], &fs[1..4]);
-        for (i, b) in batch.iter().enumerate() {
-            let single = det.similarity(&fs[0], &fs[1 + i]);
-            assert!((b - single).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn classify_batch_matches_per_pair_similarity() {
         let ds = tiny_dataset();
         let cfg = DetectorConfig {
@@ -470,8 +392,14 @@ mod tests {
         assert!(det.classify_batch(&[]).is_empty());
     }
 
+    /// Every (reference, target) pair, reference-major:
+    /// `all[i * targets + j] = (i, j)`.
+    fn full_pair_list(refs: usize, targets: usize) -> Vec<(u32, u32)> {
+        (0..refs as u32).flat_map(|i| (0..targets as u32).map(move |j| (i, j))).collect()
+    }
+
     #[test]
-    fn classify_product_matches_classify_batch() {
+    fn classify_pairs_full_list_matches_classify_batch() {
         let ds = tiny_dataset();
         let cfg = DetectorConfig {
             pairs_per_function: 2,
@@ -486,18 +414,18 @@ mod tests {
         // The factorized first layer splits each pair's reduction into a
         // reference partial plus a target partial, so scores agree with
         // the pairwise path to tolerance rather than bitwise.
-        let product = det.classify_product(&refs, &targets);
+        let full = det.classify_pairs(&refs, &targets, &full_pair_list(refs.len(), targets.len()));
         let batch = det.classify_batch(&pairs);
-        assert_eq!(product.len(), batch.len());
-        for (p, q) in product.iter().zip(&batch) {
+        assert_eq!(full.len(), batch.len());
+        for (p, q) in full.iter().zip(&batch) {
             assert!((p - q).abs() <= 1e-6, "{p} vs {q}");
         }
-        assert!(det.classify_product(&[], &targets).is_empty());
-        assert!(det.classify_product(&refs, &[]).is_empty());
+        assert!(det.classify_pairs(&[], &targets, &[]).is_empty());
+        assert!(det.classify_pairs(&refs, &[], &[]).is_empty());
     }
 
     #[test]
-    fn classify_pairs_is_bitwise_identical_to_product_rows() {
+    fn classify_pairs_scores_are_bitwise_independent_of_the_list() {
         let ds = tiny_dataset();
         let cfg = DetectorConfig {
             pairs_per_function: 2,
@@ -507,27 +435,26 @@ mod tests {
         let (det, _, _) = train(&ds, &cfg);
         let refs = crate::features::extract_all(&ds.variants[0].binary).unwrap();
         let targets = crate::features::extract_all(&ds.variants[1].binary).unwrap();
-        let product = det.classify_product(&refs, &targets);
-
-        // Full cross product as an explicit pair list: every score must
-        // match its product row *bitwise* (the downstream layers are
-        // row-independent).
-        let all: Vec<(u32, u32)> = (0..refs.len() as u32)
-            .flat_map(|i| (0..targets.len() as u32).map(move |j| (i, j)))
-            .collect();
+        let all = full_pair_list(refs.len(), targets.len());
         let full = det.classify_pairs(&refs, &targets, &all);
-        assert_eq!(full.len(), product.len());
-        for (p, (&(i, j), s)) in all.iter().zip(&full).enumerate() {
-            let expect = product[i as usize * targets.len() + j as usize];
-            assert_eq!(s.to_bits(), expect.to_bits(), "pair {p} = ({i},{j})");
+        let expect = |i: u32, j: u32| full[i as usize * targets.len() + j as usize];
+
+        // The exact scan's target-major order: every score must match its
+        // reference-major row *bitwise* (the downstream layers are
+        // row-independent).
+        let by_target: Vec<(u32, u32)> = (0..targets.len() as u32)
+            .flat_map(|j| (0..refs.len() as u32).map(move |i| (i, j)))
+            .collect();
+        let scores = det.classify_pairs(&refs, &targets, &by_target);
+        for (&(i, j), s) in by_target.iter().zip(&scores) {
+            assert_eq!(s.to_bits(), expect(i, j).to_bits(), "target-major pair ({i},{j})");
         }
 
         // An arbitrary sparse subset (every third pair, reversed) too.
         let sparse: Vec<(u32, u32)> = all.iter().rev().step_by(3).copied().collect();
         let sparse_scores = det.classify_pairs(&refs, &targets, &sparse);
         for (&(i, j), s) in sparse.iter().zip(&sparse_scores) {
-            let expect = product[i as usize * targets.len() + j as usize];
-            assert_eq!(s.to_bits(), expect.to_bits(), "sparse pair ({i},{j})");
+            assert_eq!(s.to_bits(), expect(i, j).to_bits(), "sparse pair ({i},{j})");
         }
 
         assert!(det.classify_pairs(&refs, &targets, &[]).is_empty());

@@ -104,6 +104,18 @@ pub struct PatchVerdict {
     pub degraded: bool,
 }
 
+impl PatchVerdict {
+    /// How close the target is to either reference version: the smaller
+    /// dynamic distance plus the smaller static distance. Degraded
+    /// verdicts have infinite dynamic distances; their dynamic term counts
+    /// as 0, so candidate selection falls back to static proximity alone.
+    pub fn proximity(&self) -> f64 {
+        let dynamic = self.dyn_dist_vulnerable.min(self.dyn_dist_patched);
+        let dynamic = if dynamic.is_finite() { dynamic } else { 0.0 };
+        dynamic + self.static_dist_vulnerable.min(self.static_dist_patched)
+    }
+}
+
 impl Serialize for PatchVerdict {
     fn to_value(&self) -> serde::value::Value {
         use serde::value::Value;
@@ -447,11 +459,12 @@ fn exploit_behaviour_vote(
 
 /// Run the differential engine on several candidate target functions and
 /// keep the verdict of the candidate most likely to *be* the target: the
-/// one closest to either reference version (`min(dv, dp)`). A false
-/// positive sits far from both the vulnerable and the patched build of the
-/// CVE function; the true target is near one of them. Ties (including the
-/// all-zero distances of feature-invisible patches) break toward the more
-/// decisive margin.
+/// one closest to either reference version
+/// ([`PatchVerdict::proximity`]). A false positive sits far from both the
+/// vulnerable and the patched build of the CVE function; the true target
+/// is near one of them. Proximities within 1e-9 tie (including the
+/// all-zero distances of feature-invisible patches) and break toward the
+/// more decisive margin.
 ///
 /// Returns `None` if `candidates` is empty.
 ///
@@ -467,26 +480,21 @@ pub fn detect_patch_best(
     cfg: &DifferentialConfig,
     ctx: &RunCtx,
 ) -> Result<Option<(usize, PatchVerdict)>, ScanError> {
-    let mut best: Option<(usize, PatchVerdict, f64)> = None;
+    let mut best: Option<(usize, PatchVerdict)> = None;
     for &c in candidates {
         let v = detect_patch(patchecko, entry, target_bin, c, cfg, ctx)?;
-        // Degraded verdicts have infinite dynamic distances; fall back to
-        // static proximity alone so candidate selection stays meaningful.
-        let dyn_proximity = v.dyn_dist_vulnerable.min(v.dyn_dist_patched);
-        let proximity = if dyn_proximity.is_finite() { dyn_proximity } else { 0.0 }
-            + v.static_dist_vulnerable.min(v.static_dist_patched);
         let better = match &best {
-            Some((_, b, d)) => {
-                proximity < *d - 1e-9
-                    || ((proximity - *d).abs() <= 1e-9 && v.margin.abs() > b.margin.abs())
+            Some((_, b)) => {
+                let (p, d) = (v.proximity(), b.proximity());
+                p < d - 1e-9 || ((p - d).abs() <= 1e-9 && v.margin.abs() > b.margin.abs())
             }
             None => true,
         };
         if better {
-            best = Some((c, v, proximity));
+            best = Some((c, v));
         }
     }
-    Ok(best.map(|(c, v, _)| (c, v)))
+    Ok(best)
 }
 
 #[cfg(test)]

@@ -179,8 +179,8 @@ pub fn evaluate_patch_detection(
 /// per-library candidate collection, differential arbitration. Returns
 /// the located target as `library:function` with its verdict, or `None`
 /// when neither basis located the CVE function. Across libraries the
-/// target is the verdict closest to either reference version, the same
-/// proximity [`differential::detect_patch_best`] ranks candidates by.
+/// target is the verdict with the smallest [`PatchVerdict::proximity`],
+/// the same rule [`differential::detect_patch_best`] ranks candidates by.
 ///
 /// # Errors
 /// The first [`ScanError`] from the analyses or the differential engine,
@@ -202,25 +202,18 @@ pub fn audit_one_cve(
             cands.push(m.function_index);
         }
     }
-    let mut best: Option<(String, PatchVerdict, f64)> = None;
+    let mut best: Option<(String, PatchVerdict)> = None;
     for (li, cands) in by_lib {
         let bin = &image.binaries[li];
         if let Some((idx, v)) =
             differential::detect_patch_best(patchecko, entry, bin, &cands, diff_cfg, ctx)?
         {
-            let dyn_prox = v.dyn_dist_vulnerable.min(v.dyn_dist_patched);
-            let proximity = if dyn_prox.is_finite() { dyn_prox } else { 0.0 }
-                + v.static_dist_vulnerable.min(v.static_dist_patched);
-            let better = match &best {
-                Some((_, _, d)) => proximity < *d,
-                None => true,
-            };
-            if better {
-                best = Some((format!("{}:{idx}", bin.lib_name), v, proximity));
+            if best.as_ref().is_none_or(|(_, b)| v.proximity() < b.proximity()) {
+                best = Some((format!("{}:{idx}", bin.lib_name), v));
             }
         }
     }
-    Ok(best.map(|(located, v, _)| (located, v)))
+    Ok(best)
 }
 
 /// Audit a whole firmware image against the vulnerability database,

@@ -362,19 +362,18 @@ impl Patchecko {
     /// `features`. A function's score is its best match across the
     /// reference variants.
     ///
-    /// Under [`Retrieval::Exact`] (the default) all (reference × function)
-    /// pairs are packed into one
-    /// [`crate::detector::Detector::classify_product`] call, so the whole
-    /// library scan is a single forward pass per layer regardless of how
-    /// many reference variants the database carries — and every feature
-    /// vector is normalized once instead of once per pair. Under
-    /// [`Retrieval::TopK`], the signature/LSH index retrieves each
-    /// target's `k` nearest references and only those pairs reach the
-    /// classifier (via the sparse
-    /// [`crate::detector::Detector::classify_pairs`] path), which keeps
-    /// scan cost near-flat as the reference database grows. At
-    /// `k >= references.len()` the indexed scan is bitwise-identical to
-    /// the exact one. Both modes produce the same [`StaticScan`] shape.
+    /// Retrieval only chooses which (reference, function) pairs to score;
+    /// the scoring is one [`crate::detector::Detector::classify_pairs`]
+    /// call over that list, so the whole library scan is a single
+    /// forward pass per layer. Under [`Retrieval::Exact`] (the default)
+    /// the list holds every pair. Under [`Retrieval::TopK`] the
+    /// signature/LSH index retrieves each target's `k` nearest references
+    /// and only those pairs reach the classifier, which keeps scan cost
+    /// near-flat as the reference database grows. Either list is grouped
+    /// by function with references ascending, and one strict-`>` fold
+    /// keeps the lowest reference on ties; at `k >= references.len()` the
+    /// index returns exactly the exact list, so the two modes are
+    /// bitwise-identical there.
     ///
     /// # Errors
     /// Propagates extraction failures from the source.
@@ -393,10 +392,22 @@ impl Patchecko {
         let (probs, best_ref, candidates) = if references.is_empty() || feats.is_empty() {
             (vec![0.0f32; feats.len()], Vec::new(), Vec::new())
         } else {
-            let (probs, best_ref) = match self.config.retrieval {
-                Retrieval::Exact => self.exact_scores(references, &feats),
-                Retrieval::TopK { k } => self.indexed_scores(bin, references, &feats, k, features),
+            let pairs: Vec<(u32, u32)> = match self.config.retrieval {
+                Retrieval::Exact => (0..feats.len() as u32)
+                    .flat_map(|j| (0..references.len() as u32).map(move |r| (r, j)))
+                    .collect(),
+                Retrieval::TopK { k } => self.indexed_pairs(bin, references, &feats, k, features),
             };
+            let scores = self.detector.classify_pairs(references, &feats, &pairs);
+            let mut probs = vec![0.0f32; feats.len()];
+            let mut best_ref = vec![0usize; feats.len()];
+            for (&(r, j), &s) in pairs.iter().zip(&scores) {
+                let j = j as usize;
+                if s > probs[j] {
+                    probs[j] = s;
+                    best_ref[j] = r as usize;
+                }
+            }
             let candidates = probs
                 .iter()
                 .enumerate()
@@ -415,71 +426,33 @@ impl Patchecko {
         })
     }
 
-    /// All-pairs scoring: one `classify_product` GEMM, then a per-target
-    /// max-reduction over the references. The score layout is
-    /// reference-major (`chunks(feats.len())` walks one reference's row),
-    /// hoisting the old per-element `i % feats.len()` out of the loop.
-    /// Returns per-target best probability and best reference index; ties
-    /// keep the lowest reference (strict `>` fold, references ascending).
-    fn exact_scores(
-        &self,
-        references: &[StaticFeatures],
-        feats: &[StaticFeatures],
-    ) -> (Vec<f32>, Vec<usize>) {
-        let scores = self.detector.classify_product(references, feats);
-        let mut probs = vec![0.0f32; feats.len()];
-        let mut best_ref = vec![0usize; feats.len()];
-        for (r, chunk) in scores.chunks(feats.len()).enumerate() {
-            for (f, &s) in chunk.iter().enumerate() {
-                if s > probs[f] {
-                    probs[f] = s;
-                    best_ref[f] = r;
-                }
-            }
-        }
-        (probs, best_ref)
-    }
-
-    /// Indexed scoring: retrieve each target's `k` nearest references by
-    /// quantized signature, classify only those pairs. Target signatures
-    /// come from the source (scanhub serves its persistent lane);
-    /// reference signatures are computed directly — the signature is a
-    /// pure function of the features, so both routes agree. The per-pair
-    /// fold visits references in ascending order with a strict `>`, the
-    /// same comparison sequence as [`Patchecko::exact_scores`], which is
-    /// what makes `k >= references.len()` bitwise-identical to exact.
-    fn indexed_scores(
+    /// The indexed pair list: each target's `k` nearest references by
+    /// quantized signature, grouped by target with references ascending.
+    /// Target signatures come from the source (scanhub serves its
+    /// persistent lane); reference signatures are computed directly — the
+    /// signature is a pure function of the features, so both routes
+    /// agree.
+    fn indexed_pairs(
         &self,
         bin: &Binary,
         references: &[StaticFeatures],
         feats: &[StaticFeatures],
         k: usize,
         source: &dyn FeatureSource,
-    ) -> (Vec<f32>, Vec<usize>) {
+    ) -> Vec<(u32, u32)> {
         let index = self.reference_index(references);
         let target_sigs = source.signatures_all(bin, feats);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (j, sig) in target_sigs.iter().enumerate() {
-            for r in index.candidates(sig, k) {
-                pairs.push((r, j as u32));
-            }
-        }
+        let pairs: Vec<(u32, u32)> = target_sigs
+            .iter()
+            .enumerate()
+            .flat_map(|(j, sig)| index.candidates(sig, k).into_iter().map(move |r| (r, j as u32)))
+            .collect();
         scope::add("index.candidates", pairs.len() as u64);
         scope::add(
             "index.pairs_pruned",
             (references.len() * feats.len()).saturating_sub(pairs.len()) as u64,
         );
-        let scores = self.detector.classify_pairs(references, feats, &pairs);
-        let mut probs = vec![0.0f32; feats.len()];
-        let mut best_ref = vec![0usize; feats.len()];
-        for (&(r, j), &s) in pairs.iter().zip(&scores) {
-            let j = j as usize;
-            if s > probs[j] {
-                probs[j] = s;
-                best_ref[j] = r as usize;
-            }
-        }
-        (probs, best_ref)
+        pairs
     }
 
     /// The signature index over `references`, memoized by content
@@ -1107,10 +1080,10 @@ mod tests {
         }
     }
 
-    /// Tentpole invariant: indexed retrieval at `k = |references|` selects
-    /// every pair, so the scan must be bitwise-identical to the exact
-    /// all-pairs path; and `best_ref` must be the first-strict argmax of
-    /// the product score matrix.
+    /// Indexed retrieval at `k = |references|` selects every pair, so the
+    /// scan must be bitwise-identical to the exact all-pairs path; and
+    /// `best_ref` must be the first-strict argmax of the full
+    /// reference × function score matrix.
     #[test]
     fn topk_at_full_k_is_bitwise_identical_to_exact() {
         let db = corpus::build_vulndb(0, 1);
@@ -1140,7 +1113,10 @@ mod tests {
 
         // best_ref = first-strict argmax over the reference-major scores.
         let feats = features::extract_all(bin).unwrap();
-        let scores = exact_p.detector.classify_product(&references, &feats);
+        let all: Vec<(u32, u32)> = (0..references.len() as u32)
+            .flat_map(|r| (0..feats.len() as u32).map(move |f| (r, f)))
+            .collect();
+        let scores = exact_p.detector.classify_pairs(&references, &feats, &all);
         assert_eq!(exact.best_ref.len(), exact.total);
         for f in 0..feats.len() {
             let (mut arg, mut best) = (0usize, 0.0f32);

@@ -71,6 +71,38 @@ impl WorkingSet {
     pub fn admitted(&self) -> usize {
         self.admitted.load(Ordering::Relaxed)
     }
+
+    /// Drive `units` through `visit` with at most `working_set` of them
+    /// resident: units are pulled in working-set-sized batches, each holds
+    /// a permit until `visit` (given its 0-based pull index) is done with
+    /// it, and the next batch is pulled only after the current one is
+    /// dropped. Returns `(units visited, peak live units)`.
+    ///
+    /// # Errors
+    /// Stops at the first error from `visit` and returns it.
+    pub fn drive<T, E>(
+        units: impl IntoIterator<Item = T>,
+        working_set: usize,
+        mut visit: impl FnMut(usize, T) -> Result<(), E>,
+    ) -> Result<(usize, usize), E> {
+        let tracker = WorkingSet::new();
+        let mut iter = units.into_iter();
+        let mut visited = 0usize;
+        loop {
+            let batch: Vec<_> = iter
+                .by_ref()
+                .take(working_set.max(1))
+                .map(|unit| (unit, tracker.acquire()))
+                .collect();
+            if batch.is_empty() {
+                return Ok((visited, tracker.peak()));
+            }
+            for (unit, _permit) in batch {
+                visit(visited, unit)?;
+                visited += 1;
+            }
+        }
+    }
 }
 
 impl Drop for WorkingSetPermit<'_> {
@@ -176,52 +208,32 @@ impl Patchecko {
     {
         let _span = scope::SpanGuard::enter("stream_scan");
         let working_set = working_set.max(1);
-        let tracker = WorkingSet::new();
         let started = Instant::now();
-        let mut iter = units.into_iter();
         let mut matches = Vec::new();
-        let mut unit_index = 0usize;
         let mut functions = 0usize;
-        loop {
-            // Pull one working set's worth of units; each resident unit
-            // holds a permit for exactly as long as it is alive.
-            let batch: Vec<(Binary, WorkingSetPermit<'_>)> = iter
-                .by_ref()
-                .take(working_set)
-                .map(|bin| {
-                    let permit = tracker.acquire();
-                    (bin, permit)
-                })
-                .collect();
-            if batch.is_empty() {
-                break;
+        let (units, peak_live) = WorkingSet::drive(units, working_set, |unit, bin| {
+            let scan = self.scan_library(&bin, references, source)?;
+            functions += scan.total;
+            for &f in &scan.candidates {
+                matches.push(StreamMatch {
+                    unit,
+                    library: scan.library.clone(),
+                    function: f,
+                    reference: scan.best_ref.get(f).copied().unwrap_or(0),
+                    probability: scan.probs[f],
+                });
             }
-            for (bin, permit) in batch {
-                let scan = self.scan_library(&bin, references, source)?;
-                functions += scan.total;
-                for &f in &scan.candidates {
-                    matches.push(StreamMatch {
-                        unit: unit_index,
-                        library: scan.library.clone(),
-                        function: f,
-                        reference: scan.best_ref.get(f).copied().unwrap_or(0),
-                        probability: scan.probs[f],
-                    });
-                }
-                unit_index += 1;
-                drop(bin);
-                drop(permit);
-            }
-        }
-        scope::add("stream.units", unit_index as u64);
+            Ok::<_, ScanError>(())
+        })?;
+        scope::add("stream.units", units as u64);
         scope::add("stream.functions", functions as u64);
-        scope::add("stream.peak_live", tracker.peak() as u64);
+        scope::add("stream.peak_live", peak_live as u64);
         Ok(StreamScanReport {
-            units: unit_index,
+            units,
             functions,
             matches,
             working_set,
-            peak_live: tracker.peak(),
+            peak_live,
             seconds: started.elapsed().as_secs_f64(),
         })
     }

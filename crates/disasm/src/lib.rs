@@ -7,7 +7,7 @@
 //!
 //! * [`disassemble`] — decode a function record into instructions with byte
 //!   sizes and build its [`cfg::Cfg`];
-//! * [`cfg`] — basic blocks, edges, and IDA-style block kinds (`fcb_*`);
+//! * [`cfg`](mod@cfg) — basic blocks, edges, and IDA-style block kinds (`fcb_*`);
 //! * [`dom`] — dominator analysis and natural-loop detection;
 //! * [`fmt`] — human-readable assembly listings;
 //! * [`graph`] — Brandes betweenness centrality and summary statistics.

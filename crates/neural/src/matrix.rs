@@ -4,7 +4,7 @@
 //! ## Kernel design
 //!
 //! `matmul` (and the fused [`Matrix::dense_forward`]) uses a register-
-//! accumulator micro-kernel: each 2×[`NR`] output tile is held in
+//! accumulator micro-kernel: each 2×`NR` output tile is held in
 //! vector registers across the entire reduction, so the inner loop is
 //! four `b` vector loads plus two broadcasts feeding 2·`NR`
 //! multiply-adds — no output reload/store per reduction step. `t_matmul`
@@ -25,7 +25,7 @@
 //! [`crate::pool`] (no per-call thread spawning). Parallel tasks are
 //! `'static`, so the inputs are cloned behind `Arc` for the dispatch —
 //! an O(m·k + k·n) copy under an O(m·k·n) multiply, only paid above
-//! [`PAR_THRESHOLD_FLOPS`].
+//! `PAR_THRESHOLD_FLOPS`.
 //!
 //! [`Matrix::dense_forward`] is the fused dense-layer kernel: GEMM, bias
 //! add, and optional ReLU in one pass, applying the epilogue per row
@@ -574,10 +574,9 @@ impl Matrix {
 
     /// Gather-combine for factorized sparse-pair classification: output
     /// row `p` is `relu_if(a.row(i) + b.row(j) + bias)` for
-    /// `pairs[p] = (i, j)`. This is the sparse counterpart of the dense
-    /// product combine — identical per-element arithmetic (`av + bv +
-    /// bias`, then the optional ReLU), so a gathered row is bitwise equal
-    /// to the corresponding row of the dense cross-product combine.
+    /// `pairs[p] = (i, j)`. Every row gets the same per-element
+    /// arithmetic (`av + bv + bias`, then the optional ReLU), so a pair's
+    /// row is bitwise the same whichever list carries it.
     ///
     /// # Panics
     /// Panics on column/bias shape mismatch or an out-of-range pair index.

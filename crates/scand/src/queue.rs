@@ -23,7 +23,7 @@
 //!   a job whose every waiter has expired without ever burning an
 //!   executor slot; the expired waiters are handed to the caller so each
 //!   can be answered with a typed
-//!   [`ScanError::DeadlineExceeded`](patchecko_core::ScanError::DeadlineExceeded).
+//!   [`ScanError::DeadlineExceeded`].
 //!   A job that still has live waiters returns the strictest *surviving*
 //!   envelope (`None` if any waiter is unbounded, else the latest
 //!   deadline) for the executor's cancellation token.

@@ -4,7 +4,7 @@
 //! ## Architecture
 //!
 //! One accept thread takes connections and hands each to a detached
-//! handler thread; handlers speak the [`proto`](crate::proto) framing and
+//! handler thread; handlers speak the [`proto`] framing and
 //! *submit* scan/audit work into the shared [`FairQueue`] rather than
 //! executing it themselves. A fixed pool of executor threads pops jobs
 //! from the queue — round-robin across tenants — and runs them against
@@ -68,7 +68,7 @@ use corpus::vulndb::VulnDb;
 use fwbin::FirmwareImage;
 use patchecko_core::cancel::CancelToken;
 use patchecko_core::differential::DifferentialConfig;
-use patchecko_core::dynsource::{DynProfile, DynProfileSource, EnvSet};
+use patchecko_core::dynsource::{DynProfile, DynProfileSource, EnvSet, Fnv2};
 use patchecko_core::error::ScanError;
 use patchecko_core::eval::audit_image;
 use patchecko_core::pipeline::RunCtx;
@@ -158,18 +158,15 @@ pub fn lockfile_path(socket: &Path) -> PathBuf {
     PathBuf::from(format!("{}.pid", socket.display()))
 }
 
-/// FNV-1a over the operation's canonical JSON: the in-flight dedup
-/// fingerprint. Two requests coalesce only when tenant AND fingerprint
-/// match, so namespaces never share a computation's *identity* even when
-/// the underlying artifacts would coincide.
+/// 64-bit FNV-1a (the plain-byte lane of [`Fnv2`]) over the operation's
+/// canonical JSON: the in-flight dedup fingerprint. Two requests coalesce
+/// only when tenant AND fingerprint match, so namespaces never share a
+/// computation's *identity* even when the underlying artifacts would
+/// coincide.
 fn fingerprint(op: &Op) -> u64 {
-    let bytes = serde_json::to_string(op).unwrap_or_default().into_bytes();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv2::new();
+    h.update(serde_json::to_string(op).unwrap_or_default().as_bytes());
+    h.hi
 }
 
 /// A [`DynProfileSource`] that refuses every call with a transient
@@ -776,6 +773,21 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&a.clone()));
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c), "audit(0) and batch-audit([0]) are distinct jobs");
+    }
+
+    /// The dedup fingerprint is plain 64-bit FNV-1a of the op's JSON, so
+    /// routing it through `Fnv2` changed no value.
+    #[test]
+    fn fingerprint_is_fnv1a_of_the_op_json() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        for op in [Op::Audit { image: 3 }, Op::BatchAudit { images: vec![0, 2] }, Op::Stats] {
+            let json = serde_json::to_string(&op).unwrap();
+            assert_eq!(fingerprint(&op), fnv1a(json.as_bytes()), "{json}");
+        }
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl ScanHub {
     /// plus retrieval signatures), holding at most `working_set` units in
     /// memory at any point. Later scans of the same content are served
     /// from the cache. Returns `(units, functions, peak_live)` — the peak
-    /// comes from the same live-entry accounting as
+    /// comes from the same [`WorkingSet::drive`] loop as
     /// [`Patchecko::scan_stream`], so boundedness is provable, not
     /// inferred from RSS.
     ///
@@ -189,30 +189,14 @@ impl ScanHub {
     {
         use patchecko_core::pipeline::FeatureSource;
         let _span = scope::SpanGuard::enter("stream_ingest");
-        let working_set = working_set.max(1);
-        let tracker = WorkingSet::new();
-        let mut iter = units.into_iter();
-        let mut n_units = 0usize;
-        let mut n_functions = 0usize;
-        loop {
-            let batch: Vec<_> = iter
-                .by_ref()
-                .take(working_set)
-                .map(|bin| (bin, tracker.acquire()))
-                .collect();
-            if batch.is_empty() {
-                break;
-            }
-            for (bin, permit) in batch {
-                let feats = self.store.features_all(&bin)?;
-                let _sigs = self.store.signatures_all(&bin, &feats);
-                n_units += 1;
-                n_functions += feats.len();
-                drop(bin);
-                drop(permit);
-            }
-        }
-        Ok((n_units, n_functions, tracker.peak()))
+        let mut functions = 0usize;
+        let (units, peak) = WorkingSet::drive(units, working_set, |_, bin| {
+            let feats = self.store.features_all(&bin)?;
+            let _sigs = self.store.signatures_all(&bin, &feats);
+            functions += feats.len();
+            Ok::<_, ScanError>(())
+        })?;
+        Ok((units, functions, peak))
     }
 
     /// `tenant`'s view of this hub's store: the full feature/dyn-profile

@@ -9,7 +9,7 @@
 //!   [`TelemetrySnapshot`]s supporting `since` (saturating deltas) and
 //!   `merged` (multi-registry reporting), mirroring the `CacheStats`
 //!   conventions;
-//! * [`span`] — hierarchical RAII tracing spans (`scope::span!("name")`)
+//! * [`span`](mod@span) — hierarchical RAII tracing spans (`scope::span!("name")`)
 //!   over a per-thread span stack, recording wall time into the registry
 //!   as `span.<name>` histograms;
 //! * [`trace`] — optional Chrome-trace capture: with capture enabled,

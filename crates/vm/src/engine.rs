@@ -1,6 +1,6 @@
 //! The fast execution engine — the sfuzz-style rebuild of the hot loop.
 //!
-//! [`FastVm`] executes the pre-lowered form from [`crate::lowered`]
+//! [`FastVm`] executes the pre-lowered form from `crate::lowered`
 //! (operands unpacked, library routines resolved, classification bytes
 //! precomputed), traces into dense per-function PC-count arrays instead of
 //! hash maps, and resets between runs by restoring only what the previous

@@ -12,7 +12,7 @@
 //!   tracing, dirty-tracked snapshot resets; bitwise-identical profiles
 //!   to the interpreter (DESIGN.md §15);
 //! * [`trace`] — the 21 Table II dynamic features;
-//! * [`env`] — fixed execution environments (input + args + globals);
+//! * [`env`](mod@env) — fixed execution environments (input + args + globals);
 //! * [`fuzz`] — coverage-guided input generation (LibFuzzer analog);
 //! * [`value`] — region-tagged runtime values.
 //!

@@ -191,17 +191,27 @@ fn flag<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, St
     flags.get(key).map(String::as_str).ok_or_else(|| format!("missing required flag --{key}"))
 }
 
-fn flag_or<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The numeric value of `--key`, or `default` when the flag is absent.
+/// A value that does not parse is an error naming the flag, never a
+/// silent fallback to the default.
+fn flag_or<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match flags.get(key) {
+        Some(v) => v.parse().map_err(|_| format!("--{key}: not a number: {v}")),
+        None => Ok(default),
+    }
 }
 
 // ---------------------------------------------------------------------------
 
 fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = flag(flags, "out")?;
-    let libs: usize = flag_or(flags, "libs", 100);
-    let epochs: usize = flag_or(flags, "epochs", 30);
-    let pairs: usize = flag_or(flags, "pairs", 12);
+    let libs: usize = flag_or(flags, "libs", 100)?;
+    let epochs: usize = flag_or(flags, "epochs", 30)?;
+    let pairs: usize = flag_or(flags, "pairs", 12)?;
 
     eprintln!("building Dataset I ({libs} libraries)...");
     let ds = corpus::build_dataset1(&Dataset1Config {
@@ -241,7 +251,7 @@ fn load_model(path: &str) -> Result<Detector, String> {
 fn cmd_build_image(flags: &HashMap<String, String>) -> Result<(), String> {
     let device = flag(flags, "device")?;
     let out = PathBuf::from(flag(flags, "out")?);
-    let scale: f64 = flag_or(flags, "scale", 0.25);
+    let scale: f64 = flag_or(flags, "scale", 0.25)?;
     let spec = match device {
         "android_things" => corpus::android_things_spec(),
         "pixel2xl" => corpus::pixel2xl_spec(),
@@ -641,11 +651,11 @@ fn cmd_batch_audit(flags: &HashMap<String, String>) -> Result<(), String> {
 /// bounded-working-set streaming scan against the CVE reference database,
 /// reporting matched CVE/CWE identities and planted-CVE recall.
 fn cmd_corpus(flags: &HashMap<String, String>) -> Result<(), String> {
-    let functions: usize = flag_or(flags, "functions", 1_000);
-    let seed: u64 = flag_or(flags, "seed", 0xC0_0C05);
-    let working_set: usize = flag_or::<usize>(flags, "working-set", 64).max(1);
+    let functions: usize = flag_or(flags, "functions", 1_000)?;
+    let seed: u64 = flag_or(flags, "seed", 0xC0_0C05)?;
+    let working_set: usize = flag_or::<usize>(flags, "working-set", 64)?.max(1);
     let mut cfg = corpus::StreamConfig::sized(functions, seed);
-    cfg.plant_every = flag_or(flags, "plant-every", cfg.plant_every);
+    cfg.plant_every = flag_or(flags, "plant-every", cfg.plant_every)?;
 
     eprintln!(
         "corpus: {} units / {} functions ({} planted CVEs), {} ISAs × {} opt levels, seed {seed}",
@@ -773,16 +783,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         None => None,
     };
     let defaults = BreakerConfig::default();
-    let checkpoint_every: u64 = flag_or(flags, "checkpoint-every", 0);
+    let checkpoint_every: u64 = flag_or(flags, "checkpoint-every", 0)?;
     let cfg = ServerConfig {
-        queue_limit: flag_or(flags, "queue-limit", 64),
-        workers: flag_or(flags, "workers", 4),
-        retry_after_ms: flag_or(flags, "retry-after-ms", 25),
-        io_timeout_ms: flag_or(flags, "io-timeout-ms", 30_000),
+        queue_limit: flag_or(flags, "queue-limit", 64)?,
+        workers: flag_or(flags, "workers", 4)?,
+        retry_after_ms: flag_or(flags, "retry-after-ms", 25)?,
+        io_timeout_ms: flag_or(flags, "io-timeout-ms", 30_000)?,
         tenant_quota,
         breaker: BreakerConfig {
-            threshold: flag_or(flags, "breaker-threshold", defaults.threshold),
-            cooldown_ms: flag_or(flags, "breaker-cooldown-ms", defaults.cooldown_ms),
+            threshold: flag_or(flags, "breaker-threshold", defaults.threshold)?,
+            cooldown_ms: flag_or(flags, "breaker-cooldown-ms", defaults.cooldown_ms)?,
         },
         checkpoint_every: (checkpoint_every > 0).then_some(checkpoint_every),
         fault_vm_tenants: flags

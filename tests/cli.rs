@@ -30,6 +30,17 @@ fn help_and_errors() {
 
     let out = bin().arg("scan").output().unwrap();
     assert!(!out.status.success(), "missing flags must fail");
+
+    // A malformed number is an error naming the flag, not a silent default.
+    let image = tmpdir("bad_scale").join("image");
+    let out = bin()
+        .args(["build-image", "--device", "android_things", "--out", image.to_str().unwrap()])
+        .args(["--scale", "abc"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "a non-numeric --scale must fail");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--scale"), "error names the flag");
+    assert!(!image.exists(), "a rejected build leaves no output directory");
 }
 
 #[test]
