@@ -82,8 +82,8 @@ fn assert_recall_gate(db: &VulnDb, exact: &Patchecko, topk: &Patchecko, pool_ext
             for arch in Arch::ALL {
                 for opt in OptLevel::ALL {
                     let bin = fwbin::compile_library(&lib, arch, opt).unwrap();
-                    let e = exact.scan_library(&bin, &pool, &DirectExtraction).unwrap();
-                    let t = topk.scan_library(&bin, &pool, &DirectExtraction).unwrap();
+                    let e = exact.scan_library(&bin, &[&pool], &DirectExtraction).unwrap().remove(0);
+                    let t = topk.scan_library(&bin, &[&pool], &DirectExtraction).unwrap().remove(0);
                     for f in 0..e.total {
                         total += 1;
                         let (ef, tf) = (e.candidates.contains(&f), t.candidates.contains(&f));
@@ -149,8 +149,8 @@ fn bench_retrieval(c: &mut Criterion) {
     // DB size.
     for (scale, pool) in &pools {
         let full = analyzer(&detector, Retrieval::TopK { k: pool.len() });
-        let e = exact.scan_library(&target, pool, &DirectExtraction).unwrap();
-        let f = full.scan_library(&target, pool, &DirectExtraction).unwrap();
+        let e = exact.scan_library(&target, &[pool], &DirectExtraction).unwrap().remove(0);
+        let f = full.scan_library(&target, &[pool], &DirectExtraction).unwrap().remove(0);
         let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&e.probs), bits(&f.probs), "identity gate failed at {scale}× DB");
         assert_eq!(e.candidates, f.candidates, "identity gate failed at {scale}× DB");
@@ -169,10 +169,10 @@ fn bench_retrieval(c: &mut Criterion) {
     // only on the ~K survivors).
     for (scale, pool) in &pools {
         c.bench_function(&format!("retrieval/exact/db{}", 4 * scale), |b| {
-            b.iter(|| black_box(exact.scan_library(&target, pool, &DirectExtraction).unwrap()))
+            b.iter(|| black_box(exact.scan_library(&target, &[pool], &DirectExtraction).unwrap()))
         });
         c.bench_function(&format!("retrieval/indexed/db{}", 4 * scale), |b| {
-            b.iter(|| black_box(topk.scan_library(&target, pool, &DirectExtraction).unwrap()))
+            b.iter(|| black_box(topk.scan_library(&target, &[pool], &DirectExtraction).unwrap()))
         });
     }
 }

@@ -41,7 +41,7 @@ fn bench_stages(c: &mut Criterion) {
 
     // DP column: whole-library static scan (features + batched NN forward).
     c.bench_function("static_stage/scan_library_56fn", |b| {
-        b.iter(|| black_box(patchecko.scan_library(&bin, &references, &DirectExtraction).unwrap()))
+        b.iter(|| black_box(patchecko.scan_library(&bin, &[&references], &DirectExtraction).unwrap()))
     });
 
     // Feature extraction alone (the IDA-plugin analog).
@@ -50,7 +50,7 @@ fn bench_stages(c: &mut Criterion) {
     });
 
     // DA column: dynamic stage over the scan's candidate set.
-    let scan = patchecko.scan_library(&bin, &references, &DirectExtraction).unwrap();
+    let scan = patchecko.scan_library(&bin, &[&references], &DirectExtraction).unwrap().remove(0);
     let ref_loaded = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
     let target_loaded = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
     let dynsrc = RunCtx::default().profiles;

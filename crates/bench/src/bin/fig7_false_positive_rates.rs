@@ -33,7 +33,11 @@ fn main() {
             let bin = device.image.binary(&truth.library).expect("library");
             for basis in [Basis::Vulnerable, Basis::Patched] {
                 let references = Patchecko::reference_feature_set(entry, basis).unwrap();
-                let scan = ev.patchecko.scan_library(bin, &references, &DirectExtraction).unwrap();
+                let scan = ev
+                    .patchecko
+                    .scan_library(bin, &[&references], &DirectExtraction)
+                    .unwrap()
+                    .remove(0);
                 // FP = flagged functions that are not the true target.
                 let fp = scan
                     .candidates

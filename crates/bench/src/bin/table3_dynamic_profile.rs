@@ -29,8 +29,11 @@ fn main() {
     let truth = device.truth_for("CVE-2018-9412").expect("ground truth");
     let bin = device.image.binary(&truth.library).expect("libstagefright");
 
-    let analysis =
-        ev.patchecko.analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default()).unwrap();
+    let analysis = ev
+        .patchecko
+        .analyze_library(bin, &[(entry, Basis::Vulnerable)], &RunCtx::default())
+        .unwrap()
+        .remove(0);
     eprintln!(
         "[table3] candidates {} -> validated {}",
         analysis.scan.candidates.len(),

@@ -35,7 +35,8 @@ fn main() {
     for (label, basis) in
         [("Table IV (vulnerable basis)", Basis::Vulnerable), ("Table V (patched basis)", Basis::Patched)]
     {
-        let analysis = ev.patchecko.analyze_library(bin, entry, basis, &RunCtx::default()).unwrap();
+        let analysis =
+            ev.patchecko.analyze_library(bin, &[(entry, basis)], &RunCtx::default()).unwrap().remove(0);
         println!("\n{label}: top-10 ranking for CVE-2018-9412\n");
         let table = Table::new(&[("rank", 4), ("candidate", 14), ("sim", 9), ("ground truth", 42)]);
         let mut rows = Vec::new();

@@ -12,12 +12,21 @@ use corpus::dataset1::Dataset1;
 use neural::matrix::Matrix;
 use neural::net::{self, Mlp, TrainConfig, TrainHistory};
 use neural::metrics;
+use neural::pool::WorkerPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Layer widths of the paper's 6-layer model (input shape 96).
 pub const MODEL_DIMS: [usize; 7] = [96, 128, 64, 32, 16, 8, 1];
+
+/// Pairs per [`Detector::classify_pairs`] chunk. A 512-row chunk keeps
+/// each layer's activations (at most 512 × 128 `f32`, 256 KiB) in cache,
+/// and a per-unit top-K stream list (k = 16 over units of up to 17
+/// functions) or a one-CVE scan of a library up to 128 functions (× 4
+/// reference variants) fits in one chunk.
+const CHUNK_PAIRS: usize = 512;
 
 /// Detector training configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -253,10 +262,30 @@ impl Detector {
     /// bitwise the same whichever list carries the pair, which is what
     /// makes indexed retrieval at full K reproduce the exact scan.
     ///
+    /// A list longer than `CHUNK_PAIRS` pairs is scored in chunks of that
+    /// many, one task per chunk in a single dispatch on the shared
+    /// [`neural::pool`]. Each row is still normalized and projected once
+    /// per call; only the combine and the layers after the first run per
+    /// chunk, inline inside their task, so a chunk's activations stay in
+    /// cache and no layer fans out on its own. Chunking cannot change a
+    /// bit, by the same row independence. A list that fits one chunk is
+    /// scored in one forward pass, without a chunk dispatch.
+    ///
     /// # Panics
     /// Panics if a pair indexes out of `references`/`targets` range.
     pub fn classify_pairs(
         &self,
+        references: &[StaticFeatures],
+        targets: &[StaticFeatures],
+        pairs: &[(u32, u32)],
+    ) -> Vec<f32> {
+        self.classify_pairs_on(neural::pool::global(), references, targets, pairs)
+    }
+
+    /// [`Detector::classify_pairs`] with its chunks dispatched on `pool`.
+    fn classify_pairs_on(
+        &self,
+        pool: &WorkerPool,
         references: &[StaticFeatures],
         targets: &[StaticFeatures],
         pairs: &[(u32, u32)],
@@ -291,8 +320,28 @@ impl Detector {
         let tpart = tn.matmul(&w_bot);
         let remapped: Vec<(u32, u32)> =
             pairs.iter().map(|&(r, t)| (ref_map[r as usize], tgt_map[t as usize])).collect();
-        let h = Matrix::combine_pairs(&rpart, &tpart, &remapped, b1, relu);
-        self.net.predict_from(1, h)
+        if remapped.len() <= CHUNK_PAIRS {
+            let h = Matrix::combine_pairs(&rpart, &tpart, &remapped, b1, relu);
+            return self.net.predict_from(1, h);
+        }
+        // Pool tasks are `'static`: share the projected halves, the pair
+        // list and the network (whose first layer supplies the bias).
+        let (rpart, tpart) = (Arc::new(rpart), Arc::new(tpart));
+        let (remapped, net) = (Arc::new(remapped), Arc::new(self.net.clone()));
+        let tasks: Vec<_> = (0..remapped.len())
+            .step_by(CHUNK_PAIRS)
+            .map(|start| {
+                let (rpart, tpart) = (Arc::clone(&rpart), Arc::clone(&tpart));
+                let (pairs, net) = (Arc::clone(&remapped), Arc::clone(&net));
+                move || {
+                    let chunk = &pairs[start..(start + CHUNK_PAIRS).min(pairs.len())];
+                    let bias = net.layer_params(0).1;
+                    let h = Matrix::combine_pairs(&rpart, &tpart, chunk, bias, relu);
+                    net.predict_from(1, h)
+                }
+            })
+            .collect();
+        pool.run(tasks).concat()
     }
 }
 
@@ -455,6 +504,18 @@ mod tests {
         let sparse_scores = det.classify_pairs(&refs, &targets, &sparse);
         for (&(i, j), s) in sparse.iter().zip(&sparse_scores) {
             assert_eq!(s.to_bits(), expect(i, j).to_bits(), "sparse pair ({i},{j})");
+        }
+
+        // A list longer than two chunks, with its chunks run inline and on
+        // a private 2-wide pool (independent of the global width).
+        let long: Vec<(u32, u32)> =
+            all.iter().cycle().take(2 * CHUNK_PAIRS + all.len()).copied().collect();
+        for width in [1, 2] {
+            let scores = det.classify_pairs_on(&WorkerPool::new(width), &refs, &targets, &long);
+            assert_eq!(scores.len(), long.len());
+            for (p, (&(i, j), s)) in long.iter().zip(&scores).enumerate() {
+                assert_eq!(s.to_bits(), expect(i, j).to_bits(), "width {width}, pair {p}");
+            }
         }
 
         assert!(det.classify_pairs(&refs, &targets, &[]).is_empty());

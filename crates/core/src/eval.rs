@@ -6,7 +6,9 @@ use crate::detector::{self, DetectorConfig, TestMetrics};
 use crate::differential::{self, DifferentialConfig, PatchVerdict};
 use crate::dynsource::DynProfileSource;
 use crate::error::ScanError;
-use crate::pipeline::{Basis, CveAnalysis, FeatureSource, Patchecko, PipelineConfig, RunCtx};
+use crate::pipeline::{
+    Basis, CveAnalysis, FeatureSource, ImageAnalysis, Patchecko, PipelineConfig, RunCtx,
+};
 use crate::report::{AuditFinding, AuditReport, AuditStatus};
 use crate::similarity;
 use corpus::device::DeviceBuild;
@@ -86,7 +88,10 @@ pub fn evaluate_cve(
         .image
         .binary(&truth.library)
         .unwrap_or_else(|| panic!("{} missing from image", truth.library));
-    let analysis = patchecko.analyze_library(bin, entry, basis, &RunCtx::default())?;
+    let analysis = patchecko
+        .analyze_library(bin, &[(entry, basis)], &RunCtx::default())?
+        .pop()
+        .expect("one analysis per pair");
 
     let mut tp = 0u32;
     let mut fp = 0u32;
@@ -175,12 +180,17 @@ pub fn evaluate_patch_detection(
     Ok((row, Some(verdict)))
 }
 
-/// One CVE's share of [`audit_image`]: both-basis image analysis,
-/// per-library candidate collection, differential arbitration. Returns
-/// the located target as `library:function` with its verdict, or `None`
-/// when neither basis located the CVE function. Across libraries the
-/// target is the verdict with the smallest [`PatchVerdict::proximity`],
-/// the same rule [`differential::detect_patch_best`] ranks candidates by.
+/// The two search bases an audit runs for every entry, in analysis order.
+const BASES: [Basis; 2] = [Basis::Vulnerable, Basis::Patched];
+
+/// One CVE's audit (the CLI's `patch-check`): both-basis image analysis,
+/// then the per-CVE differential tail it shares with [`audit_image`]:
+/// per-library candidate collection and differential arbitration. Across
+/// libraries the target is the verdict with the smallest
+/// [`PatchVerdict::proximity`], the same rule
+/// [`differential::detect_patch_best`] ranks candidates by. Returns the
+/// located target as `library:function` with its verdict, or `None` when
+/// neither basis located the CVE function.
 ///
 /// # Errors
 /// The first [`ScanError`] from the analyses or the differential engine,
@@ -192,8 +202,26 @@ pub fn audit_one_cve(
     diff_cfg: &DifferentialConfig,
     ctx: &RunCtx,
 ) -> Result<Option<(String, PatchVerdict)>, ScanError> {
-    let va = patchecko.analyze_image(image, entry, Basis::Vulnerable, ctx)?;
-    let pa = patchecko.analyze_image(image, entry, Basis::Patched, ctx)?;
+    let pairs = BASES.map(|basis| (entry, basis));
+    let [va, pa]: [ImageAnalysis; 2] = patchecko
+        .analyze_image(image, &pairs, ctx)?
+        .try_into()
+        .expect("one analysis per pair");
+    locate_and_verify(patchecko, entry, image, &va, &pa, diff_cfg, ctx)
+}
+
+/// The per-CVE tail of an audit, shared by [`audit_one_cve`] and
+/// [`audit_image`]: per-library candidate sets from both bases' best
+/// matches, then differential arbitration, the closest verdict winning.
+fn locate_and_verify(
+    patchecko: &Patchecko,
+    entry: &DbEntry,
+    image: &fwbin::FirmwareImage,
+    va: &ImageAnalysis,
+    pa: &ImageAnalysis,
+    diff_cfg: &DifferentialConfig,
+    ctx: &RunCtx,
+) -> Result<Option<(String, PatchVerdict)>, ScanError> {
     // Per-library candidate sets from both bases.
     let mut by_lib: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for m in va.best.iter().chain(pa.best.iter()) {
@@ -217,21 +245,28 @@ pub fn audit_one_cve(
 }
 
 /// Audit a whole firmware image against the vulnerability database,
-/// producing the deployment-facing [`AuditReport`]: per CVE,
-/// [`audit_one_cve`] locates the target via both search bases,
-/// arbitrates with [`differential::detect_patch_best`], and classifies.
-/// With a warm scanhub context, the whole audit performs zero
-/// disassembly / feature-extraction work *and* zero VM executions.
+/// producing the deployment-facing [`AuditReport`]. The static and
+/// dynamic stages run library-major: one [`Patchecko::analyze_image`]
+/// pass over both search bases of every entry, so each library is
+/// scanned, and loaded, once for the whole database. Then, per CVE, the
+/// differential tail shared with [`audit_one_cve`] arbitrates with
+/// [`differential::detect_patch_best`] and classifies. With a warm
+/// scanhub context, the whole audit performs zero disassembly /
+/// feature-extraction work *and* zero VM executions.
 ///
-/// `ctx.cancel` is checked before every CVE (and, inside each CVE,
-/// between per-library stages and per differential candidate), so an
-/// audit whose end-to-end deadline has passed surfaces the typed
+/// `ctx.cancel` is checked before the first feature call, at every
+/// library boundary, before each dynamic stage, before every CVE's
+/// differential and per differential candidate, so an audit whose
+/// end-to-end deadline has passed surfaces the typed
 /// [`ScanError::DeadlineExceeded`] at the next stage boundary instead of
 /// running the database to completion.
 ///
 /// Failure policy: a *permanent* per-CVE failure (malformed input) is
 /// recorded as an [`AuditStatus::Error`] finding and the audit continues
-/// — one poisoned entry must not sink the image. A *transient* failure
+/// — one poisoned entry must not sink the image. An entry whose reference
+/// features fail leaves the batch with its error; a library whose
+/// features fail gives every CVE still in the batch that library's error
+/// (a reference failure takes precedence). A *transient* failure
 /// (quarantined artifact, injected fault, worker death, expired
 /// deadline) propagates as `Err` so the caller — typically the scanhub
 /// scheduler — can retry the whole job.
@@ -246,12 +281,44 @@ pub fn audit_image(
     ctx: &RunCtx,
 ) -> Result<AuditReport, ScanError> {
     let _span = scope::SpanGuard::enter("audit").with_detail(image.device.clone());
-    let mut findings = Vec::new();
+    ctx.cancel.check()?;
     // The whole database, not just the featured Table VI slice: a
     // production audit answers for every CVE the reference DB knows.
+    // Each entry's reference sets are gathered once, before the batch.
+    let mut pairs = Vec::with_capacity(2 * db.entries.len());
+    let mut references = Vec::with_capacity(2 * db.entries.len());
+    let mut reference_errors: Vec<Option<ScanError>> = Vec::with_capacity(db.entries.len());
     for entry in &db.entries {
+        let sets: Result<Vec<_>, _> = BASES
+            .iter()
+            .map(|&basis| Patchecko::reference_feature_set_with(entry, basis, ctx.features))
+            .collect();
+        match sets {
+            Ok(sets) => {
+                pairs.extend(BASES.iter().map(|&basis| (entry, basis)));
+                references.extend(sets);
+                reference_errors.push(None);
+            }
+            Err(e) if e.is_transient() => return Err(e),
+            Err(e) => reference_errors.push(Some(e)),
+        }
+    }
+    let mut batch = match patchecko.analyze_gathered(image, &pairs, &references, ctx) {
+        Err(e) if e.is_transient() => return Err(e),
+        analyses => analyses.map(Vec::into_iter),
+    };
+    let mut findings = Vec::with_capacity(db.entries.len());
+    for (entry, reference_error) in db.entries.iter().zip(reference_errors) {
         ctx.cancel.check()?;
-        let found = audit_one_cve(patchecko, entry, image, diff_cfg, ctx);
+        let found = match (reference_error, &mut batch) {
+            (Some(e), _) => Err(e),
+            (None, Err(e)) => Err(e.clone()),
+            (None, Ok(batch)) => {
+                let mut next = || batch.next().expect("both bases of every batched entry");
+                let (va, pa) = (next(), next());
+                locate_and_verify(patchecko, entry, image, &va, &pa, diff_cfg, ctx)
+            }
+        };
         let (status, located, verdict, error) = match found {
             Ok(Some((located, v))) => {
                 let status = if v.patched { AuditStatus::Patched } else { AuditStatus::Vulnerable };

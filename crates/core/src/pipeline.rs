@@ -13,6 +13,7 @@ use crate::retrieval::{self, FunctionSignature, Retrieval, SignatureSet};
 use crate::similarity::{self, RankedCandidate};
 use corpus::vulndb::DbEntry;
 use fwbin::format::Binary;
+use fwbin::isa::Arch;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,7 +22,7 @@ use std::time::Instant;
 use vm::env::ExecEnv;
 use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
-use vm::loader::LoadedBinary;
+use vm::loader::{LoadError, LoadedBinary};
 use vm::DynFeatures;
 
 /// Which version of the CVE function drives the search — Tables VI
@@ -55,12 +56,17 @@ pub struct PipelineConfig {
     pub fuzz: FuzzConfig,
     /// Minkowski order (paper: 3).
     pub minkowski_p: f64,
-    /// Worker-thread count for parallel stages (candidate profiling — the
-    /// paper parallelizes execution-environment testing — GEMM kernels,
-    /// feature extraction, and the scanhub job scheduler). `None` derives
-    /// the count from the `PATCHECKO_THREADS` environment variable or the
-    /// machine's available parallelism; `Some(1)` forces serial execution
-    /// end to end.
+    /// Worker-thread count for the stages that fan out on the shared
+    /// [`neural::pool`]: candidate profiling in the dynamic stage (more
+    /// than three candidates — the paper parallelizes
+    /// execution-environment testing), pair classification (one task per
+    /// chunk of a list longer than one chunk), GEMM kernels above the
+    /// parallel flop threshold (training, and a one-chunk classification
+    /// large enough), feature extraction, Adam updates and the scanhub job
+    /// scheduler. Work already running on a pool worker runs inline.
+    /// `None` derives the count from the `PATCHECKO_THREADS` environment
+    /// variable or the machine's available parallelism; `Some(1)` forces
+    /// serial execution end to end.
     pub threads: Option<usize>,
     /// How the static scan selects (reference, target) pairs:
     /// [`Retrieval::Exact`] scores every pair, [`Retrieval::TopK`] runs
@@ -208,7 +214,10 @@ pub struct StaticScan {
     /// is empty; otherwise one entry per scanned function.
     #[serde(default)]
     pub best_ref: Vec<usize>,
-    /// Wall-clock seconds (the "DP" column).
+    /// Wall-clock seconds of the static pass that produced this scan (the
+    /// "DP" column). A batched pass scans the library against every
+    /// reference set at once; each of its scans carries the whole pass's
+    /// time, not a share of it.
     pub seconds: f64,
 }
 
@@ -357,91 +366,144 @@ impl Patchecko {
             .collect()
     }
 
-    /// Stage 1: scan every function of `bin` against the reference feature
-    /// vectors with the deep-learning classifier, features served by
-    /// `features`. A function's score is its best match across the
+    /// Stage 1: scan every function of `bin` against each reference
+    /// feature set with the deep-learning classifier, features served by
+    /// `features`. Returns one [`StaticScan`] per set, in order. A
+    /// function's score against a set is its best match across that set's
     /// reference variants.
     ///
     /// Retrieval only chooses which (reference, function) pairs to score;
     /// the scoring is one [`crate::detector::Detector::classify_pairs`]
-    /// call over that list, so the whole library scan is a single
-    /// forward pass per layer. Under [`Retrieval::Exact`] (the default)
-    /// the list holds every pair. Under [`Retrieval::TopK`] the
-    /// signature/LSH index retrieves each target's `k` nearest references
-    /// and only those pairs reach the classifier, which keeps scan cost
-    /// near-flat as the reference database grows. Either list is grouped
-    /// by function with references ascending, and one strict-`>` fold
-    /// keeps the lowest reference on ties; at `k >= references.len()` the
-    /// index returns exactly the exact list, so the two modes are
-    /// bitwise-identical there.
+    /// call over the sets' lists concatenated, with each set's reference
+    /// indices offset past the sets before it. So the library's features
+    /// are fetched, normalized and projected once however many sets it is
+    /// scanned against, and a score is bitwise the same in any batch (it
+    /// depends only on its own two rows). Under [`Retrieval::Exact`] (the
+    /// default) a set's list holds every pair. Under [`Retrieval::TopK`]
+    /// the set's own signature/LSH index retrieves each target's `k`
+    /// nearest references of that set and only those pairs reach the
+    /// classifier, which keeps scan cost near-flat as the reference
+    /// database grows. Either list is grouped by function with references
+    /// ascending, and one strict-`>` fold per set keeps the lowest
+    /// reference on ties; at `k >= references.len()` the index returns
+    /// exactly the exact list, so the two modes are bitwise-identical
+    /// there.
     ///
     /// # Errors
     /// Propagates extraction failures from the source.
     pub fn scan_library(
         &self,
         bin: &Binary,
-        references: &[StaticFeatures],
+        reference_sets: &[&[StaticFeatures]],
         features: &dyn FeatureSource,
-    ) -> Result<StaticScan, ScanError> {
+    ) -> Result<Vec<StaticScan>, ScanError> {
         let _span = scope::SpanGuard::enter("static_scan").with_detail(bin.lib_name.clone());
         let started = Instant::now();
         let feats = features.features_all(bin)?;
-        // Degenerate scans (nothing to compare) return a well-formed empty
-        // result: zero probabilities, no candidates, no best references —
-        // never NaNs or spurious threshold hits.
-        let (probs, best_ref, candidates) = if references.is_empty() || feats.is_empty() {
-            (vec![0.0f32; feats.len()], Vec::new(), Vec::new())
-        } else {
-            let pairs: Vec<(u32, u32)> = match self.config.retrieval {
-                Retrieval::Exact => (0..feats.len() as u32)
-                    .flat_map(|j| (0..references.len() as u32).map(move |r| (r, j)))
-                    .collect(),
-                Retrieval::TopK { k } => self.indexed_pairs(bin, references, &feats, k, features),
-            };
-            let scores = self.detector.classify_pairs(references, &feats, &pairs);
-            let mut probs = vec![0.0f32; feats.len()];
-            let mut best_ref = vec![0usize; feats.len()];
-            for (&(r, j), &s) in pairs.iter().zip(&scores) {
-                let j = j as usize;
-                if s > probs[j] {
-                    probs[j] = s;
-                    best_ref[j] = r as usize;
+        let any_references = reference_sets.iter().any(|r| !r.is_empty());
+        let target_sigs = match self.config.retrieval {
+            Retrieval::TopK { .. } if any_references && !feats.is_empty() => {
+                features.signatures_all(bin, &feats)
+            }
+            _ => Vec::new(),
+        };
+        // Every set's pairs in one list over the concatenated rows; `lists`
+        // keeps each set's row offset and its slice of `pairs`.
+        let mut rows: Vec<StaticFeatures> = Vec::new();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut lists = Vec::with_capacity(reference_sets.len());
+        for references in reference_sets {
+            let offset = rows.len() as u32;
+            let start = pairs.len();
+            if !feats.is_empty() {
+                match self.config.retrieval {
+                    Retrieval::Exact => pairs.extend((0..feats.len() as u32).flat_map(|j| {
+                        (0..references.len() as u32).map(move |r| (offset + r, j))
+                    })),
+                    Retrieval::TopK { k } => pairs.extend(
+                        self.indexed_pairs(references, &target_sigs, k)
+                            .into_iter()
+                            .map(|(r, j)| (offset + r, j)),
+                    ),
                 }
             }
-            let candidates = probs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| **p >= self.detector.threshold)
-                .map(|(i, _)| i)
-                .collect();
-            (probs, best_ref, candidates)
-        };
-        Ok(StaticScan {
-            library: bin.lib_name.clone(),
-            total: feats.len(),
-            probs,
-            candidates,
-            best_ref,
-            seconds: started.elapsed().as_secs_f64(),
-        })
+            rows.extend_from_slice(references);
+            lists.push((offset, start..pairs.len()));
+        }
+        let scores = self.detector.classify_pairs(&rows, &feats, &pairs);
+        let seconds = started.elapsed().as_secs_f64();
+        Ok(reference_sets
+            .iter()
+            .zip(lists)
+            .map(|(references, (offset, range))| {
+                let (probs, best_ref, candidates) = self.fold_scores(
+                    feats.len(),
+                    references.len(),
+                    &pairs[range.clone()],
+                    &scores[range],
+                    offset,
+                );
+                StaticScan {
+                    library: bin.lib_name.clone(),
+                    total: feats.len(),
+                    probs,
+                    candidates,
+                    best_ref,
+                    seconds,
+                }
+            })
+            .collect())
     }
 
-    /// The indexed pair list: each target's `k` nearest references by
-    /// quantized signature, grouped by target with references ascending.
-    /// Target signatures come from the source (scanhub serves its
-    /// persistent lane); reference signatures are computed directly — the
-    /// signature is a pure function of the features, so both routes
-    /// agree.
+    /// One set's scores folded per function: the best probability, the
+    /// (set-relative) reference that produced it, and the functions at or
+    /// above the threshold. Degenerate scans (nothing to compare) give a
+    /// well-formed empty result: zero probabilities, no candidates, no
+    /// best references — never NaNs or spurious threshold hits.
+    fn fold_scores(
+        &self,
+        functions: usize,
+        references: usize,
+        pairs: &[(u32, u32)],
+        scores: &[f32],
+        offset: u32,
+    ) -> (Vec<f32>, Vec<usize>, Vec<usize>) {
+        if references == 0 || functions == 0 {
+            return (vec![0.0f32; functions], Vec::new(), Vec::new());
+        }
+        let mut probs = vec![0.0f32; functions];
+        let mut best_ref = vec![0usize; functions];
+        for (&(r, j), &s) in pairs.iter().zip(scores) {
+            let j = j as usize;
+            if s > probs[j] {
+                probs[j] = s;
+                best_ref[j] = (r - offset) as usize;
+            }
+        }
+        let candidates = probs
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| **p >= self.detector.threshold)
+            .map(|(i, _)| i)
+            .collect();
+        (probs, best_ref, candidates)
+    }
+
+    /// One set's indexed pair list: each target's `k` nearest references
+    /// by quantized signature, grouped by target with references
+    /// ascending. Reference signatures are computed directly — the
+    /// signature is a pure function of the features, so they agree with
+    /// the target signatures a source serves.
     fn indexed_pairs(
         &self,
-        bin: &Binary,
         references: &[StaticFeatures],
-        feats: &[StaticFeatures],
+        target_sigs: &[FunctionSignature],
         k: usize,
-        source: &dyn FeatureSource,
     ) -> Vec<(u32, u32)> {
+        if references.is_empty() {
+            return Vec::new();
+        }
         let index = self.reference_index(references);
-        let target_sigs = source.signatures_all(bin, feats);
         let pairs: Vec<(u32, u32)> = target_sigs
             .iter()
             .enumerate()
@@ -450,7 +512,7 @@ impl Patchecko {
         scope::add("index.candidates", pairs.len() as u64);
         scope::add(
             "index.pairs_pruned",
-            (references.len() * feats.len()).saturating_sub(pairs.len()) as u64,
+            (references.len() * target_sigs.len()).saturating_sub(pairs.len()) as u64,
         );
         pairs
     }
@@ -651,13 +713,35 @@ impl Patchecko {
         }
     }
 
-    /// Run the full hybrid analysis of one CVE against one target library
-    /// binary, artifacts served by `ctx`.
+    /// Each pair's reference feature set
+    /// ([`Patchecko::reference_feature_set_with`]), gathered once for a
+    /// whole batched analysis. `ctx.cancel` is checked before the first
+    /// feature call.
     ///
-    /// `ctx.cancel` is checked between stages — before static extraction
-    /// and again before the (much more expensive) dynamic stage — so a
+    /// # Errors
+    /// [`ScanError::DeadlineExceeded`], or the first extraction failure.
+    fn gather_references(
+        pairs: &[(&DbEntry, Basis)],
+        ctx: &RunCtx,
+    ) -> Result<Vec<Vec<StaticFeatures>>, ScanError> {
+        ctx.cancel.check()?;
+        pairs
+            .iter()
+            .map(|&(entry, basis)| Self::reference_feature_set_with(entry, basis, ctx.features))
+            .collect()
+    }
+
+    /// Run the full hybrid analysis of every (entry, basis) pair against
+    /// one target library binary, artifacts served by `ctx`. Returns one
+    /// [`CveAnalysis`] per pair, in order.
+    ///
+    /// The library is scanned once for the whole batch (one
+    /// [`Patchecko::scan_library`] pass over every pair's reference set)
+    /// and loaded once; then each pair's [`Patchecko::dynamic_stage`]
+    /// runs against it. `ctx.cancel` is checked before any feature call,
+    /// before the library's scan and before each dynamic stage, so a
     /// request whose end-to-end deadline has passed stops within one
-    /// stage boundary instead of running the library to completion.
+    /// stage boundary.
     ///
     /// # Errors
     /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires between
@@ -668,92 +752,143 @@ impl Patchecko {
     pub fn analyze_library(
         &self,
         target_bin: &Binary,
-        entry: &DbEntry,
-        basis: Basis,
+        pairs: &[(&DbEntry, Basis)],
         ctx: &RunCtx,
-    ) -> Result<CveAnalysis, ScanError> {
+    ) -> Result<Vec<CveAnalysis>, ScanError> {
+        let references = Self::gather_references(pairs, ctx)?;
+        self.library_pass(target_bin, pairs, &references, &mut HashMap::new(), ctx)
+    }
+
+    /// Scan a whole firmware image for every (entry, basis) pair: every
+    /// library is analyzed and the per-library results are returned
+    /// alongside the image-wide best match, one [`ImageAnalysis`] per
+    /// pair, in order. This is PATCHECKO's deployment interface —
+    /// "PATCHECKO outputs the vulnerable points (functions) within the
+    /// target firmware image and the corresponding CVE numbers".
+    ///
+    /// The analysis is library-major: each pair's reference set is
+    /// gathered once per call, then each library goes through one batched
+    /// pass as in [`Patchecko::analyze_library`], with each (pair,
+    /// architecture) reference build loaded once per call. So an expired
+    /// request stops at the next library boundary. Every library's
+    /// analyses are held until the last library is done: the result holds
+    /// |pairs| × |libraries| [`CveAnalysis`] values at once.
+    ///
+    /// # Errors
+    /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires; otherwise
+    /// the first reference or per-library [`ScanError`] encountered.
+    pub fn analyze_image(
+        &self,
+        image: &fwbin::FirmwareImage,
+        pairs: &[(&DbEntry, Basis)],
+        ctx: &RunCtx,
+    ) -> Result<Vec<ImageAnalysis>, ScanError> {
+        let references = Self::gather_references(pairs, ctx)?;
+        self.analyze_gathered(image, pairs, &references, ctx)
+    }
+
+    /// [`Patchecko::analyze_image`] with `references[p]` already gathered
+    /// for `pairs[p]`, so a caller can settle each pair's reference
+    /// failures before the batch runs.
+    pub(crate) fn analyze_gathered(
+        &self,
+        image: &fwbin::FirmwareImage,
+        pairs: &[(&DbEntry, Basis)],
+        references: &[Vec<StaticFeatures>],
+        ctx: &RunCtx,
+    ) -> Result<Vec<ImageAnalysis>, ScanError> {
+        let mut loads = HashMap::new();
+        let mut by_library = Vec::with_capacity(image.binaries.len());
+        for bin in &image.binaries {
+            let analyses = self.library_pass(bin, pairs, references, &mut loads, ctx)?;
+            by_library.push(analyses.into_iter());
+        }
+        Ok(pairs
+            .iter()
+            .map(|&(entry, basis)| {
+                let analyses: Vec<CveAnalysis> = by_library
+                    .iter_mut()
+                    .map(|library| library.next().expect("one analysis per pair"))
+                    .collect();
+                let best = best_match(&analyses).map(|(li, top, degraded)| ImageMatch {
+                    library: image.binaries[li].lib_name.clone(),
+                    library_index: li,
+                    function_index: top.function_index,
+                    distance: top.distance,
+                    degraded,
+                });
+                ImageAnalysis { cve: entry.entry.cve.clone(), basis, best, analyses }
+            })
+            .collect())
+    }
+
+    /// One library against every pair: one static pass over all the
+    /// reference sets, one target load, then each pair's dynamic stage.
+    /// `loads` memoizes the reference builds by (pair, architecture)
+    /// across the libraries of one call.
+    fn library_pass(
+        &self,
+        target_bin: &Binary,
+        pairs: &[(&DbEntry, Basis)],
+        references: &[Vec<StaticFeatures>],
+        loads: &mut ReferenceLoads,
+        ctx: &RunCtx,
+    ) -> Result<Vec<CveAnalysis>, ScanError> {
         ctx.cancel.check()?;
-        let references = Self::reference_feature_set_with(entry, basis, ctx.features)?;
-        let scan = self.scan_library(target_bin, &references, ctx.features)?;
-        ctx.cancel.check()?;
+        if pairs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let sets: Vec<&[StaticFeatures]> = references.iter().map(Vec::as_slice).collect();
+        let scans = self.scan_library(target_bin, &sets, ctx.features)?;
         // Dynamic stage: reference compiled for the *target's* platform —
         // the paper executes both functions on the device itself. A binary
         // that scanned statically but fails to *load* degrades the dynamic
         // stage rather than sinking the job.
-        let ref_bin = entry.reference_for(target_bin.arch, basis == Basis::Patched).clone();
-        let dynamic = match (LoadedBinary::load(ref_bin), LoadedBinary::load(target_bin.clone())) {
-            (Ok(reference), Ok(target)) => {
-                self.dynamic_stage(&Arc::new(target), &scan, &Arc::new(reference), &ctx.profiles)
-            }
-            (Err(e), _) => Self::degraded_analysis(
-                &scan,
-                format!("reference failed to load: {}", ScanError::load(&entry.entry.library, &e)),
-                0.0,
-            ),
-            (_, Err(e)) => Self::degraded_analysis(
-                &scan,
-                format!("target failed to load: {}", ScanError::load(&target_bin.lib_name, &e)),
-                0.0,
-            ),
-        };
-        Ok(CveAnalysis { cve: entry.entry.cve.clone(), basis, scan, dynamic })
-    }
-
-    /// Scan a whole firmware image for one CVE: every library is analyzed
-    /// and the per-library results are returned alongside the image-wide
-    /// best match. This is PATCHECKO's deployment interface — "PATCHECKO
-    /// outputs the vulnerable points (functions) within the target firmware
-    /// image and the corresponding CVE numbers".
-    ///
-    /// Every library goes through [`Patchecko::analyze_library`] with the
-    /// same `ctx`, so an expired request stops at the next library
-    /// boundary.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires; otherwise
-    /// the first per-library [`ScanError`] encountered.
-    pub fn analyze_image(
-        &self,
-        image: &fwbin::FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-        ctx: &RunCtx,
-    ) -> Result<ImageAnalysis, ScanError> {
-        ctx.cancel.check()?;
-        let analyses: Vec<CveAnalysis> = image
-            .binaries
-            .iter()
-            .map(|bin| self.analyze_library(bin, entry, basis, ctx))
-            .collect::<Result<_, _>>()?;
-        // Best match: the lowest-distance top candidate across libraries.
-        // Full-confidence matches always beat degraded (static-only) ones,
-        // whose pseudo-distances are not comparable with dynamic distances.
-        let mut best: Option<(usize, usize, f64, bool)> = None;
-        for (li, a) in analyses.iter().enumerate() {
-            if let Some(r) = a.dynamic.ranking.first() {
-                let cand = (a.is_degraded(), r.distance);
-                let replace = match best {
-                    Some((_, _, d, deg)) => cand < (deg, d),
-                    None => true,
-                };
-                if replace {
-                    best = Some((li, r.function_index, r.distance, a.is_degraded()));
+        let target = LoadedBinary::load(target_bin.clone()).map(Arc::new);
+        let mut analyses = Vec::with_capacity(pairs.len());
+        for (p, (&(entry, basis), scan)) in pairs.iter().zip(scans).enumerate() {
+            ctx.cancel.check()?;
+            let reference = loads.entry((p, target_bin.arch)).or_insert_with(|| {
+                let bin = entry.reference_for(target_bin.arch, basis == Basis::Patched);
+                LoadedBinary::load(bin.clone()).map(Arc::new)
+            });
+            let dynamic = match (&*reference, &target) {
+                (Ok(reference), Ok(target)) => {
+                    self.dynamic_stage(target, &scan, reference, &ctx.profiles)
                 }
-            }
+                (Err(e), _) => {
+                    let why = ScanError::load(&entry.entry.library, e);
+                    Self::degraded_analysis(&scan, format!("reference failed to load: {why}"), 0.0)
+                }
+                (_, Err(e)) => {
+                    let why = ScanError::load(&target_bin.lib_name, e);
+                    Self::degraded_analysis(&scan, format!("target failed to load: {why}"), 0.0)
+                }
+            };
+            analyses.push(CveAnalysis { cve: entry.entry.cve.clone(), basis, scan, dynamic });
         }
-        Ok(ImageAnalysis {
-            cve: entry.entry.cve.clone(),
-            basis,
-            best: best.map(|(li, fi, distance, degraded)| ImageMatch {
-                library: image.binaries[li].lib_name.clone(),
-                library_index: li,
-                function_index: fi,
-                distance,
-                degraded,
-            }),
-            analyses,
-        })
+        Ok(analyses)
     }
+}
+
+/// Reference builds loaded for the dynamic stage, by (pair index, target
+/// architecture).
+type ReferenceLoads = HashMap<(usize, Arch), Result<Arc<LoadedBinary>, LoadError>>;
+
+/// The image-wide best match among per-library analyses: each library's
+/// top-ranked candidate, full-confidence before degraded (static
+/// pseudo-distances are not comparable with dynamic distances), then by
+/// [`similarity::distance_order`], which puts NaN after every number. The
+/// earliest library wins ties. Returns (library index, candidate,
+/// degraded).
+fn best_match(analyses: &[CveAnalysis]) -> Option<(usize, &RankedCandidate, bool)> {
+    analyses
+        .iter()
+        .enumerate()
+        .filter_map(|(li, a)| a.dynamic.ranking.first().map(|top| (li, top, a.is_degraded())))
+        .min_by(|(_, a, a_degraded), (_, b, b_degraded)| {
+            a_degraded.cmp(b_degraded).then(similarity::distance_order(a.distance, b.distance))
+        })
 }
 
 /// The image-wide best match for a CVE.
@@ -808,8 +943,9 @@ mod tests {
         let target_bin = device.image.binary(&truth.library).unwrap();
 
         let analysis = patchecko
-            .analyze_library(target_bin, entry, Basis::Vulnerable, &RunCtx::default())
-            .unwrap();
+            .analyze_library(target_bin, &[(entry, Basis::Vulnerable)], &RunCtx::default())
+            .unwrap()
+            .remove(0);
         assert_eq!(analysis.dynamic.confidence, Confidence::Full);
         assert!(analysis.dynamic.degradation.is_none());
         assert!(analysis.scan.total > 10);
@@ -845,8 +981,9 @@ mod tests {
         let truth = device.truth_for("CVE-2018-9451").unwrap();
         let bin = device.image.binary(&truth.library).unwrap();
         let ctx = RunCtx::default();
-        let a = patchecko.analyze_library(bin, entry, Basis::Vulnerable, &ctx).unwrap();
-        let b = patchecko.analyze_library(bin, entry, Basis::Vulnerable, &ctx).unwrap();
+        let pair = [(entry, Basis::Vulnerable)];
+        let a = patchecko.analyze_library(bin, &pair, &ctx).unwrap().remove(0);
+        let b = patchecko.analyze_library(bin, &pair, &ctx).unwrap().remove(0);
         assert_eq!(a.scan.probs, b.scan.probs);
         assert_eq!(a.scan.candidates, b.scan.candidates);
         assert_eq!(a.dynamic.validated, b.dynamic.validated);
@@ -1030,26 +1167,141 @@ mod tests {
         }
     }
 
+    /// Bitwise equality for static scans: totals, probability bit
+    /// patterns, candidate sets and best references.
+    fn assert_scan_bitwise_eq(a: &StaticScan, b: &StaticScan, what: &str) {
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(a.library, b.library, "{what}: libraries differ");
+        assert_eq!(a.total, b.total, "{what}: totals differ");
+        assert_eq!(bits(&a.probs), bits(&b.probs), "{what}: probs differ");
+        assert_eq!(a.candidates, b.candidates, "{what}: candidates differ");
+        assert_eq!(a.best_ref, b.best_ref, "{what}: best references differ");
+    }
+
     /// Satellite: an empty reference set must produce a well-formed empty
     /// scan through the exact *and* the indexed path — zero probs, no NaNs,
     /// no best references, and no spurious candidates even at threshold 0
     /// (where the old code's `0.0 >= threshold` filter would have selected
-    /// every function).
+    /// every function) — alone, and as the middle set of a batched scan
+    /// whose neighbours equal their one-set scans.
     #[test]
     fn empty_reference_set_yields_well_formed_scan_both_paths() {
         let db = corpus::build_vulndb(0, 1);
         let bin = &db.get("CVE-2018-9412").unwrap().vulnerable_bin;
+        let none: &[StaticFeatures] = &[];
+        let before =
+            Patchecko::reference_feature_set(db.get("CVE-2018-9412").unwrap(), Basis::Vulnerable)
+                .unwrap();
+        let after =
+            Patchecko::reference_feature_set(db.get("CVE-2018-9451").unwrap(), Basis::Patched)
+                .unwrap();
         for retrieval in [Retrieval::Exact, Retrieval::TopK { k: 4 }] {
             let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
             let mut patchecko = Patchecko::new(quick_detector(), cfg);
             patchecko.detector.threshold = 0.0;
-            let scan = patchecko.scan_library(bin, &[], &DirectExtraction).unwrap();
-            assert_eq!(scan.total, bin.function_count(), "{retrieval}");
-            assert_eq!(scan.probs.len(), scan.total, "{retrieval}");
-            assert!(scan.probs.iter().all(|p| *p == 0.0), "{retrieval}: probs {:?}", scan.probs);
-            assert!(scan.candidates.is_empty(), "{retrieval}: spurious candidates");
-            assert!(scan.best_ref.is_empty(), "{retrieval}: best_ref must be empty");
+            let alone = patchecko.scan_library(bin, &[none], &DirectExtraction).unwrap();
+            let batch =
+                patchecko.scan_library(bin, &[&before, none, &after], &DirectExtraction).unwrap();
+            assert_eq!(batch.len(), 3, "{retrieval}: one scan per set");
+            for scan in [&alone[0], &batch[1]] {
+                assert_eq!(scan.total, bin.function_count(), "{retrieval}");
+                assert_eq!(scan.probs.len(), scan.total, "{retrieval}");
+                assert!(scan.probs.iter().all(|p| *p == 0.0), "{retrieval}: probs {:?}", scan.probs);
+                assert!(scan.candidates.is_empty(), "{retrieval}: spurious candidates");
+                assert!(scan.best_ref.is_empty(), "{retrieval}: best_ref must be empty");
+            }
+            for (i, references) in [(0, &before), (2, &after)] {
+                let one = patchecko.scan_library(bin, &[references], &DirectExtraction).unwrap();
+                assert_scan_bitwise_eq(&batch[i], &one[0], &format!("{retrieval}: set {i}"));
+            }
         }
+    }
+
+    /// Batching is invisible: for every pair, a batched `analyze_image`
+    /// returns bit for bit what a one-pair call returns — under exact
+    /// retrieval, and under top-K with `k` below a set's four references,
+    /// where top-K over the concatenated rows would pick other pairs.
+    #[test]
+    fn batched_image_analysis_equals_one_pair_calls() {
+        let db = corpus::build_vulndb(0, 1);
+        let cat = corpus::full_catalog();
+        let device = corpus::build_device(&corpus::android_things_spec(), &cat, 0.05);
+        let pairs: Vec<(&DbEntry, Basis)> =
+            ["CVE-2018-9412", "CVE-2018-9451", "CVE-2018-9470", "CVE-2017-13232"]
+                .into_iter()
+                .flat_map(|cve| {
+                    let entry = db.get(cve).unwrap();
+                    [(entry, Basis::Vulnerable), (entry, Basis::Patched)]
+                })
+                .collect();
+        let best_bits = |a: &ImageAnalysis| {
+            a.best.as_ref().map(|m| {
+                (m.library.clone(), m.library_index, m.function_index, m.distance.to_bits(), m.degraded)
+            })
+        };
+        let ctx = RunCtx::default();
+        for retrieval in [Retrieval::Exact, Retrieval::TopK { k: 2 }] {
+            let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
+            let patchecko = Patchecko::new(quick_detector(), cfg);
+            let batch = patchecko.analyze_image(&device.image, &pairs, &ctx).unwrap();
+            assert_eq!(batch.len(), pairs.len());
+            for (pair, batched) in pairs.iter().zip(&batch) {
+                let what = format!("{retrieval}, {} {}", pair.0.entry.cve, pair.1);
+                let one = patchecko
+                    .analyze_image(&device.image, std::slice::from_ref(pair), &ctx)
+                    .unwrap()
+                    .remove(0);
+                assert_eq!((&batched.cve, batched.basis), (&one.cve, one.basis), "{what}");
+                assert_eq!(best_bits(batched), best_bits(&one), "{what}: best match differs");
+                assert_eq!(batched.analyses.len(), one.analyses.len(), "{what}");
+                for (a, b) in batched.analyses.iter().zip(&one.analyses) {
+                    assert_scan_bitwise_eq(&a.scan, &b.scan, &what);
+                    assert_dynamic_bitwise_eq(&a.dynamic, &b.dynamic, &what);
+                }
+            }
+        }
+    }
+
+    /// The image-wide pick sorts a NaN distance after every number, so
+    /// library order cannot change the best match; otherwise full
+    /// confidence beats degraded, then the lowest distance, then the
+    /// earliest library.
+    #[test]
+    fn best_match_sinks_nan_whatever_the_library_order() {
+        let analysis = |distance: f64, confidence: Confidence| CveAnalysis {
+            cve: "CVE-TEST".into(),
+            basis: Basis::Vulnerable,
+            scan: StaticScan {
+                library: "lib".into(),
+                total: 0,
+                probs: vec![],
+                candidates: vec![],
+                best_ref: vec![],
+                seconds: 0.0,
+            },
+            dynamic: DynamicAnalysis {
+                envs: vec![],
+                reference_profile: vec![],
+                validated: vec![],
+                profiles: vec![],
+                ranking: vec![RankedCandidate { function_index: 7, distance }],
+                confidence,
+                degradation: None,
+                seconds: 0.0,
+            },
+        };
+        let pick = |libraries: &[(f64, Confidence)]| {
+            let analyses: Vec<CveAnalysis> =
+                libraries.iter().map(|&(d, c)| analysis(d, c)).collect();
+            best_match(&analyses).map(|(li, _, _)| li)
+        };
+        let (full, degraded) = (Confidence::Full, Confidence::Degraded);
+        assert_eq!(pick(&[(f64::NAN, full), (5.0, full)]), Some(1));
+        assert_eq!(pick(&[(5.0, full), (f64::NAN, full)]), Some(0));
+        assert_eq!(pick(&[(4.0, full), (f64::INFINITY, full), (2.0, full)]), Some(2));
+        assert_eq!(pick(&[(3.0, full), (3.0, full)]), Some(0));
+        assert_eq!(pick(&[(1.0, degraded), (9.0, full)]), Some(1));
+        assert_eq!(pick(&[]), None);
     }
 
     /// Satellite: a binary with no functions must scan to a well-formed
@@ -1072,7 +1324,8 @@ mod tests {
         for retrieval in [Retrieval::Exact, Retrieval::TopK { k: 4 }] {
             let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
             let patchecko = Patchecko::new(quick_detector(), cfg);
-            let scan = patchecko.scan_library(&empty, &references, &DirectExtraction).unwrap();
+            let scan =
+                patchecko.scan_library(&empty, &[&references], &DirectExtraction).unwrap().remove(0);
             assert_eq!(scan.total, 0, "{retrieval}");
             assert!(scan.probs.is_empty(), "{retrieval}");
             assert!(scan.candidates.is_empty(), "{retrieval}");
@@ -1095,7 +1348,7 @@ mod tests {
         let bin = device.image.binary(&truth.library).unwrap();
 
         let exact_p = Patchecko::new(quick_detector(), PipelineConfig::default());
-        let exact = exact_p.scan_library(bin, &references, &DirectExtraction).unwrap();
+        let exact = exact_p.scan_library(bin, &[&references], &DirectExtraction).unwrap().remove(0);
         let topk_p = Patchecko::new(
             quick_detector(),
             PipelineConfig {
@@ -1103,7 +1356,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let indexed = topk_p.scan_library(bin, &references, &DirectExtraction).unwrap();
+        let indexed = topk_p.scan_library(bin, &[&references], &DirectExtraction).unwrap().remove(0);
 
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         assert_eq!(exact.total, indexed.total);
@@ -1186,8 +1439,8 @@ mod tests {
         type Case<'a> = (&'static str, Box<dyn Fn() -> Result<(), ScanError> + 'a>);
         let (p, vuln) = (&patchecko, Basis::Vulnerable);
         let cases: Vec<Case> = vec![
-            ("analyze_library", Box::new(|| p.analyze_library(bin, entry, vuln, &ctx).map(drop))),
-            ("analyze_image", Box::new(|| p.analyze_image(&image, entry, vuln, &ctx).map(drop))),
+            ("analyze_library", Box::new(|| p.analyze_library(bin, &[(entry, vuln)], &ctx).map(drop))),
+            ("analyze_image", Box::new(|| p.analyze_image(&image, &[(entry, vuln)], &ctx).map(drop))),
             ("detect_patch", Box::new(|| detect_patch(p, entry, bin, 0, &diff, &ctx).map(drop))),
             (
                 "detect_patch_best",

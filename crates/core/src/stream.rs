@@ -212,7 +212,10 @@ impl Patchecko {
         let mut matches = Vec::new();
         let mut functions = 0usize;
         let (units, peak_live) = WorkingSet::drive(units, working_set, |unit, bin| {
-            let scan = self.scan_library(&bin, references, source)?;
+            let scan = self
+                .scan_library(&bin, &[references], source)?
+                .pop()
+                .expect("one scan per reference set");
             functions += scan.total;
             for &f in &scan.candidates {
                 matches.push(StreamMatch {

@@ -354,23 +354,22 @@ proptest! {
         let bin = device.image.binary(&truth.library).unwrap();
         let analyzer = Patchecko::new(shared_detector().clone(), PipelineConfig::default());
 
-        let clean = analyzer
-            .analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default())
-            .unwrap();
+        let pair = [(entry, Basis::Vulnerable)];
+        let clean = analyzer.analyze_library(bin, &pair, &RunCtx::default()).unwrap().remove(0);
 
         let faulty =
             FaultyFeatureSource::new(DirectExtraction, plan, SourceFaults::transient_errors(3));
         let faulty_ctx = RunCtx { features: &faulty, ..RunCtx::default() };
-        let mut result = analyzer.analyze_library(bin, entry, Basis::Vulnerable, &faulty_ctx);
+        let mut result = analyzer.analyze_library(bin, &pair, &faulty_ctx);
         let mut retries = 0;
         while let Err(err) = result {
             prop_assert!(matches!(err, ScanError::Injected { .. }), "unexpected error {err}");
             prop_assert!(err.is_transient(), "injected faults must classify transient");
             retries += 1;
             prop_assert!(retries <= 64, "every fault heals, so retries must converge");
-            result = analyzer.analyze_library(bin, entry, Basis::Vulnerable, &faulty_ctx);
+            result = analyzer.analyze_library(bin, &pair, &faulty_ctx);
         }
-        let healed = result.unwrap();
+        let healed = result.unwrap().remove(0);
         prop_assert_eq!(&healed.scan.probs, &clean.scan.probs);
         prop_assert_eq!(&healed.scan.candidates, &clean.scan.candidates);
         prop_assert_eq!(&healed.dynamic.validated, &clean.dynamic.validated);

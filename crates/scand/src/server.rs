@@ -253,8 +253,10 @@ impl Shared {
                 let Some(entry) = self.db.get(cve) else {
                     return Outcome::Error(ScanError::UnknownCve(cve.clone()));
                 };
-                match analyzer.analyze_image(img, entry, *basis, ctx) {
-                    Ok(analysis) => Outcome::Scan(ScanSummary::from_analysis(&analysis)),
+                match analyzer.analyze_image(img, &[(entry, *basis)], ctx) {
+                    Ok(analyses) => Outcome::Scan(ScanSummary::from_analysis(
+                        analyses.first().expect("one analysis per pair"),
+                    )),
                     Err(e) => Outcome::Error(e),
                 }
             }

@@ -165,7 +165,8 @@ impl ScanHub {
         basis: Basis,
     ) -> Result<StaticScan, ScanError> {
         let references = Patchecko::reference_feature_set_with(entry, basis, &*self.store)?;
-        self.analyzer.scan_library(bin, &references, &*self.store)
+        let mut scans = self.analyzer.scan_library(bin, &[&references], &*self.store)?;
+        Ok(scans.pop().expect("one scan per reference set"))
     }
 
     /// Ingest a stream of compiled units into the cache lanes (features
@@ -221,7 +222,9 @@ impl ScanHub {
     ) -> Result<ImageAnalysis, ScanError> {
         // Kept: `hybridbench` calls this name.
         let view = self.tenant_view(tenant);
-        self.analyzer.analyze_image(image, entry, basis, &view.ctx(CancelToken::unbounded()))
+        let ctx = view.ctx(CancelToken::unbounded());
+        let mut analyses = self.analyzer.analyze_image(image, &[(entry, basis)], &ctx)?;
+        Ok(analyses.pop().expect("one analysis per pair"))
     }
 
     /// [`eval::audit_image`] in the base namespace with no deadline:

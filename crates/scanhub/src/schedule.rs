@@ -192,7 +192,11 @@ fn run_attempt(
     let entry = db.get(&spec.cve).ok_or_else(|| ScanError::UnknownCve(spec.cve.clone()))?;
     let view = hub.tenant_view("");
     let ctx = view.ctx(CancelToken::unbounded());
-    let analysis = hub.analyzer.analyze_image(image, entry, spec.basis, &ctx)?;
+    let analysis = hub
+        .analyzer
+        .analyze_image(image, &[(entry, spec.basis)], &ctx)?
+        .pop()
+        .expect("one analysis per pair");
     Ok(JobOutcome::Completed {
         candidates: analysis.analyses.iter().map(|a| a.scan.candidates.len()).sum(),
         validated: analysis.analyses.iter().map(|a| a.dynamic.validated.len()).sum(),

@@ -81,9 +81,9 @@ proptest! {
         for arch in Arch::ALL {
             let lib = Generator::new(seed).library_sized("libprop", n);
             let bin = fwbin::compile_library(&lib, arch, OptLevel::O1).unwrap();
-            let e = exact.scan_library(&bin, &refs, &store).unwrap();
-            let cold = topk.scan_library(&bin, &refs, &store).unwrap();
-            let warm = topk.scan_library(&bin, &refs, &store).unwrap();
+            let e = exact.scan_library(&bin, &[&refs], &store).unwrap().remove(0);
+            let cold = topk.scan_library(&bin, &[&refs], &store).unwrap().remove(0);
+            let warm = topk.scan_library(&bin, &[&refs], &store).unwrap().remove(0);
             for t in [&cold, &warm] {
                 prop_assert_eq!(bits(&e.probs), bits(&t.probs));
                 prop_assert_eq!(&e.candidates, &t.candidates);
@@ -124,8 +124,8 @@ fn default_k_detection_recall_is_at_least_99_percent_across_isas_and_opts() {
             for arch in Arch::ALL {
                 for opt in OptLevel::ALL {
                     let bin = fwbin::compile_library(&lib, arch, opt).unwrap();
-                    let e = exact.scan_library(&bin, &pool, &DirectExtraction).unwrap();
-                    let t = topk.scan_library(&bin, &pool, &DirectExtraction).unwrap();
+                    let e = exact.scan_library(&bin, &[&pool], &DirectExtraction).unwrap().remove(0);
+                    let t = topk.scan_library(&bin, &[&pool], &DirectExtraction).unwrap().remove(0);
                     for f in 0..e.total {
                         total += 1;
                         let ef = e.candidates.contains(&f);

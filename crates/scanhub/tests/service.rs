@@ -92,9 +92,9 @@ fn cached_scan_matches_direct_pipeline() {
 
     let base = hub.tenant_view("");
     let cached_ctx = base.ctx(CancelToken::unbounded());
-    let cached = hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable, &cached_ctx).unwrap();
-    let direct =
-        hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default()).unwrap();
+    let pair = [(entry, Basis::Vulnerable)];
+    let cached = hub.analyzer.analyze_library(bin, &pair, &cached_ctx).unwrap().remove(0);
+    let direct = hub.analyzer.analyze_library(bin, &pair, &RunCtx::default()).unwrap().remove(0);
     assert_eq!(cached.scan.probs, direct.scan.probs);
     assert_eq!(cached.scan.candidates, direct.scan.candidates);
     assert_eq!(cached.dynamic.validated, direct.dynamic.validated);

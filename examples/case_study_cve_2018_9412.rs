@@ -70,8 +70,9 @@ fn main() {
 
     // --- Vulnerability detection by deep learning ---
     let analysis = patchecko
-        .analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default())
-        .expect("scan failed");
+        .analyze_library(bin, &[(entry, Basis::Vulnerable)], &RunCtx::default())
+        .expect("scan failed")
+        .remove(0);
     println!(
         "deep learning stage: {} candidate functions of {} total \
          (paper: 252 of 5,646)",

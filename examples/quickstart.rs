@@ -62,8 +62,9 @@ fn main() {
     println!("[3/4] running the hybrid analysis for CVE-2018-9412...");
     let patchecko = Patchecko::new(det, PipelineConfig::default());
     let analysis = patchecko
-        .analyze_library(target, entry, Basis::Vulnerable, &RunCtx::default())
-        .expect("scan failed");
+        .analyze_library(target, &[(entry, Basis::Vulnerable)], &RunCtx::default())
+        .expect("scan failed")
+        .remove(0);
     println!(
         "      static stage: {} of {} functions flagged in {:.3}s",
         analysis.scan.candidates.len(),

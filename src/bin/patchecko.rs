@@ -435,8 +435,10 @@ fn cmd_scan(flags: &HashMap<String, String>) -> Result<(), String> {
     let ctx = view.ctx(CancelToken::unbounded());
     let result = hub
         .analyzer
-        .analyze_image(&image, entry, Basis::Vulnerable, &ctx)
-        .map_err(|e| e.to_string())?;
+        .analyze_image(&image, &[(entry, Basis::Vulnerable)], &ctx)
+        .map_err(|e| e.to_string())?
+        .pop()
+        .expect("one analysis per pair");
     let mut any = false;
     for a in &result.analyses {
         if a.dynamic.ranking.is_empty() {

@@ -55,7 +55,8 @@ fn flagship_hybrid_detection_ranks_target_top3() {
     let truth = device.truth_for("CVE-2018-9412").unwrap();
     let bin = device.image.binary(&truth.library).unwrap();
 
-    let analysis = p.analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default()).unwrap();
+    let analysis =
+        p.analyze_library(bin, &[(entry, Basis::Vulnerable)], &RunCtx::default()).unwrap().remove(0);
     assert!(analysis.scan.candidates.contains(&truth.function_index), "static stage keeps target");
     assert!(analysis.dynamic.validated.contains(&truth.function_index), "target survives envs");
     let rank = similarity::rank_of(&analysis.dynamic.ranking, truth.function_index).unwrap();
@@ -105,12 +106,14 @@ fn heavy_patch_misses_vulnerable_basis_but_not_patched_basis() {
     assert!(truth.patched);
     let bin = device.image.binary(&truth.library).unwrap();
 
-    let va = p.analyze_library(bin, entry, Basis::Vulnerable, &RunCtx::default()).unwrap();
+    let va =
+        p.analyze_library(bin, &[(entry, Basis::Vulnerable)], &RunCtx::default()).unwrap().remove(0);
     assert!(
         !va.scan.candidates.contains(&truth.function_index),
         "vulnerable basis misses the heavily-patched target (Table VI row)"
     );
-    let pa = p.analyze_library(bin, entry, Basis::Patched, &RunCtx::default()).unwrap();
+    let pa =
+        p.analyze_library(bin, &[(entry, Basis::Patched)], &RunCtx::default()).unwrap().remove(0);
     assert!(
         pa.scan.candidates.contains(&truth.function_index),
         "patched basis finds it (Table VII row)"
@@ -198,8 +201,10 @@ fn image_analysis_locates_best_match_in_right_library() {
     let device = shared_device();
     let entry = shared_db().get("CVE-2018-9412").unwrap();
     let truth = device.truth_for("CVE-2018-9412").unwrap();
-    let result =
-        p.analyze_image(&device.image, entry, Basis::Vulnerable, &RunCtx::default()).unwrap();
+    let result = p
+        .analyze_image(&device.image, &[(entry, Basis::Vulnerable)], &RunCtx::default())
+        .unwrap()
+        .remove(0);
     assert_eq!(result.analyses.len(), device.image.binaries.len());
     let best = result.best.expect("flagship is present");
     assert_eq!(best.library, truth.library, "best match lands in the right library");
@@ -235,6 +240,57 @@ fn cve_rows_are_internally_consistent() {
         assert!(row.fp_percent <= 100.0);
         if row.tp == 1 {
             assert!(row.ranking.is_some(), "{cve}: found targets must be ranked");
+        }
+    }
+}
+
+#[test]
+fn audit_failure_policy_survives_batching() {
+    use patchecko::core::error::ScanError;
+    use patchecko::core::AuditStatus;
+    let p = shared_patchecko();
+    let device = shared_device();
+    let diff = DifferentialConfig::default();
+    let ctx = RunCtx::default();
+
+    // (a) An undecodable library: every CVE reports that library's
+    // extraction error.
+    let mut image = device.image.clone();
+    image.binaries[0].functions[0].code = vec![0xEE; 3];
+    let corrupt = image.binaries[0].lib_name.clone();
+    let report = eval::audit_image(p, shared_db(), &image, &diff, &ctx).unwrap();
+    assert_eq!(report.findings.len(), 25);
+    for f in &report.findings {
+        assert_eq!(f.status, AuditStatus::Error, "{}", f.cve);
+        assert!(
+            matches!(&f.error, Some(ScanError::Extraction { library, .. }) if *library == corrupt),
+            "{}: {:?}",
+            f.cve,
+            f.error
+        );
+    }
+
+    // (b) One undecodable reference in a 3-entry database: only that CVE
+    // errors, and every other finding is byte-identical to the clean
+    // audit's.
+    let small_db = |corrupt: Option<usize>| {
+        let mut db = corpus::build_vulndb(0, 1);
+        db.entries.truncate(3);
+        if let Some(i) = corrupt {
+            db.entries[i].vulnerable_bin.functions[0].code = vec![0xEE; 3];
+        }
+        db
+    };
+    let clean = eval::audit_image(p, &small_db(None), &device.image, &diff, &ctx).unwrap();
+    let broken = eval::audit_image(p, &small_db(Some(1)), &device.image, &diff, &ctx).unwrap();
+    assert_eq!(broken.findings.len(), 3);
+    for (i, (c, b)) in clean.findings.iter().zip(&broken.findings).enumerate() {
+        if i == 1 {
+            assert_eq!(b.status, AuditStatus::Error, "{}", b.cve);
+            assert!(matches!(b.error, Some(ScanError::Extraction { .. })), "{:?}", b.error);
+        } else {
+            assert_eq!(c.status, b.status, "{}", c.cve);
+            assert_eq!(serde_json::to_string(c).unwrap(), serde_json::to_string(b).unwrap());
         }
     }
 }
