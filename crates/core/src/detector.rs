@@ -266,9 +266,8 @@ impl Detector {
     /// many, one task per chunk in a single dispatch on the shared
     /// [`neural::pool`]. Each row is still normalized and projected once
     /// per call; only the combine and the layers after the first run per
-    /// chunk, inline inside their task, so a chunk's activations stay in
-    /// cache and no layer fans out on its own. Chunking cannot change a
-    /// bit, by the same row independence. A list that fits one chunk is
+    /// chunk, inside their task, so a chunk's activations stay in cache.
+    /// Chunking cannot change a bit, by the same row independence. A list that fits one chunk is
     /// scored in one forward pass, without a chunk dispatch.
     ///
     /// # Panics

@@ -60,10 +60,9 @@ pub struct PipelineConfig {
     /// [`neural::pool`]: candidate profiling in the dynamic stage (more
     /// than three candidates — the paper parallelizes
     /// execution-environment testing), pair classification (one task per
-    /// chunk of a list longer than one chunk), GEMM kernels above the
-    /// parallel flop threshold (training, and a one-chunk classification
-    /// large enough), feature extraction, Adam updates and the scanhub job
-    /// scheduler. Work already running on a pool worker runs inline.
+    /// chunk of a list longer than one chunk), feature extraction and the
+    /// scanhub job scheduler. Work already running on a pool worker runs
+    /// inline.
     /// `None` derives the count from the `PATCHECKO_THREADS` environment
     /// variable or the machine's available parallelism; `Some(1)` forces
     /// serial execution end to end.
@@ -640,42 +639,30 @@ impl Patchecko {
             }
         };
 
-        // Validate + profile candidates. Each candidate is one task on the
-        // shared worker pool (results come back in submission order); the
-        // serial path is kept for narrow configs so `--threads 1` never
-        // touches the pool. `Ok(validated)` = profiled, `Ok(!validated)` =
-        // execution-validation failure (pruned, as the paper prescribes),
-        // `Err` = the profiler itself panicked or the source failed (the
-        // candidate degrades to static evidence).
+        // Validate + profile candidates: one task per candidate, on the
+        // shared worker pool when there are more than three (results come
+        // back in submission order). `Ok(validated)` = profiled,
+        // `Ok(!validated)` = execution-validation failure (pruned, as the
+        // paper prescribes), `Err` = the profiler itself panicked or the
+        // source failed (the candidate degrades to static evidence).
         type ProfileResult = Result<DynProfile, ScanError>;
-        let fan_out = candidates.len() > 3 && self.config.effective_threads() > 1;
-        let results: Vec<ProfileResult> = if fan_out {
-            let tasks: Vec<_> = candidates
-                .iter()
-                .map(|&c| {
-                    let target = Arc::clone(target);
-                    let envset = Arc::clone(&envset);
-                    let dynsrc = Arc::clone(dynsrc);
-                    let vm_cfg = self.config.vm.clone();
-                    move || -> ProfileResult {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            dynsrc.profile(&target, c, &envset, &vm_cfg)
-                        }))
+        let tasks: Vec<_> = candidates
+            .iter()
+            .map(|&c| {
+                let target = Arc::clone(target);
+                let envset = Arc::clone(&envset);
+                let dynsrc = Arc::clone(dynsrc);
+                let vm_cfg = self.config.vm.clone();
+                move || -> ProfileResult {
+                    catch_unwind(AssertUnwindSafe(|| dynsrc.profile(&target, c, &envset, &vm_cfg)))
                         .unwrap_or_else(|p| Err(ScanError::from_panic(p.as_ref())))
-                    }
-                })
-                .collect();
+                }
+            })
+            .collect();
+        let results: Vec<ProfileResult> = if tasks.len() > 3 {
             neural::pool::global().run(tasks)
         } else {
-            candidates
-                .iter()
-                .map(|&c| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        dynsrc.profile(target, c, &envset, &self.config.vm)
-                    }))
-                    .unwrap_or_else(|p| Err(ScanError::from_panic(p.as_ref())))
-                })
-                .collect()
+            tasks.into_iter().map(|task| task()).collect()
         };
 
         let mut validated = Vec::new();

@@ -17,22 +17,20 @@
 //! **Bit-stability invariant:** every output element accumulates its
 //! reduction terms in strictly ascending index order — the unroll adds
 //! the four products *sequentially* per lane — so results are bitwise
-//! identical to the naive kernels, at any thread count, with or without
-//! the fused epilogue. Training trajectories (and therefore every seeded
-//! test fixture) are unchanged by this rewrite.
+//! identical to the naive kernels, with or without the fused epilogue.
+//! Training trajectories (and therefore every seeded test fixture) are
+//! unchanged by this rewrite.
 //!
-//! Large products fan out across row chunks on the shared persistent
-//! [`crate::pool`] (no per-call thread spawning). Parallel tasks are
-//! `'static`, so the inputs are cloned behind `Arc` for the dispatch —
-//! an O(m·k + k·n) copy under an O(m·k·n) multiply, only paid above
-//! `PAR_THRESHOLD_FLOPS`.
+//! Every product runs on the calling thread. Parallelism lives where the
+//! work items are — the detector's pair classification runs one pool
+//! task per chunk of pairs, each task running every layer inline — so a
+//! kernel never dispatches, copies its inputs, or splits its rows.
 //!
 //! [`Matrix::dense_forward`] is the fused dense-layer kernel: GEMM, bias
 //! add, and optional ReLU in one pass, applying the epilogue per row
 //! tile while the tile is cache-hot instead of re-sweeping the output.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A row-major matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,14 +39,6 @@ pub struct Matrix {
     cols: usize,
     data: Vec<f32>,
 }
-
-/// Multiply-accumulate flop count (`m·k·n`) above which a product fans
-/// out across the worker pool; below it the dispatch + input-clone cost
-/// outweighs the parallel win.
-const PAR_THRESHOLD_FLOPS: usize = 1 << 22;
-
-/// Minimum output rows before a product is worth splitting across tasks.
-const PAR_MIN_ROWS: usize = 8;
 
 /// Minimum output rows at which `matmul_t` materializes the transposed
 /// right-hand side and switches to the register-tiled GEMM; below it the
@@ -85,8 +75,8 @@ fn store_row(orow: &mut [f32], acc: &[f32], bias: Option<&[f32]>, relu: bool) {
     }
 }
 
-/// Register-tiled `out += a[r0..r1) · b` for row-major `a` (`k` columns)
-/// and `b` (`k`×`n`), with an optional fused bias/ReLU epilogue applied
+/// Register-tiled `out += a · b` for row-major `a` (`rows`×`k`) and `b`
+/// (`k`×`n`), with an optional fused bias/ReLU epilogue applied
 /// as each output tile is stored.
 ///
 /// Each 2×`NR` output tile accumulates in registers across the entire
@@ -100,20 +90,19 @@ fn gemm_kernel(
     b: &[f32],
     k: usize,
     n: usize,
-    r0: usize,
-    r1: usize,
+    rows: usize,
     out: &mut [f32],
     bias: Option<&[f32]>,
     relu: bool,
 ) {
-    debug_assert_eq!(out.len(), (r1 - r0) * n);
+    debug_assert_eq!(out.len(), rows * n);
     if n == 0 {
         return;
     }
     let jfull = n - n % NR;
-    let mut r = r0;
+    let mut r = 0;
     // Full two-row tiles.
-    while r + 2 <= r1 {
+    while r + 2 <= rows {
         let ar0 = &a[r * k..(r + 1) * k];
         let ar1 = &a[(r + 1) * k..(r + 2) * k];
         let mut j = 0;
@@ -129,9 +118,9 @@ fn gemm_kernel(
                     acc1[jj] += a1 * bt[jj];
                 }
             }
-            let o0 = (r - r0) * n + j;
+            let o0 = r * n + j;
             store_row(&mut out[o0..o0 + NR], &acc0, bias.map(|bv| &bv[j..j + NR]), relu);
-            let o1 = (r + 1 - r0) * n + j;
+            let o1 = (r + 1) * n + j;
             store_row(&mut out[o1..o1 + NR], &acc1, bias.map(|bv| &bv[j..j + NR]), relu);
             j += NR;
         }
@@ -150,15 +139,15 @@ fn gemm_kernel(
                     acc1[jj] += a1 * bv;
                 }
             }
-            let o0 = (r - r0) * n + j;
+            let o0 = r * n + j;
             store_row(&mut out[o0..o0 + w], &acc0[..w], bias.map(|bv| &bv[j..]), relu);
-            let o1 = (r + 1 - r0) * n + j;
+            let o1 = (r + 1) * n + j;
             store_row(&mut out[o1..o1 + w], &acc1[..w], bias.map(|bv| &bv[j..]), relu);
         }
         r += 2;
     }
     // Row remainder: one row at a time.
-    while r < r1 {
+    while r < rows {
         let arow = &a[r * k..(r + 1) * k];
         let mut j = 0;
         while j < jfull {
@@ -170,7 +159,7 @@ fn gemm_kernel(
                     *s += av * bv;
                 }
             }
-            let o0 = (r - r0) * n + j;
+            let o0 = r * n + j;
             store_row(&mut out[o0..o0 + NR], &acc, bias.map(|bv| &bv[j..j + NR]), relu);
             j += NR;
         }
@@ -184,27 +173,26 @@ fn gemm_kernel(
                     *s += av * bv;
                 }
             }
-            let o0 = (r - r0) * n + j;
+            let o0 = r * n + j;
             store_row(&mut out[o0..o0 + w], &acc[..w], bias.map(|bv| &bv[j..]), relu);
         }
         r += 1;
     }
 }
 
-/// Register-tiled `out[i0..i1) += (aᵀ · b)` rows for row-major `a`
+/// Register-tiled `out += aᵀ · b` (`p`×`n`) for row-major `a`
 /// (`rows`×`p`, reduced over its rows) and `b` (`rows`×`n`). Same 2×[`NR`]
 /// register-accumulator shape as [`gemm_kernel`] — the only difference is
 /// that the two coefficient loads per step walk a column of `a` (stride
 /// `p`). Reduction stays in ascending row order per element.
-#[allow(clippy::too_many_arguments)]
-fn tgemm_kernel(a: &[f32], b: &[f32], rows: usize, p: usize, n: usize, i0: usize, i1: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), (i1 - i0) * n);
+fn tgemm_kernel(a: &[f32], b: &[f32], rows: usize, p: usize, n: usize, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), p * n);
     if n == 0 {
         return;
     }
     let jfull = n - n % NR;
-    let mut i = i0;
-    while i + 2 <= i1 {
+    let mut i = 0;
+    while i + 2 <= p {
         let mut j = 0;
         while j < jfull {
             let mut acc0 = [0.0f32; NR];
@@ -218,11 +206,11 @@ fn tgemm_kernel(a: &[f32], b: &[f32], rows: usize, p: usize, n: usize, i0: usize
                     acc1[jj] += a1 * bt[jj];
                 }
             }
-            let o0 = (i - i0) * n + j;
+            let o0 = i * n + j;
             for (o, &s) in out[o0..o0 + NR].iter_mut().zip(&acc0) {
                 *o += s;
             }
-            let o1 = (i + 1 - i0) * n + j;
+            let o1 = (i + 1) * n + j;
             for (o, &s) in out[o1..o1 + NR].iter_mut().zip(&acc1) {
                 *o += s;
             }
@@ -241,18 +229,18 @@ fn tgemm_kernel(a: &[f32], b: &[f32], rows: usize, p: usize, n: usize, i0: usize
                     acc1[jj] += a1 * bv;
                 }
             }
-            let o0 = (i - i0) * n + j;
+            let o0 = i * n + j;
             for (o, &s) in out[o0..o0 + w].iter_mut().zip(&acc0[..w]) {
                 *o += s;
             }
-            let o1 = (i + 1 - i0) * n + j;
+            let o1 = (i + 1) * n + j;
             for (o, &s) in out[o1..o1 + w].iter_mut().zip(&acc1[..w]) {
                 *o += s;
             }
         }
         i += 2;
     }
-    while i < i1 {
+    while i < p {
         let mut j = 0;
         while j < jfull {
             let mut acc = [0.0f32; NR];
@@ -263,7 +251,7 @@ fn tgemm_kernel(a: &[f32], b: &[f32], rows: usize, p: usize, n: usize, i0: usize
                     acc[jj] += av * bt[jj];
                 }
             }
-            let o0 = (i - i0) * n + j;
+            let o0 = i * n + j;
             for (o, &s) in out[o0..o0 + NR].iter_mut().zip(&acc) {
                 *o += s;
             }
@@ -279,7 +267,7 @@ fn tgemm_kernel(a: &[f32], b: &[f32], rows: usize, p: usize, n: usize, i0: usize
                     acc[jj] += av * bv;
                 }
             }
-            let o0 = (i - i0) * n + j;
+            let o0 = i * n + j;
             for (o, &s) in out[o0..o0 + w].iter_mut().zip(&acc[..w]) {
                 *o += s;
             }
@@ -288,20 +276,20 @@ fn tgemm_kernel(a: &[f32], b: &[f32], rows: usize, p: usize, n: usize, i0: usize
     }
 }
 
-/// `out[r0..r1) = a[r0..r1) · bᵀ` for row-major `a` (`k` columns) and `b`
-/// (`q`×`k`): dot products against four `b` rows at a time, each as its
-/// own ascending-`k` chain (instruction-level parallelism without
+/// `out = a · bᵀ` for row-major `a` (`rows`×`k`) and `b` (`q`×`k`): dot
+/// products against four `b` rows at a time, each as its own
+/// ascending-`k` chain (instruction-level parallelism without
 /// reassociation).
-fn gemm_nt_kernel(a: &[f32], b: &[f32], k: usize, q: usize, r0: usize, r1: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), (r1 - r0) * q);
+fn gemm_nt_kernel(a: &[f32], b: &[f32], k: usize, q: usize, rows: usize, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), rows * q);
     const JT: usize = 4;
-    let mut r = r0;
+    let mut r = 0;
     // 2×4 output tiles: eight independent dot chains give the FP units
     // enough in-flight accumulators to hide add latency, and each loaded
     // group of `b` rows is reused across both `a` rows. Every chain is a
     // strictly t-ascending sum, so per-element accumulation order is
     // unchanged.
-    while r + 2 <= r1 {
+    while r + 2 <= rows {
         let ar0 = &a[r * k..(r + 1) * k];
         let ar1 = &a[(r + 1) * k..(r + 2) * k];
         let mut j = 0;
@@ -324,12 +312,12 @@ fn gemm_nt_kernel(a: &[f32], b: &[f32], k: usize, q: usize, r0: usize, r1: usize
                 s12 += a1 * v2;
                 s13 += a1 * v3;
             }
-            let base0 = (r - r0) * q + j;
+            let base0 = r * q + j;
             out[base0] = s00;
             out[base0 + 1] = s01;
             out[base0 + 2] = s02;
             out[base0 + 3] = s03;
-            let base1 = (r + 1 - r0) * q + j;
+            let base1 = (r + 1) * q + j;
             out[base1] = s10;
             out[base1 + 1] = s11;
             out[base1 + 2] = s12;
@@ -343,16 +331,16 @@ fn gemm_nt_kernel(a: &[f32], b: &[f32], k: usize, q: usize, r0: usize, r1: usize
                 s0 += ar0[t] * brow[t];
                 s1 += ar1[t] * brow[t];
             }
-            out[(r - r0) * q + j] = s0;
-            out[(r + 1 - r0) * q + j] = s1;
+            out[r * q + j] = s0;
+            out[(r + 1) * q + j] = s1;
             j += 1;
         }
         r += 2;
     }
     // Remainder row: four independent chains.
-    while r < r1 {
+    while r < rows {
         let arow = &a[r * k..(r + 1) * k];
-        let orow = &mut out[(r - r0) * q..(r - r0 + 1) * q];
+        let orow = &mut out[r * q..(r + 1) * q];
         let mut j = 0;
         while j + JT <= q {
             let b0 = &b[j * k..(j + 1) * k];
@@ -382,34 +370,6 @@ fn gemm_nt_kernel(a: &[f32], b: &[f32], k: usize, q: usize, r0: usize, r1: usize
             j += 1;
         }
         r += 1;
-    }
-}
-
-/// Width the automatic entry points use for a product of `flops`
-/// multiply-accumulates over `rows` output rows.
-fn auto_width(flops: usize, rows: usize) -> usize {
-    if flops < PAR_THRESHOLD_FLOPS || rows < PAR_MIN_ROWS {
-        1
-    } else {
-        crate::pool::current_width()
-    }
-}
-
-/// Fill `out` (`rows`×`n`, flattened) by running `make_task(r0, r1)` per
-/// contiguous row chunk on the shared pool; `threads <= 1` must be
-/// handled by the caller (serial fast path without `Arc` clones).
-fn pooled_rows(
-    threads: usize,
-    rows: usize,
-    n: usize,
-    out: &mut [f32],
-    make_task: impl Fn(usize, usize) -> Box<dyn FnOnce() -> Vec<f32> + Send + 'static>,
-) {
-    let width = threads.min(rows);
-    let chunk = rows.div_ceil(width);
-    let tasks: Vec<_> = (0..rows).step_by(chunk).map(|r0| make_task(r0, (r0 + chunk).min(rows))).collect();
-    for (dst, part) in out.chunks_mut(chunk * n).zip(crate::pool::global().run(tasks)) {
-        dst.copy_from_slice(&part);
     }
 }
 
@@ -505,32 +465,10 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_threads(other, auto_width(self.rows * self.cols * other.cols, self.rows))
-    }
-
-    /// [`Matrix::matmul`] with an explicit parallel width (`1` = serial).
-    /// Output is bitwise identical at every width.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul_threads(&self, other: &Matrix, threads: usize) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         let (k, n) = (self.cols, other.cols);
         let mut out = Matrix::zeros(self.rows, n);
-        if threads <= 1 || self.rows <= 1 || n == 0 {
-            gemm_kernel(&self.data, &other.data, k, n, 0, self.rows, &mut out.data, None, false);
-        } else {
-            let a = Arc::new(self.data.clone());
-            let b = Arc::new(other.data.clone());
-            pooled_rows(threads, self.rows, n, &mut out.data, |r0, r1| {
-                let (a, b) = (a.clone(), b.clone());
-                Box::new(move || {
-                    let mut part = vec![0.0f32; (r1 - r0) * n];
-                    gemm_kernel(&a, &b, k, n, r0, r1, &mut part, None, false);
-                    part
-                })
-            });
-        }
+        gemm_kernel(&self.data, &other.data, k, n, self.rows, &mut out.data, None, false);
         out
     }
 
@@ -542,33 +480,11 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension or bias-length mismatch.
     pub fn dense_forward(&self, w: &Matrix, bias: &[f32], relu: bool) -> Matrix {
-        self.dense_forward_threads(w, bias, relu, auto_width(self.rows * self.cols * w.cols, self.rows))
-    }
-
-    /// [`Matrix::dense_forward`] with an explicit parallel width.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension or bias-length mismatch.
-    pub fn dense_forward_threads(&self, w: &Matrix, bias: &[f32], relu: bool, threads: usize) -> Matrix {
         assert_eq!(self.cols, w.rows, "dense_forward inner dimension mismatch");
         assert_eq!(bias.len(), w.cols, "dense_forward bias length mismatch");
         let (k, n) = (self.cols, w.cols);
         let mut out = Matrix::zeros(self.rows, n);
-        if threads <= 1 || self.rows <= 1 || n == 0 {
-            gemm_kernel(&self.data, &w.data, k, n, 0, self.rows, &mut out.data, Some(bias), relu);
-        } else {
-            let a = Arc::new(self.data.clone());
-            let b = Arc::new(w.data.clone());
-            let bias = Arc::new(bias.to_vec());
-            pooled_rows(threads, self.rows, n, &mut out.data, |r0, r1| {
-                let (a, b, bias) = (a.clone(), b.clone(), bias.clone());
-                Box::new(move || {
-                    let mut part = vec![0.0f32; (r1 - r0) * n];
-                    gemm_kernel(&a, &b, k, n, r0, r1, &mut part, Some(&bias), relu);
-                    part
-                })
-            });
-        }
+        gemm_kernel(&self.data, &w.data, k, n, self.rows, &mut out.data, Some(bias), relu);
         out
     }
 
@@ -607,32 +523,9 @@ impl Matrix {
     /// # Panics
     /// Panics on row-count mismatch.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        self.t_matmul_threads(other, auto_width(self.rows * self.cols * other.cols, self.cols))
-    }
-
-    /// [`Matrix::t_matmul`] with an explicit parallel width (splitting
-    /// output rows, i.e. `self` columns).
-    ///
-    /// # Panics
-    /// Panics on row-count mismatch.
-    pub fn t_matmul_threads(&self, other: &Matrix, threads: usize) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
-        let (rows, p, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(p, n);
-        if threads <= 1 || p <= 1 || n == 0 {
-            tgemm_kernel(&self.data, &other.data, rows, p, n, 0, p, &mut out.data);
-        } else {
-            let a = Arc::new(self.data.clone());
-            let b = Arc::new(other.data.clone());
-            pooled_rows(threads, p, n, &mut out.data, |i0, i1| {
-                let (a, b) = (a.clone(), b.clone());
-                Box::new(move || {
-                    let mut part = vec![0.0f32; (i1 - i0) * n];
-                    tgemm_kernel(&a, &b, rows, p, n, i0, i1, &mut part);
-                    part
-                })
-            });
-        }
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        tgemm_kernel(&self.data, &other.data, self.rows, self.cols, other.cols, &mut out.data);
         out
     }
 
@@ -641,18 +534,10 @@ impl Matrix {
     /// # Panics
     /// Panics on column-count mismatch.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        self.matmul_t_threads(other, auto_width(self.rows * self.cols * other.rows, self.rows))
-    }
-
-    /// [`Matrix::matmul_t`] with an explicit parallel width.
-    ///
-    /// # Panics
-    /// Panics on column-count mismatch.
-    pub fn matmul_t_threads(&self, other: &Matrix, threads: usize) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
         let (k, q) = (self.cols, other.rows);
         let mut out = Matrix::zeros(self.rows, q);
-        if q == 0 {
+        if q == 0 || k == 0 {
             return out;
         }
         // With enough output rows to amortize the O(q·k) copy, transpose
@@ -668,33 +553,9 @@ impl Matrix {
                     bt[t * q + r] = v;
                 }
             }
-            if threads <= 1 {
-                gemm_kernel(&self.data, &bt, k, q, 0, self.rows, &mut out.data, None, false);
-            } else {
-                let a = Arc::new(self.data.clone());
-                let b = Arc::new(bt);
-                pooled_rows(threads, self.rows, q, &mut out.data, |r0, r1| {
-                    let (a, b) = (a.clone(), b.clone());
-                    Box::new(move || {
-                        let mut part = vec![0.0f32; (r1 - r0) * q];
-                        gemm_kernel(&a, &b, k, q, r0, r1, &mut part, None, false);
-                        part
-                    })
-                });
-            }
-        } else if threads <= 1 || self.rows <= 1 {
-            gemm_nt_kernel(&self.data, &other.data, k, q, 0, self.rows, &mut out.data);
+            gemm_kernel(&self.data, &bt, k, q, self.rows, &mut out.data, None, false);
         } else {
-            let a = Arc::new(self.data.clone());
-            let b = Arc::new(other.data.clone());
-            pooled_rows(threads, self.rows, q, &mut out.data, |r0, r1| {
-                let (a, b) = (a.clone(), b.clone());
-                Box::new(move || {
-                    let mut part = vec![0.0f32; (r1 - r0) * q];
-                    gemm_nt_kernel(&a, &b, k, q, r0, r1, &mut part);
-                    part
-                })
-            });
+            gemm_nt_kernel(&self.data, &other.data, k, q, self.rows, &mut out.data);
         }
         out
     }
@@ -771,20 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
-        // The partitioned path must be bitwise identical to the serial
-        // one (the end-to-end fixtures depend on exact accumulation
-        // order).
-        let a = Matrix::from_fn(512, 256, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
-        let b = Matrix::from_fn(256, 64, |r, c| ((r * 17 + c * 3) % 11) as f32 - 5.0);
-        let serial = a.matmul_threads(&b, 1);
-        for threads in [2, 3, 4, 7] {
-            assert_eq!(a.matmul_threads(&b, threads), serial, "width {threads}");
-        }
-        assert_eq!(a.matmul(&b), serial);
-    }
-
-    #[test]
     fn gather_rows_selects() {
         let a = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let g = a.gather_rows(&[2, 0]);
@@ -821,8 +668,6 @@ mod tests {
         }
         assert_eq!(x.dense_forward(&w, &bias, false), z);
         assert_eq!(x.dense_forward(&w, &bias, true), a);
-        // Parallel fused path agrees too.
-        assert_eq!(x.dense_forward_threads(&w, &bias, true, 3), a);
     }
 
     #[test]
@@ -831,12 +676,11 @@ mod tests {
         let empty = Matrix::zeros(0, 5);
         let w = Matrix::from_fn(5, 4, |r, c| (r + c) as f32);
         assert_eq!(empty.matmul(&w).rows(), 0);
-        assert_eq!(empty.matmul_threads(&w, 4).rows(), 0);
         assert_eq!(empty.t_matmul(&Matrix::zeros(0, 3)), Matrix::zeros(5, 3));
         assert_eq!(empty.matmul_t(&Matrix::zeros(7, 5)), Matrix::zeros(0, 7));
         // 1 row.
         let one = Matrix::from_fn(1, 5, |_, c| c as f32);
-        assert_eq!(one.matmul_threads(&w, 4), one.matmul_threads(&w, 1));
+        assert_eq!(one.matmul(&w).as_slice(), &[30., 40., 50., 60.]);
         // Fewer columns than the register tile / unroll width.
         let thin_a = Matrix::from_fn(5, 2, |r, c| (r * 2 + c) as f32);
         let thin_b = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 - 1.0);
@@ -856,39 +700,87 @@ mod tests {
         let nok = Matrix::zeros(3, 0);
         let z = nok.dense_forward(&Matrix::zeros(0, 2), &[1.0, -2.0], false);
         assert_eq!(z.as_slice(), &[1.0, -2.0, 1.0, -2.0, 1.0, -2.0]);
+        // Zero-length `matmul_t` reduction on both sides of the transpose
+        // switch.
+        for rows in [MT_TRANSPOSE_MIN_ROWS - 1, MT_TRANSPOSE_MIN_ROWS] {
+            let want = Matrix::zeros(rows, 4);
+            assert_eq!(Matrix::zeros(rows, 0).matmul_t(&Matrix::zeros(4, 0)), want);
+        }
     }
 
-    #[test]
-    fn non_divisible_chunks_agree() {
-        // Rows not divisible by the width or the tile height.
-        let a = Matrix::from_fn(23, 9, |r, c| ((r * 13 + c * 5) % 17) as f32 - 8.0);
-        let b = Matrix::from_fn(9, 7, |r, c| ((r * 11 + c * 2) % 7) as f32 - 3.0);
-        let serial = a.matmul_threads(&b, 1);
-        for threads in [2, 3, 5, 23, 64] {
-            assert_eq!(a.matmul_threads(&b, threads), serial, "width {threads}");
+    /// Sign-mixed entries that are not exact binary fractions, so every
+    /// product rounds and a reordered sum would change low bits.
+    fn filled(rows: usize, cols: usize, salt: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            ((r * 131 + c * 71 + salt * 29) % 97) as f32 / 13.0 - 3.5
+        })
+    }
+
+    /// The textbook loop: each element sums its products from zero in
+    /// ascending reduction order.
+    fn naive_product(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.cols(), |r, c| {
+            let mut acc = 0.0f32;
+            for t in 0..a.cols() {
+                acc += a.get(r, t) * b.get(t, c);
+            }
+            acc
+        })
+    }
+
+    fn transposed(m: &Matrix) -> Matrix {
+        Matrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r))
+    }
+
+    fn assert_bitwise(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}: shape");
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
         }
     }
 
     #[test]
-    fn t_matmul_parallel_and_serial_agree() {
-        let a = Matrix::from_fn(300, 37, |r, c| ((r * 7 + c * 3) % 19) as f32 - 9.0);
-        let b = Matrix::from_fn(300, 29, |r, c| ((r * 3 + c * 11) % 13) as f32 - 6.0);
-        let serial = a.t_matmul_threads(&b, 1);
-        for threads in [2, 3, 8, 37] {
-            assert_eq!(a.t_matmul_threads(&b, threads), serial, "width {threads}");
+    fn kernels_match_naive_loops_bitwise() {
+        // (m, k, n): the detector's widest layers, the narrow layers'
+        // column remainders (n < NR), `matmul_t` on both sides of its
+        // transpose switch (odd row and column counts reach every
+        // remainder path), and an empty batch.
+        let shapes = [
+            (1024, 96, 128),
+            (512, 128, 64),
+            (512, 32, 16),
+            (512, 16, 8),
+            (512, 8, 1),
+            (MT_TRANSPOSE_MIN_ROWS - 1, 37, 41),
+            (MT_TRANSPOSE_MIN_ROWS, 37, 41),
+            (0, 96, 128),
+        ];
+        for (m, k, n) in shapes {
+            let a = filled(m, k, 1);
+            let b = filled(k, n, 2);
+            let bias: Vec<f32> = (0..n).map(|c| (c % 7) as f32 / 3.0 - 1.0).collect();
+            let product = naive_product(&a, &b);
+            assert_bitwise(&a.matmul(&b), &product, &format!("matmul {m}x{k}x{n}"));
+            for relu in [false, true] {
+                let mut want = product.clone();
+                for r in 0..m {
+                    for (v, &bv) in want.row_mut(r).iter_mut().zip(&bias) {
+                        *v += bv;
+                        if relu {
+                            *v = v.max(0.0);
+                        }
+                    }
+                }
+                let got = a.dense_forward(&b, &bias, relu);
+                assert_bitwise(&got, &want, &format!("dense_forward(relu={relu}) {m}x{k}x{n}"));
+            }
+            let c = filled(m, n, 3);
+            let want = naive_product(&transposed(&a), &c);
+            assert_bitwise(&a.t_matmul(&c), &want, &format!("t_matmul {m}x{k}x{n}"));
+            let d = filled(n, k, 4);
+            let want = naive_product(&a, &transposed(&d));
+            assert_bitwise(&a.matmul_t(&d), &want, &format!("matmul_t {m}x{k}x{n}"));
         }
-        assert_eq!(a.t_matmul(&b), serial);
-    }
-
-    #[test]
-    fn matmul_t_parallel_and_serial_agree() {
-        let a = Matrix::from_fn(41, 33, |r, c| ((r * 5 + c * 7) % 23) as f32 - 11.0);
-        let b = Matrix::from_fn(26, 33, |r, c| ((r * 9 + c) % 17) as f32 - 8.0);
-        let serial = a.matmul_t_threads(&b, 1);
-        for threads in [2, 4, 41] {
-            assert_eq!(a.matmul_t_threads(&b, threads), serial, "width {threads}");
-        }
-        assert_eq!(a.matmul_t(&b), serial);
     }
 
     #[test]

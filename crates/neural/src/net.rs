@@ -42,16 +42,7 @@ impl Dense {
     }
 }
 
-/// Parameter count below which Adam updates stay serial: the paper's
-/// 12.9k-parameter model fits in cache and the per-layer dispatch would
-/// cost more than the elementwise update itself.
-const PAR_ADAM_MIN_PARAMS: usize = 1 << 16;
-
 /// One Adam update, precomputed per minibatch and applied per layer.
-/// `Copy` so the parallel path can move it into per-layer tasks; the
-/// element expressions are shared between the serial and parallel paths,
-/// so results are bitwise identical either way.
-#[derive(Clone, Copy)]
 struct AdamStep {
     lr: f32,
     b1: f32,
@@ -62,8 +53,8 @@ struct AdamStep {
 }
 
 impl AdamStep {
-    fn apply(self, layer: &mut Dense, dw: &Matrix, db: &[f32]) {
-        let AdamStep { lr, b1, b2, eps, bias1, bias2 } = self;
+    fn apply(&self, layer: &mut Dense, dw: &Matrix, db: &[f32]) {
+        let &AdamStep { lr, b1, b2, eps, bias1, bias2 } = self;
         for i in 0..dw.as_slice().len() {
             let g = dw.as_slice()[i];
             let m = &mut layer.mw.as_mut_slice()[i];
@@ -208,8 +199,7 @@ impl Mlp {
 
         // Backward: gradients first (against pre-update weights, exactly
         // as the seed's propagate-before-update ordering), then one Adam
-        // step over all layers — elementwise-independent, so it can fan
-        // out per layer for large models without changing any result.
+        // step over all layers.
         let mut grads: Vec<(Matrix, Vec<f32>)> = Vec::with_capacity(nl);
         let mut delta = dz;
         for li in (0..nl).rev() {
@@ -246,23 +236,8 @@ impl Mlp {
             bias1: 1.0 - b1.powi(t as i32),
             bias2: 1.0 - b2.powi(t as i32),
         };
-        if crate::pool::current_width() > 1 && self.parameter_count() >= PAR_ADAM_MIN_PARAMS {
-            let layers = std::mem::take(&mut self.layers);
-            let tasks: Vec<Box<dyn FnOnce() -> Dense + Send>> = layers
-                .into_iter()
-                .zip(grads)
-                .map(|(mut layer, (dw, db))| {
-                    Box::new(move || {
-                        step.apply(&mut layer, &dw, &db);
-                        layer
-                    }) as Box<dyn FnOnce() -> Dense + Send>
-                })
-                .collect();
-            self.layers = crate::pool::global().run(tasks);
-        } else {
-            for (layer, (dw, db)) in self.layers.iter_mut().zip(&grads) {
-                step.apply(layer, dw, db);
-            }
+        for (layer, (dw, db)) in self.layers.iter_mut().zip(&grads) {
+            step.apply(layer, dw, db);
         }
         loss
     }

@@ -1,32 +1,34 @@
-//! Shared persistent worker pool for the compute kernels.
+//! Shared persistent worker pool for whole tasks.
 //!
 //! The seed spawned fresh `crossbeam::thread::scope` threads on every
 //! large `matmul` call; at service scale (scanhub batches thousands of
 //! forward passes) the spawn/join cost is pure overhead. This module
 //! keeps one process-wide pool of detached workers that is initialized
-//! on first use and then reused by every parallel kernel, feature
-//! extraction sweep, and scheduler batch.
+//! on first use and then reused by every stage that has independent
+//! work items: pair-classification chunks, feature extraction sweeps,
+//! dynamic-stage candidate profiling, and scheduler batches. Matrix
+//! products never dispatch; they run on the thread that calls them.
 //!
-//! Thread-count resolution is unified here (the satellite task): an
-//! explicit override (`PipelineConfig::threads` upstream) wins, then the
+//! Thread-count resolution is unified here: an explicit override
+//! (`PipelineConfig::threads` upstream) wins, then the
 //! `PATCHECKO_THREADS` environment variable, then the machine's
-//! available parallelism — so `--threads 1` forces serial kernels end to
-//! end through [`resolve_threads`].
+//! available parallelism — so `--threads 1` forces serial execution end
+//! to end through [`resolve_threads`].
 //!
 //! Workers are plain detached `std::thread`s feeding from one unbounded
 //! MPMC channel; they are spawned lazily up to the current limit and
 //! never exit (the pool is `'static`). Tasks must be `'static`, so
-//! parallel callers clone shared inputs behind `Arc` — for a GEMM above
-//! the parallel threshold the O(m·k + k·n) copy is noise next to the
-//! O(m·k·n) multiply, and it keeps the whole workspace free of `unsafe`
-//! lifetime erasure.
+//! callers share their inputs behind `Arc`, which keeps the whole
+//! workspace free of `unsafe` lifetime erasure.
 //!
-//! Nested dispatch runs inline: a task that itself calls [`WorkerPool::run`]
-//! (e.g. a scheduler job whose scan reaches a parallel matmul) executes
-//! its subtasks on its own worker thread. That both prevents the classic
-//! fixed-pool deadlock (workers blocking on results that sit behind them
-//! in the queue) and avoids oversubscription when outer stages are
-//! already parallel.
+//! [`WorkerPool::run`] runs its tasks inline when the limit is 1, there
+//! is at most one task, or the caller is itself a pool worker, so callers
+//! need no serial branch of their own. The last rule means a task that
+//! itself calls `run` (e.g. a scheduler job whose scan classifies a long
+//! pair list) executes its subtasks on its own worker thread. That both
+//! prevents the classic fixed-pool deadlock (workers blocking on results
+//! that sit behind them in the queue) and avoids oversubscription when
+//! outer stages are already parallel.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,9 +66,9 @@ thread_local! {
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Whether the current thread is a pool worker. Kernels use this to run
-/// inline instead of re-dispatching from inside a task.
-pub fn in_worker() -> bool {
+/// Whether the current thread is a pool worker, so that [`WorkerPool::run`]
+/// runs inline instead of re-dispatching from inside a task.
+fn in_worker() -> bool {
     IN_POOL.with(|f| f.get())
 }
 
@@ -178,16 +180,15 @@ pub fn global() -> &'static WorkerPool {
 }
 
 /// Set the global pool's dispatch width (min 1). Results are identical
-/// at any width — kernels preserve per-element accumulation order — so
-/// concurrent callers only affect each other's parallelism, never their
-/// outputs.
+/// at any width — every task computes the same outputs wherever it runs,
+/// and `run` returns them in task order — so concurrent callers only
+/// affect each other's parallelism, never their outputs.
 pub fn set_global_threads(n: usize) {
     global().set_limit(n);
 }
 
-/// Effective parallel width for kernels launched from this thread: 1
-/// inside a pool worker (nested work runs inline), the global limit
-/// otherwise.
+/// How many pieces to split work into from this thread: 1 inside a pool
+/// worker (nested work runs inline), the global limit otherwise.
 pub fn current_width() -> usize {
     if in_worker() {
         1

@@ -1,6 +1,6 @@
-//! Property tests for the matrix substrate: the fast GEMM paths agree with
-//! a naive reference implementation, and linear-algebra laws hold within
-//! floating-point tolerance.
+//! Property tests for the matrix substrate: the fast GEMM paths agree
+//! bit for bit with a naive reference implementation, and linear-algebra
+//! laws hold within floating-point tolerance.
 
 use neural::matrix::Matrix;
 use proptest::prelude::*;
@@ -22,6 +22,12 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// Shape plus the exact bit pattern of every element.
+fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+    let bits = m.as_slice().iter().map(|v| v.to_bits()).collect();
+    (m.rows(), m.cols(), bits)
+}
+
 fn assert_close(a: &Matrix, b: &Matrix, tol: f32) {
     assert_eq!(a.rows(), b.rows());
     assert_eq!(a.cols(), b.cols());
@@ -38,7 +44,7 @@ proptest! {
         a in matrix_strategy(7, 5),
         b in matrix_strategy(5, 9),
     ) {
-        assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-4);
+        prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
     }
 
     #[test]
@@ -47,7 +53,7 @@ proptest! {
         b in matrix_strategy(6, 3),
     ) {
         let at = Matrix::from_fn(4, 6, |r, c| a.get(c, r));
-        assert_close(&a.t_matmul(&b), &naive_matmul(&at, &b), 1e-4);
+        prop_assert_eq!(bits(&a.t_matmul(&b)), bits(&naive_matmul(&at, &b)));
     }
 
     #[test]
@@ -56,7 +62,7 @@ proptest! {
         b in matrix_strategy(8, 6),
     ) {
         let bt = Matrix::from_fn(6, 8, |r, c| b.get(c, r));
-        assert_close(&a.matmul_t(&b), &naive_matmul(&a, &bt), 1e-4);
+        prop_assert_eq!(bits(&a.matmul_t(&b)), bits(&naive_matmul(&a, &bt)));
     }
 
     #[test]
@@ -87,22 +93,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_widths_are_bitwise_identical(
-        a in matrix_strategy(13, 6),
-        b in matrix_strategy(6, 5),
-        width in 2usize..7,
-    ) {
-        // Any dispatch width — including widths that don't divide the row
-        // count — reproduces the serial result bit for bit, for all three
-        // product kernels.
-        prop_assert_eq!(a.matmul_threads(&b, width), a.matmul_threads(&b, 1));
-        let bt = Matrix::from_fn(5, 6, |r, c| b.get(c, r));
-        prop_assert_eq!(a.matmul_t_threads(&bt, width), a.matmul_t_threads(&bt, 1));
-        let c = Matrix::from_fn(13, 4, |r, c| a.get(r, c % 6) - 1.0);
-        prop_assert_eq!(a.t_matmul_threads(&c, width), a.t_matmul_threads(&c, 1));
-    }
-
-    #[test]
     fn fused_forward_matches_unfused(
         x in matrix_strategy(11, 7),
         w in matrix_strategy(7, 6),
@@ -110,9 +100,7 @@ proptest! {
         relu in any::<bool>(),
     ) {
         // The fused GEMM+bias+ReLU pass matches the unfused matmul →
-        // bias sweep → activation sweep composition within 1e-6 (it is
-        // bitwise equal by construction; the tolerance is the
-        // acceptance-criteria bound).
+        // bias sweep → activation sweep composition bit for bit.
         let mut expect = x.matmul(&w);
         for r in 0..expect.rows() {
             for (v, b) in expect.row_mut(r).iter_mut().zip(&bias) {
@@ -124,11 +112,7 @@ proptest! {
                 *v = v.max(0.0);
             }
         }
-        let fused = x.dense_forward(&w, &bias, relu);
-        prop_assert_eq!(fused.rows(), expect.rows());
-        for (f, e) in fused.as_slice().iter().zip(expect.as_slice()) {
-            prop_assert!((f - e).abs() <= 1e-6, "{} vs {}", f, e);
-        }
+        prop_assert_eq!(bits(&x.dense_forward(&w, &bias, relu)), bits(&expect));
     }
 
     #[test]
@@ -142,12 +126,12 @@ proptest! {
         // through the same kernels.
         let a = Matrix::from_fn(rows, cols, |r, c| ((r as u64 * 31 + c as u64 * 7 + seed) % 11) as f32 - 5.0);
         let b = Matrix::from_fn(cols, n, |r, c| ((r as u64 * 13 + c as u64 * 3 + seed) % 9) as f32 - 4.0);
-        assert_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-4);
+        prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
         let bt = Matrix::from_fn(n, cols, |r, c| b.get(c, r));
-        assert_close(&a.matmul_t(&bt), &naive_matmul(&a, &b), 1e-4);
+        prop_assert_eq!(bits(&a.matmul_t(&bt)), bits(&naive_matmul(&a, &b)));
         let at = Matrix::from_fn(cols, rows, |r, c| a.get(c, r));
         let c2 = Matrix::from_fn(rows, n, |r, c| ((r + c) % 5) as f32 - 2.0);
-        assert_close(&a.t_matmul(&c2), &naive_matmul(&at, &c2), 1e-4);
+        prop_assert_eq!(bits(&a.t_matmul(&c2)), bits(&naive_matmul(&at, &c2)));
     }
 }
 

@@ -280,8 +280,9 @@ impl ScanHub {
     }
 
     /// Run a batch of scan jobs across the shared persistent worker pool
-    /// (the same pool the GEMM kernels use — no per-batch thread
-    /// spawning). The worker count honours `PipelineConfig::threads`
+    /// (the same pool classify chunks and feature extraction use — no
+    /// per-batch thread spawning). The worker count honours
+    /// `PipelineConfig::threads`
     /// ([`patchecko_core::pipeline::PipelineConfig::effective_threads`]).
     /// The hub, images, and database are taken behind `Arc` because pool
     /// tasks are `'static`. Transient job failures are retried per the
@@ -298,22 +299,14 @@ impl ScanHub {
         let started = Instant::now();
         let before = self.stats();
         let telemetry_before = self.telemetry_snapshot();
-        let threads = self.analyzer.config.effective_threads();
-        let records = schedule::run_jobs_with(
-            self,
-            images,
-            db,
-            jobs,
-            threads,
-            self.retry,
-            self.fault_hook.clone(),
-        );
+        let records =
+            schedule::run_jobs(self, images, db, jobs, self.retry, self.fault_hook.clone());
         let seconds = started.elapsed().as_secs_f64();
         let functions: usize = images.iter().map(|i| i.total_functions()).sum();
         BatchReport {
             records,
             seconds,
-            threads,
+            threads: self.analyzer.config.effective_threads(),
             images: images.len(),
             functions,
             cache: self.stats(),

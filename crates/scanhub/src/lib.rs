@@ -75,7 +75,7 @@ pub use hub::{BatchReport, ScanHub};
 pub use key::{tenant_salt, ArtifactKey, SCHEMA_VERSION};
 pub use namespace::TenantView;
 pub use schedule::{
-    full_schedule, run_jobs, run_jobs_with, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
+    full_schedule, run_jobs, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
 };
 pub use store::{
     Artifact, ArtifactStore, CacheStats, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE,

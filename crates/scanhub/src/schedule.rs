@@ -1,13 +1,13 @@
 //! The multi-image job scheduler: fan a queue of (image × CVE × basis)
 //! scan jobs across the shared persistent worker pool.
 //!
-//! Jobs are dispatched to [`neural::pool::global`] — the same pool the
-//! GEMM kernels and feature extraction use — so a batch spawns no
-//! threads of its own. Workers pull jobs from the pool's shared queue,
-//! so long jobs (big libraries, many candidates) don't starve short ones
-//! the way static chunking would; a job whose scan reaches a parallel
-//! kernel runs that kernel inline on its worker (nested dispatch never
-//! deadlocks or oversubscribes).
+//! Jobs are dispatched to [`neural::pool::global`] — the same pool that
+//! classify chunks, feature extraction and candidate profiling use — so
+//! a batch spawns no threads of its own. Workers pull jobs from the
+//! pool's shared queue, so long jobs (big libraries, many candidates)
+//! don't starve short ones the way static chunking would; a job whose
+//! scan splits its own work runs those tasks inline on its worker
+//! (nested dispatch never deadlocks or oversubscribes).
 //!
 //! ## Failure handling
 //!
@@ -298,37 +298,20 @@ fn timed(
     JobRecord { spec: spec.clone(), seconds: started.elapsed().as_secs_f64(), attempts, outcome }
 }
 
-/// Run `jobs` across up to `threads` shared-pool workers, returning
-/// records in job order. `threads == 1` runs inline (no dispatch);
-/// individual failures are recorded, never propagated. The hub, images,
-/// and database arrive behind `Arc` because pool tasks are `'static` —
-/// each job holds its own handle for the duration of the batch.
+/// Run `jobs` on the shared worker pool, one task per job, returning
+/// records in job order; the pool runs them inline at width 1, for a
+/// single job, or when called from a pool worker. Individual failures
+/// are recorded, never propagated. The hub, images, and database arrive
+/// behind `Arc` because pool tasks are `'static` — each job holds its own
+/// handle for the duration of the batch.
 pub fn run_jobs(
     hub: &Arc<ScanHub>,
     images: &Arc<Vec<FirmwareImage>>,
     db: &Arc<VulnDb>,
     jobs: &[JobSpec],
-    threads: usize,
-) -> Vec<JobRecord> {
-    run_jobs_with(hub, images, db, jobs, threads, RetryPolicy::default(), None)
-}
-
-/// [`run_jobs`] with an explicit retry policy and optional fault hook.
-pub fn run_jobs_with(
-    hub: &Arc<ScanHub>,
-    images: &Arc<Vec<FirmwareImage>>,
-    db: &Arc<VulnDb>,
-    jobs: &[JobSpec],
-    threads: usize,
     retry: RetryPolicy,
     hook: Option<Arc<FaultHook>>,
 ) -> Vec<JobRecord> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs
-            .iter()
-            .map(|spec| timed(hub, images, db, spec, &retry, hook.as_ref()))
-            .collect();
-    }
     let tasks: Vec<Box<dyn FnOnce() -> JobRecord + Send>> = jobs
         .iter()
         .map(|spec| {
