@@ -64,6 +64,37 @@ impl Fnv2 {
     pub fn update_u64(&mut self, v: u64) {
         self.update(&v.to_le_bytes());
     }
+
+    /// Feed an environment list: its length, then each environment's
+    /// length-prefixed input bytes, argument specs and global overrides.
+    /// [`EnvSet`] fingerprints and scanhub's env-set checksums both hash
+    /// through here.
+    pub fn update_envs(&mut self, envs: &[ExecEnv]) {
+        self.update_u64(envs.len() as u64);
+        for env in envs {
+            self.update_u64(env.input.len() as u64);
+            self.update(&env.input);
+            self.update_u64(env.args.len() as u64);
+            for arg in &env.args {
+                match arg {
+                    ArgSpec::InputPtr => self.update(&[1]),
+                    ArgSpec::Int(v) => {
+                        self.update(&[2]);
+                        self.update_u64(*v as u64);
+                    }
+                    ArgSpec::Float(v) => {
+                        self.update(&[3]);
+                        self.update_u64(v.to_bits());
+                    }
+                }
+            }
+            self.update_u64(env.global_overrides.len() as u64);
+            for &(gid, v) in &env.global_overrides {
+                self.update_u64(u64::from(gid));
+                self.update_u64(v as u64);
+            }
+        }
+    }
 }
 
 impl Default for Fnv2 {
@@ -95,30 +126,7 @@ impl EnvSet {
         h.update_u64(vm.max_instructions);
         h.update_u64(vm.max_depth as u64);
         h.update_u64(vm.heap_limit as u64);
-        h.update_u64(envs.len() as u64);
-        for env in &envs {
-            h.update_u64(env.input.len() as u64);
-            h.update(&env.input);
-            h.update_u64(env.args.len() as u64);
-            for arg in &env.args {
-                match arg {
-                    ArgSpec::InputPtr => h.update(&[1]),
-                    ArgSpec::Int(v) => {
-                        h.update(&[2]);
-                        h.update_u64(*v as u64);
-                    }
-                    ArgSpec::Float(v) => {
-                        h.update(&[3]);
-                        h.update_u64(v.to_bits());
-                    }
-                }
-            }
-            h.update_u64(env.global_overrides.len() as u64);
-            for &(gid, v) in &env.global_overrides {
-                h.update_u64(u64::from(gid));
-                h.update_u64(v as u64);
-            }
-        }
+        h.update_envs(&envs);
         EnvSet { fingerprint: (h.hi, h.lo), envs }
     }
 

@@ -109,19 +109,13 @@ pub enum ScanError {
         /// Suggested client backoff before resubmitting, milliseconds.
         retry_after_ms: u64,
     },
-    /// A job exceeded its wall-clock budget and was abandoned by the
-    /// scheduler. Transient: a retry may land on a less loaded worker or
-    /// a warmer cache.
-    Timeout {
-        /// The budget that was exceeded, milliseconds.
-        budget_ms: u64,
-    },
     /// The request's end-to-end deadline passed before a result could be
     /// produced: either the job was discarded at the queue head without
-    /// burning an executor slot, an executor observed expiry between
-    /// pipeline stages, or a deduped follower timed out while the leader
-    /// was still executing. Transient: a retry with a fresh (or larger)
-    /// budget may succeed.
+    /// burning an executor slot, an executor (or a scheduler attempt past
+    /// its per-attempt budget) observed expiry between pipeline stages,
+    /// or a deduped follower timed out while the leader was still
+    /// executing. Transient: a retry with a fresh (or larger) budget may
+    /// succeed.
     DeadlineExceeded {
         /// The end-to-end budget the request carried, milliseconds.
         budget_ms: u64,
@@ -162,7 +156,6 @@ impl ScanError {
             | ScanError::Injected { .. }
             | ScanError::Io { .. }
             | ScanError::Overloaded { .. }
-            | ScanError::Timeout { .. }
             | ScanError::DeadlineExceeded { .. }
             | ScanError::QuotaExceeded { .. }
             | ScanError::Draining => ErrorClass::Transient,
@@ -224,9 +217,6 @@ impl std::fmt::Display for ScanError {
                 f,
                 "overloaded: {queue_depth} queued (limit {queue_limit}), retry after {retry_after_ms}ms"
             ),
-            ScanError::Timeout { budget_ms } => {
-                write!(f, "job exceeded its {budget_ms}ms wall-clock budget")
-            }
             ScanError::DeadlineExceeded { budget_ms } => {
                 write!(f, "deadline exceeded: {budget_ms}ms end-to-end budget elapsed")
             }
@@ -254,7 +244,6 @@ mod tests {
             ScanError::Injected { site: "features_all".into(), detail: "seed 1".into() },
             ScanError::Io { path: "/tmp/x".into(), detail: "interrupted".into() },
             ScanError::Overloaded { queue_depth: 65, queue_limit: 64, retry_after_ms: 100 },
-            ScanError::Timeout { budget_ms: 500 },
             ScanError::DeadlineExceeded { budget_ms: 40 },
             ScanError::QuotaExceeded { tenant: "acme".into(), retry_after_ms: 15 },
             ScanError::Draining,
@@ -292,7 +281,6 @@ mod tests {
         let back: ScanError = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
         assert_eq!(e, back);
         assert!(e.to_string().contains("retry after 250ms"), "{e}");
-        assert!(ScanError::Timeout { budget_ms: 500 }.to_string().contains("500ms"));
         assert!(ScanError::DeadlineExceeded { budget_ms: 40 }.to_string().contains("40ms"));
         let q = ScanError::QuotaExceeded { tenant: "acme".into(), retry_after_ms: 15 };
         let back: ScanError = serde_json::from_str(&serde_json::to_string(&q).unwrap()).unwrap();

@@ -124,11 +124,11 @@ pub trait FeatureSource: Sync {
 
     /// Retrieval signatures for every function of `bin`, in function-table
     /// order. `feats` is the output of [`FeatureSource::features_all`] for
-    /// the same binary, so the default computes signatures directly (the
-    /// signature is a pure function of the features); scanhub's artifact
-    /// store overrides this to serve and incrementally populate its
-    /// persistent signature lane instead. Infallible: a cache problem at
-    /// worst degrades to recomputation.
+    /// the same binary, and the signature is a pure function of the
+    /// features, so the default computes each one directly. scanhub's
+    /// cached sources keep the default: recomputing signatures costs less
+    /// than loading them back from a cache file. A source that wraps
+    /// another may override it to count or time the call.
     fn signatures_all(&self, bin: &Binary, feats: &[StaticFeatures]) -> Vec<FunctionSignature> {
         let _ = bin;
         feats.iter().map(FunctionSignature::of).collect()

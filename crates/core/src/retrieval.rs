@@ -13,8 +13,8 @@
 //! pairs reach the classifier.
 //!
 //! Everything here is a pure function of the feature vector — the same
-//! features always produce the same signature, which is what lets
-//! scanhub's persistent index and on-the-fly computation interoperate.
+//! features always produce the same signature, so a signature recomputed
+//! from cached features is exact and nothing needs to cache signatures.
 
 use crate::features::{self, StaticFeatures, NUM_STATIC_FEATURES};
 use serde::{Deserialize, Serialize};
@@ -66,8 +66,8 @@ pub struct FunctionSignature {
 
 impl FunctionSignature {
     /// Compute the signature of one feature vector. Pure: the same
-    /// features always produce the same signature, so signatures computed
-    /// on the fly and signatures served from a persistent index agree.
+    /// features always produce the same signature, whether they were
+    /// just extracted or served from a cache.
     pub fn of(f: &StaticFeatures) -> FunctionSignature {
         let mut q = [0i16; NUM_STATIC_FEATURES];
         for (qi, &x) in q.iter_mut().zip(f.as_slice()) {

@@ -85,19 +85,28 @@ fn dedup_followers_with_deadlines_get_the_result_or_the_typed_error_never_a_hang
     )
     .unwrap();
 
-    // The leader starts a cold audit, unbounded.
+    // The leader's unbounded job audits the image 64 times over, so it
+    // is still running when both followers join it. Wait until the
+    // executor has popped it.
+    const IMAGES: [usize; 64] = [0; 64];
     let leader = std::thread::spawn({
         let socket = socket.clone();
-        move || ScanClient::connect(&socket, "dup").unwrap().audit(0)
+        move || ScanClient::connect(&socket, "dup").unwrap().batch_audit(&IMAGES)
     });
-    std::thread::sleep(Duration::from_millis(50));
+    let mut poll = ScanClient::connect(&socket, "").unwrap();
+    let polled = Instant::now();
+    while poll.stats().unwrap().in_flight != 1 {
+        assert!(polled.elapsed() < Duration::from_secs(60), "the leader's job never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(poll);
 
     // A deduped follower whose deadline expires mid-execution gets the
     // typed error at its deadline, while the leader keeps the job.
     let mut impatient = ScanClient::connect(&socket, "dup").unwrap();
     impatient.set_deadline_ms(Some(1));
     let asked = Instant::now();
-    let outcome = impatient.audit(0);
+    let outcome = impatient.batch_audit(&IMAGES);
     assert!(
         asked.elapsed() < Duration::from_secs(20),
         "the follower must be released at its deadline, not at job completion"
@@ -110,11 +119,11 @@ fn dedup_followers_with_deadlines_get_the_result_or_the_typed_error_never_a_hang
     // A deduped follower with a generous deadline simply gets the result.
     let mut patient = ScanClient::connect(&socket, "dup").unwrap();
     patient.set_deadline_ms(Some(600_000));
-    let follower_report = patient.audit(0).unwrap();
-    let leader_report = leader.join().unwrap().unwrap();
+    let follower_reports = patient.batch_audit(&IMAGES).unwrap();
+    let leader_reports = leader.join().unwrap().unwrap();
     assert_eq!(
-        serde_json::to_string(&follower_report).unwrap(),
-        serde_json::to_string(&leader_report).unwrap(),
+        serde_json::to_string(&follower_reports).unwrap(),
+        serde_json::to_string(&leader_reports).unwrap(),
         "both waiters of the coalesced job hear the same result"
     );
 
@@ -122,7 +131,7 @@ fn dedup_followers_with_deadlines_get_the_result_or_the_typed_error_never_a_hang
     wait_until_idle(&mut probe);
     let stats = probe.stats().unwrap();
     let dup = &stats.tenants["dup"];
-    assert!(dup.deduped >= 1, "the followers joined the leader's job: {dup:?}");
+    assert_eq!(dup.deduped, 2, "both followers joined the leader's job: {dup:?}");
     assert_eq!(dup.expired, 1, "exactly one waiter expired");
     probe.drain().unwrap();
     server.join();

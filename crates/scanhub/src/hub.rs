@@ -29,7 +29,6 @@ use patchecko_core::error::ScanError;
 use patchecko_core::eval;
 use patchecko_core::pipeline::{Basis, ImageAnalysis, Patchecko, StaticScan};
 use patchecko_core::report::AuditReport;
-use patchecko_core::stream::WorkingSet;
 use scope::{MetricsRegistry, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -167,37 +166,6 @@ impl ScanHub {
         let references = Patchecko::reference_feature_set_with(entry, basis, &*self.store)?;
         let mut scans = self.analyzer.scan_library(bin, &[&references], &*self.store)?;
         Ok(scans.pop().expect("one scan per reference set"))
-    }
-
-    /// Ingest a stream of compiled units into the cache lanes (features
-    /// plus retrieval signatures), holding at most `working_set` units in
-    /// memory at any point. Later scans of the same content are served
-    /// from the cache. Returns `(units, functions, peak_live)` — the peak
-    /// comes from the same [`WorkingSet::drive`] loop as
-    /// [`Patchecko::scan_stream`], so boundedness is provable, not
-    /// inferred from RSS.
-    ///
-    /// # Errors
-    /// Returns the first extraction failure; units already ingested stay
-    /// cached.
-    pub fn ingest_stream<I>(
-        &self,
-        units: I,
-        working_set: usize,
-    ) -> Result<(usize, usize, usize), ScanError>
-    where
-        I: IntoIterator<Item = Binary>,
-    {
-        use patchecko_core::pipeline::FeatureSource;
-        let _span = scope::SpanGuard::enter("stream_ingest");
-        let mut functions = 0usize;
-        let (units, peak) = WorkingSet::drive(units, working_set, |_, bin| {
-            let feats = self.store.features_all(&bin)?;
-            let _sigs = self.store.signatures_all(&bin, &feats);
-            functions += feats.len();
-            Ok::<_, ScanError>(())
-        })?;
-        Ok((units, functions, peak))
     }
 
     /// `tenant`'s view of this hub's store: the full feature/dyn-profile

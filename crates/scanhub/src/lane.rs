@@ -1,10 +1,10 @@
 //! One cache lane: a sharded, content-addressed map of checksummed values
 //! with single-flight computation and a trust-nothing on-disk document.
 //!
-//! The artifact store keeps four lanes — static artifacts, environment
-//! sets, dynamic profiles and retrieval signatures. Each is a [`Lane`]
-//! over a value type implementing [`Checksummed`], plus a file name;
-//! everything else lives here once:
+//! The artifact store keeps three lanes — static artifacts, environment
+//! sets and dynamic profiles. Each is a [`Lane`] over a value type
+//! implementing [`Checksummed`], plus a file name; everything else lives
+//! here once:
 //!
 //! * **Lookup.** 16 independent `parking_lot` shards keyed by
 //!   [`ArtifactKey`], so scheduler workers rarely contend. Every lookup
@@ -288,12 +288,8 @@ impl<V: Checksummed> Lane<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{
-        ArtifactStore, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE, SIG_INDEX_FILE,
-    };
+    use crate::store::{ArtifactStore, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE};
     use crate::testfix;
-    use patchecko_core::features;
-    use patchecko_core::retrieval::FunctionSignature;
     use std::fmt::Debug;
 
     /// Which saved entries a damaged file still loads.
@@ -494,9 +490,6 @@ mod tests {
         let mut other = profile.clone();
         other.ok[1] = true;
         check_lane(DYN_PROFILES_FILE, vec![profile, other]);
-
-        let sigs = features::extract_all(&bin).unwrap().iter().map(FunctionSignature::of).collect();
-        check_lane(SIG_INDEX_FILE, sigs);
     }
 
     #[test]

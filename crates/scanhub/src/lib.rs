@@ -14,15 +14,16 @@
 //!   values with hit/miss/quarantine counters, single-flight computation
 //!   on a miss, and an on-disk document that is quarantined, never
 //!   served, when damaged;
-//! * [`store`] — the [`ArtifactStore`], four lanes behind the pipeline's
+//! * [`store`] — the [`ArtifactStore`], three lanes behind the pipeline's
 //!   seams: static artifacts
 //!   ([`StaticFeatures`](patchecko_core::features::StaticFeatures) +
 //!   [`CfgSummary`](disasm::CfgSummary)), execution-environment sets and
 //!   dynamic profiles (so a warm re-audit performs zero VM executions —
 //!   the store implements
 //!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource)),
-//!   and retrieval signatures behind the sub-linear candidate pre-filter
-//!   (`--retrieval topk`), each persisted to its own file ([`LANE_FILES`]);
+//!   each persisted to its own file ([`LANE_FILES`]). Retrieval
+//!   signatures for `--retrieval topk` are recomputed from the cached
+//!   features, not cached;
 //! * [`namespace`] — per-tenant [`TenantView`]s over one shared store:
 //!   content keys are relocated by a tenant salt so co-resident tenants
 //!   (the scan daemon's clients) never observe each other's artifacts,
@@ -79,5 +80,5 @@ pub use schedule::{
 };
 pub use store::{
     Artifact, ArtifactStore, CacheStats, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE,
-    LANE_FILES, SIG_INDEX_FILE,
+    LANE_FILES,
 };

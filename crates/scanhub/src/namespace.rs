@@ -25,7 +25,6 @@ use patchecko_core::dynsource::{DynProfile, DynProfileSource, EnvSet};
 use patchecko_core::error::ScanError;
 use patchecko_core::features::StaticFeatures;
 use patchecko_core::pipeline::{FeatureSource, RunCtx};
-use patchecko_core::retrieval::FunctionSignature;
 use std::sync::Arc;
 use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
@@ -80,10 +79,6 @@ impl FeatureSource for TenantView {
 
     fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
         self.store.features_one_ns(bin, idx, self.salt)
-    }
-
-    fn signatures_all(&self, bin: &Binary, feats: &[StaticFeatures]) -> Vec<FunctionSignature> {
-        self.store.signatures_all_ns(bin, feats, self.salt)
     }
 }
 
@@ -163,25 +158,6 @@ mod tests {
         TenantView::new(Arc::clone(&reloaded), "rival").features_all(&bin).unwrap();
         assert_eq!(reloaded.stats().extractions, n);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sig_lane_respects_tenant_namespaces() {
-        let store = Arc::new(ArtifactStore::new());
-        let bin = testfix::store_binary();
-        let n = bin.function_count() as u64;
-        let acme = TenantView::new(Arc::clone(&store), "acme");
-        let feats = acme.features_all(&bin).unwrap();
-        let sigs = acme.signatures_all(&bin, &feats);
-        assert_eq!(store.stats().sig_entries, n);
-
-        // Same tenant: cached. Other tenant: recomputed into disjoint keys
-        // (identical values — the signature is a pure feature function).
-        assert_eq!(acme.signatures_all(&bin, &feats), sigs);
-        assert_eq!(store.stats().sig_hits, n);
-        let rival = TenantView::new(Arc::clone(&store), "rival");
-        assert_eq!(rival.signatures_all(&bin, &feats), sigs, "values identical across tenants");
-        assert_eq!(store.stats().sig_entries, 2 * n, "key sets disjoint across tenants");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! Every job produces a [`JobRecord`] with wall-clock timing, its attempt
 //! count, and a typed outcome. A failing attempt yields a
 //! [`ScanError`]; transient errors (corrupt cache artifacts, worker
-//! panics, injected faults, I/O) are retried with exponential backoff up
-//! to [`RetryPolicy::max_attempts`], while permanent errors (bad input,
+//! panics, injected faults, I/O, an overrun
+//! [`RetryPolicy::job_timeout_ms`]) are retried with exponential backoff
+//! up to [`RetryPolicy::max_attempts`], while permanent errors (bad input,
 //! unknown CVE) fail immediately. No panic escapes the scheduler: a
 //! panicking scan is caught, classified as [`ScanError::WorkerPanic`],
 //! and retried like any other transient fault. The optional fault hook is
@@ -53,12 +54,17 @@ pub struct RetryPolicy {
     /// exponential doubling capped at 1024× the base (see
     /// [`RetryPolicy::backoff`]).
     pub base_backoff_ms: u64,
-    /// Wall-clock budget per *attempt*, milliseconds. An attempt
-    /// exceeding it is abandoned and yields a transient
-    /// [`ScanError::Timeout`] — retried like any other transient fault,
-    /// and a permanent [`JobOutcome::Failed`] once attempts are spent —
-    /// so one hung scan can't stall the batch (or wedge the daemon's
-    /// fair scheduler). `None` (the default) disables the budget.
+    /// Wall-clock budget per *attempt*, milliseconds. The budget starts
+    /// before the fault hook fires and rides in the attempt's
+    /// [`CancelToken`], so an attempt that overruns it stops at the next
+    /// pipeline stage boundary with a transient
+    /// [`ScanError::DeadlineExceeded`] — retried like any other transient
+    /// fault, and a permanent [`JobOutcome::Failed`] once attempts are
+    /// spent. The check is cooperative: an attempt is never abandoned in
+    /// the middle of a stage, and a fault hook that never returns blocks
+    /// its job. Every stage does finish, because the VM caps each
+    /// execution with its instruction budget. `None` (the default)
+    /// disables the budget.
     #[serde(default)]
     pub job_timeout_ms: Option<u64>,
 }
@@ -171,8 +177,9 @@ pub fn full_schedule(num_images: usize, db: &VulnDb, bases: &[Basis]) -> Vec<Job
     jobs
 }
 
-/// One attempt of one job. The fault hook fires first so injected worker
-/// deaths preempt real work, exactly like a worker lost mid-scan.
+/// One attempt of one job, stopping at the first stage boundary after
+/// `cancel` expires. The fault hook fires first so injected worker deaths
+/// preempt real work, exactly like a worker lost mid-scan.
 fn run_attempt(
     hub: &ScanHub,
     images: &[FirmwareImage],
@@ -180,6 +187,7 @@ fn run_attempt(
     spec: &JobSpec,
     hook: Option<&Arc<FaultHook>>,
     attempt: u32,
+    cancel: CancelToken,
 ) -> Result<JobOutcome, ScanError> {
     if let Some(hook) = hook {
         if let Some(err) = hook(spec, attempt) {
@@ -191,10 +199,9 @@ fn run_attempt(
         .ok_or(ScanError::ImageOutOfRange { index: spec.image, images: images.len() })?;
     let entry = db.get(&spec.cve).ok_or_else(|| ScanError::UnknownCve(spec.cve.clone()))?;
     let view = hub.tenant_view("");
-    let ctx = view.ctx(CancelToken::unbounded());
     let analysis = hub
         .analyzer
-        .analyze_image(image, &[(entry, spec.basis)], &ctx)?
+        .analyze_image(image, &[(entry, spec.basis)], &view.ctx(cancel))?
         .pop()
         .expect("one analysis per pair");
     Ok(JobOutcome::Completed {
@@ -204,70 +211,35 @@ fn run_attempt(
     })
 }
 
-/// One attempt, panic-contained. The whole attempt — fault hook included
-/// — runs under `catch_unwind`, so nothing a worker does can take down
-/// the batch; a panic is just a transient `WorkerPanic` to the retry
-/// loop.
-fn contained_attempt(
+fn run_one(
     hub: &ScanHub,
     images: &[FirmwareImage],
     db: &VulnDb,
-    spec: &JobSpec,
-    hook: Option<&Arc<FaultHook>>,
-    attempt: u32,
-) -> Result<JobOutcome, ScanError> {
-    catch_unwind(AssertUnwindSafe(|| run_attempt(hub, images, db, spec, hook, attempt)))
-        .unwrap_or_else(|payload| Err(ScanError::from_panic(payload.as_ref())))
-}
-
-/// One attempt under a wall-clock budget: the attempt runs on a spawned
-/// watcher-side thread and the scheduler waits at most `budget_ms` for
-/// its result. On expiry the attempt is *abandoned* — the thread finishes
-/// (or hangs) off to the side, its late result discarded, and the
-/// scheduler moves on with a transient [`ScanError::Timeout`]. An
-/// abandoned extraction that eventually completes still publishes into
-/// the content-addressed store, which is harmless (same key, same value).
-fn budgeted_attempt(
-    hub: &Arc<ScanHub>,
-    images: &Arc<Vec<FirmwareImage>>,
-    db: &Arc<VulnDb>,
-    spec: &JobSpec,
-    hook: Option<&Arc<FaultHook>>,
-    attempt: u32,
-    budget_ms: u64,
-) -> Result<JobOutcome, ScanError> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let (hub2, images2, db2) = (Arc::clone(hub), Arc::clone(images), Arc::clone(db));
-    let (spec2, hook2) = (spec.clone(), hook.cloned());
-    std::thread::spawn(move || {
-        let _ = tx.send(contained_attempt(&hub2, &images2, &db2, &spec2, hook2.as_ref(), attempt));
-    });
-    match rx.recv_timeout(Duration::from_millis(budget_ms)) {
-        Ok(result) => result,
-        Err(_) => {
-            hub.store().registry().add("sched.timeouts", 1);
-            Err(ScanError::Timeout { budget_ms })
-        }
-    }
-}
-
-fn run_one(
-    hub: &Arc<ScanHub>,
-    images: &Arc<Vec<FirmwareImage>>,
-    db: &Arc<VulnDb>,
     spec: &JobSpec,
     retry: &RetryPolicy,
     hook: Option<&Arc<FaultHook>>,
 ) -> (JobOutcome, u32) {
     let max = retry.max_attempts.max(1);
-    let registry = Arc::clone(hub.store().registry());
+    let registry = hub.store().registry();
     let mut attempt = 1;
     loop {
         registry.add("sched.attempts", 1);
-        let attempted = match retry.job_timeout_ms {
-            Some(budget_ms) => budgeted_attempt(hub, images, db, spec, hook, attempt, budget_ms),
-            None => contained_attempt(hub, images, db, spec, hook, attempt),
-        };
+        // The budget starts before the fault hook, so a slow hook counts
+        // against the attempt like any scan work.
+        let cancel = retry.job_timeout_ms.map_or_else(CancelToken::unbounded, |ms| {
+            CancelToken::with_budget(Duration::from_millis(ms))
+        });
+        // The whole attempt — fault hook included — runs under
+        // `catch_unwind`, so nothing a worker does can take down the
+        // batch; a panic is just a transient `WorkerPanic` to the retry
+        // loop.
+        let attempted = catch_unwind(AssertUnwindSafe(|| {
+            run_attempt(hub, images, db, spec, hook, attempt, cancel)
+        }))
+        .unwrap_or_else(|payload| Err(ScanError::from_panic(payload.as_ref())));
+        if matches!(attempted, Err(ScanError::DeadlineExceeded { .. })) {
+            registry.add("sched.timeouts", 1);
+        }
         match attempted {
             Ok(done) => return (done, attempt),
             Err(error) if error.is_transient() && attempt < max => {
@@ -283,9 +255,9 @@ fn run_one(
 }
 
 fn timed(
-    hub: &Arc<ScanHub>,
-    images: &Arc<Vec<FirmwareImage>>,
-    db: &Arc<VulnDb>,
+    hub: &ScanHub,
+    images: &[FirmwareImage],
+    db: &VulnDb,
     spec: &JobSpec,
     retry: &RetryPolicy,
     hook: Option<&Arc<FaultHook>>,

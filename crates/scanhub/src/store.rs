@@ -1,4 +1,4 @@
-//! The content-addressed artifact store: four cache lanes behind the
+//! The content-addressed artifact store: three cache lanes behind the
 //! pipeline's [`FeatureSource`] and [`DynProfileSource`] seams.
 //!
 //! * **static** — one [`Artifact`] (Table-I features + condensed CFG) per
@@ -6,9 +6,7 @@
 //! * **env sets** — the fuzzed execution environments per
 //!   [`ArtifactKey::for_env_set`]; `dyncache.*`; [`DYN_ENVSETS_FILE`];
 //! * **profiles** — one [`DynProfile`] per [`ArtifactKey::for_dyn_profile`];
-//!   `dyncache.*`, shared with the env sets; [`DYN_PROFILES_FILE`];
-//! * **signatures** — one retrieval [`FunctionSignature`] per
-//!   [`ArtifactKey::for_function`]; `index.*`; [`SIG_INDEX_FILE`].
+//!   `dyncache.*`, shared with the env sets; [`DYN_PROFILES_FILE`].
 //!
 //! Each is a `Lane`: sharded lookup, single-flight computation on a
 //! miss, and a checksummed on-disk document that is quarantined, never
@@ -20,6 +18,12 @@
 //! counters, the store counts the work it actually performs:
 //! `cache.extractions` (disassemblies with feature extraction) and
 //! `dyncache.profiled` (live profiling runs).
+//!
+//! The store caches only work that is expensive to redo. A retrieval
+//! signature is a pure function of the features the static lane already
+//! serves, and recomputing it costs less than loading it back from disk,
+//! so the store answers [`FeatureSource::signatures_all`] with the
+//! trait's default.
 //!
 //! ## Tenant namespaces
 //!
@@ -37,13 +41,11 @@ use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet, Fnv2
 use patchecko_core::error::ScanError;
 use patchecko_core::features::{self, StaticFeatures};
 use patchecko_core::pipeline::FeatureSource;
-use patchecko_core::retrieval::FunctionSignature;
 use scope::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
-use std::convert::Infallible;
 use std::path::Path;
 use std::sync::Arc;
-use vm::env::{ArgSpec, ExecEnv};
+use vm::env::ExecEnv;
 use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
 use vm::loader::LoadedBinary;
@@ -54,11 +56,8 @@ pub const ARTIFACTS_FILE: &str = "artifacts.json";
 pub const DYN_ENVSETS_FILE: &str = "dyn_envsets.json";
 /// File name of the dynamic-profile lane.
 pub const DYN_PROFILES_FILE: &str = "dyn_profiles.json";
-/// File name of the signature lane.
-pub const SIG_INDEX_FILE: &str = "sig_index.json";
 /// Every file [`ArtifactStore::save`] writes, in save order.
-pub const LANE_FILES: [&str; 4] =
-    [ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE, SIG_INDEX_FILE];
+pub const LANE_FILES: [&str; 3] = [ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE];
 
 /// The cached artifacts of one function.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,35 +88,12 @@ impl Checksummed for Artifact {
     }
 }
 
-/// Every environment's full contents: input bytes, argument specs and
-/// global overrides, each length-prefixed.
+/// Every environment's full contents, hashed as [`Fnv2::update_envs`]
+/// feeds them.
 impl Checksummed for Vec<ExecEnv> {
     fn checksum(&self) -> u64 {
         let mut h = Fnv2::new();
-        h.update_u64(self.len() as u64);
-        for env in self {
-            h.update_u64(env.input.len() as u64);
-            h.update(&env.input);
-            h.update_u64(env.args.len() as u64);
-            for arg in &env.args {
-                match arg {
-                    ArgSpec::InputPtr => h.update(&[1]),
-                    ArgSpec::Int(v) => {
-                        h.update(&[2]);
-                        h.update_u64(*v as u64);
-                    }
-                    ArgSpec::Float(v) => {
-                        h.update(&[3]);
-                        h.update_u64(v.to_bits());
-                    }
-                }
-            }
-            h.update_u64(env.global_overrides.len() as u64);
-            for &(gid, v) in &env.global_overrides {
-                h.update_u64(u64::from(gid));
-                h.update_u64(v as u64);
-            }
-        }
+        h.update_envs(self);
         h.hi
     }
 }
@@ -135,22 +111,6 @@ impl Checksummed for DynProfile {
             for &x in f.as_slice() {
                 h.update_u64(x.to_bits());
             }
-        }
-        h.hi
-    }
-}
-
-/// The quantized vector and the MinHash values.
-impl Checksummed for FunctionSignature {
-    fn checksum(&self) -> u64 {
-        let mut h = Fnv2::new();
-        h.update_u64(self.q.len() as u64);
-        for &q in &self.q {
-            h.update_u64(q as i64 as u64);
-        }
-        h.update_u64(self.minhash.len() as u64);
-        for &m in &self.minhash {
-            h.update_u32(m);
         }
         h.hi
     }
@@ -188,20 +148,14 @@ pub struct CacheStats {
     /// for failing checksum/schema/parse validation.
     #[serde(default)]
     pub dyn_quarantined: u64,
-    /// Signature-lane lookups served from the cache (a retrieval
-    /// signature *not* recomputed from its features).
+    /// Always 0: the store keeps no signature lane.
+    // Kept: `hybridbench` adds this into its hit count.
     #[serde(default)]
     pub sig_hits: u64,
-    /// Signature-lane lookups that found nothing.
+    /// Always 0: the store keeps no signature lane.
+    // Kept: `hybridbench` adds this into its miss count.
     #[serde(default)]
     pub sig_misses: u64,
-    /// Signature-lane entries currently resident.
-    #[serde(default)]
-    pub sig_entries: u64,
-    /// Signature-lane entries (or the whole `sig_index.json`) evicted on
-    /// load for failing checksum/schema/parse validation.
-    #[serde(default)]
-    pub sig_quarantined: u64,
 }
 
 impl CacheStats {
@@ -236,8 +190,6 @@ impl CacheStats {
             dyn_quarantined: self.dyn_quarantined.saturating_sub(earlier.dyn_quarantined),
             sig_hits: self.sig_hits.saturating_sub(earlier.sig_hits),
             sig_misses: self.sig_misses.saturating_sub(earlier.sig_misses),
-            sig_entries: self.sig_entries,
-            sig_quarantined: self.sig_quarantined.saturating_sub(earlier.sig_quarantined),
         }
     }
 }
@@ -247,8 +199,7 @@ impl std::fmt::Display for CacheStats {
         write!(
             f,
             "{} hits / {} misses ({:.1}% hit rate), {} extractions, {} entries, {} quarantined; \
-             dyn: {} hits / {} misses, {} profiled, {} entries, {} quarantined; \
-             sig: {} hits / {} misses, {} entries, {} quarantined",
+             dyn: {} hits / {} misses, {} profiled, {} entries, {} quarantined",
             self.hits,
             self.misses,
             self.hit_rate() * 100.0,
@@ -259,16 +210,12 @@ impl std::fmt::Display for CacheStats {
             self.dyn_misses,
             self.dyn_profiled,
             self.dyn_entries,
-            self.dyn_quarantined,
-            self.sig_hits,
-            self.sig_misses,
-            self.sig_entries,
-            self.sig_quarantined
+            self.dyn_quarantined
         )
     }
 }
 
-/// The artifact store: four cache lanes plus the work counters.
+/// The artifact store: three cache lanes plus the work counters.
 ///
 /// Cache counters are `scope` registry counters, resolved once at
 /// construction and bumped through lock-free handles on the hot path.
@@ -281,7 +228,6 @@ pub struct ArtifactStore {
     artifacts: Lane<Artifact>,
     envsets: Lane<Vec<ExecEnv>>,
     profiles: Lane<DynProfile>,
-    signatures: Lane<FunctionSignature>,
     extractions: Counter,
     profiled: Counter,
 }
@@ -304,7 +250,6 @@ impl ArtifactStore {
             artifacts: Lane::new(&registry, "cache", ARTIFACTS_FILE),
             envsets: Lane::new(&registry, "dyncache", DYN_ENVSETS_FILE),
             profiles: Lane::new(&registry, "dyncache", DYN_PROFILES_FILE),
-            signatures: Lane::new(&registry, "index", SIG_INDEX_FILE),
             extractions: registry.counter("cache.extractions"),
             profiled: registry.counter("dyncache.profiled"),
             registry,
@@ -330,10 +275,8 @@ impl ArtifactStore {
             dyn_profiled: self.profiled.get(),
             dyn_entries: (self.envsets.len() + self.profiles.len()) as u64,
             dyn_quarantined: self.profiles.quarantined.get(),
-            sig_hits: self.signatures.hits.get(),
-            sig_misses: self.signatures.misses.get(),
-            sig_entries: self.signatures.len() as u64,
-            sig_quarantined: self.signatures.quarantined.get(),
+            sig_hits: 0,
+            sig_misses: 0,
         }
     }
 
@@ -343,7 +286,6 @@ impl ArtifactStore {
         let mut records = self.artifacts.quarantine_records();
         records.extend(self.envsets.quarantine_records());
         records.extend(self.profiles.quarantine_records());
-        records.extend(self.signatures.quarantine_records());
         records
     }
 
@@ -406,8 +348,7 @@ impl ArtifactStore {
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         self.artifacts.save(dir)?;
         self.envsets.save(dir)?;
-        self.profiles.save(dir)?;
-        self.signatures.save(dir)
+        self.profiles.save(dir)
     }
 
     /// Load a store persisted by [`ArtifactStore::save`]. The disk layer
@@ -436,7 +377,6 @@ impl ArtifactStore {
         store.artifacts.load(dir)?;
         store.envsets.load(dir)?;
         store.profiles.load(dir)?;
-        store.signatures.load(dir)?;
         Ok(store)
     }
 
@@ -465,31 +405,6 @@ impl ArtifactStore {
         salt: (u64, u64),
     ) -> Result<StaticFeatures, ScanError> {
         Ok(self.get_or_extract_ns(bin, idx, salt)?.features.clone())
-    }
-
-    /// [`FeatureSource::signatures_all`] in the namespace named by `salt`:
-    /// retrieval signatures for every function of `bin`, served from the
-    /// signature lane when cached, computed from `feats` otherwise.
-    /// `feats` must be the binary's full feature vector list (as returned
-    /// by `features_all`); the signature under a key is a pure function of
-    /// the features under the same key, so the lanes can never disagree.
-    pub fn signatures_all_ns(
-        &self,
-        bin: &Binary,
-        feats: &[StaticFeatures],
-        salt: (u64, u64),
-    ) -> Vec<FunctionSignature> {
-        feats
-            .iter()
-            .enumerate()
-            .map(|(idx, f)| {
-                let key = ArtifactKey::for_function(bin, idx).namespaced(salt);
-                let Ok(sig) = self
-                    .signatures
-                    .get_or_compute(key, || Ok::<_, Infallible>(FunctionSignature::of(f)));
-                (*sig).clone()
-            })
-            .collect()
     }
 
     /// [`DynProfileSource::environments`] in the namespace named by
@@ -561,10 +476,6 @@ impl FeatureSource for ArtifactStore {
 
     fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
         self.features_one_ns(bin, idx, (0, 0))
-    }
-
-    fn signatures_all(&self, bin: &Binary, feats: &[StaticFeatures]) -> Vec<FunctionSignature> {
-        self.signatures_all_ns(bin, feats, (0, 0))
     }
 }
 
@@ -862,30 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn sig_lane_roundtrip_serves_cached_signatures() {
-        let dir = temp_cache("sig-roundtrip");
-        let store = ArtifactStore::new();
-        let bin = sample_binary();
-        let n = bin.function_count() as u64;
-        let feats = store.features_all(&bin).unwrap();
-        let sigs = store.signatures_all(&bin, &feats);
-        let s = store.stats();
-        assert_eq!((s.sig_hits, s.sig_misses, s.sig_entries), (0, n, n));
-        assert_eq!(store.signatures_all(&bin, &feats), sigs, "warm pass serves the same values");
-        assert_eq!(store.stats().sig_hits, n);
-        store.save(&dir).unwrap();
-
-        let reloaded = ArtifactStore::load(&dir).unwrap();
-        let s = reloaded.stats();
-        assert_eq!(s.sig_entries, n);
-        assert_eq!(s.sig_quarantined, 0, "a clean sig index quarantines nothing");
-        assert_eq!(reloaded.signatures_all(&bin, &feats), sigs);
-        let s = reloaded.stats();
-        assert_eq!((s.sig_hits, s.sig_misses), (n, 0), "reloaded lane is warm");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn tampered_dyn_entry_evicted_and_recomputed() {
         let dir = temp_cache("dyn-tampered");
         let (lb, fuzz, vmc) = dyn_fixture();
@@ -1024,6 +911,17 @@ mod tests {
         assert_ne!(reargued.checksum(), c);
     }
 
+    /// Both env-list hashes name persisted cache entries, so their values
+    /// are part of the cache format: moving either one cold-misses every
+    /// cache written before the move.
+    #[test]
+    fn env_list_hashes_are_pinned() {
+        let envs = crate::testfix::sample_envs();
+        let fingerprint = EnvSet::new(envs.clone(), &VmConfig::default()).fingerprint;
+        assert_eq!(fingerprint, (0xb3c6_5814_6078_038e, 0x44a2_7777_ac5b_f185));
+        assert_eq!(envs.checksum(), 0x915f_d5f3_0e07_e086);
+    }
+
     #[test]
     fn profile_checksum_is_content_sensitive_and_json_stable() {
         let p = crate::testfix::sample_profile();
@@ -1038,23 +936,5 @@ mod tests {
         let mut nudged = p.clone();
         nudged.features[0].0[0] = 1.250_000_001;
         assert_ne!(nudged.checksum(), c);
-    }
-
-    #[test]
-    fn signature_checksum_is_content_sensitive_and_json_stable() {
-        let feats = features::extract_all(&sample_binary()).unwrap();
-        let sig = FunctionSignature::of(&feats[0]);
-        let c = sig.checksum();
-        let json = serde_json::to_string(&sig).unwrap();
-        let back: FunctionSignature = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sig, "JSON round-trip preserves the signature");
-        assert_eq!(back.checksum(), c);
-
-        let mut tampered = sig.clone();
-        tampered.q[7] ^= 1;
-        assert_ne!(tampered.checksum(), c);
-        let mut rehashed = sig.clone();
-        rehashed.minhash[3] ^= 1;
-        assert_ne!(rehashed.checksum(), c);
     }
 }
