@@ -51,12 +51,10 @@ fn bench_cache(c: &mut Criterion) {
 
     // Warm: the steady state — the shared store already holds every
     // artifact, so the scan is cache lookups + the batched forward pass.
-    // Wired to the global scope registry so the final telemetry table
-    // shows the hit/miss ledger for the whole warm sweep.
-    let warm_hub = ScanHub::with_registry(
-        Patchecko::new(analyzer.detector.clone(), PipelineConfig::default()),
-        scope::global_shared(),
-    );
+    // Its merged snapshot, printed at the end, shows the hit/miss ledger
+    // for the whole warm sweep.
+    let warm_hub =
+        ScanHub::new(Patchecko::new(analyzer.detector.clone(), PipelineConfig::default()));
     warm_hub.scan_library(&bin, entry, Basis::Vulnerable).unwrap();
     c.bench_function("cache/scan_library_warm", |b| {
         b.iter(|| black_box(warm_hub.scan_library(&bin, entry, Basis::Vulnerable).unwrap()))
@@ -103,6 +101,10 @@ fn bench_cache(c: &mut Criterion) {
     c.bench_function("inference/batched_531", |b| {
         b.iter(|| black_box(det.classify_batch(&pairs)))
     });
+
+    // The warm hub's cache counters merged with every scan's pipeline
+    // spans from the global registry.
+    patchecko_bench::print_snapshot("bench_cache", &warm_hub.telemetry_snapshot());
 }
 
 criterion_group! {
@@ -113,7 +115,4 @@ criterion_group! {
 
 fn main() {
     benches();
-    // The warm hub's cache counters and every scan's pipeline spans all
-    // landed in the global scope registry; print the combined ledger.
-    patchecko_bench::print_telemetry("bench_cache");
 }

@@ -68,7 +68,7 @@ fn bench_dyncache(c: &mut Criterion) {
 
     // Correctness gate before any timing: a warm re-audit must be
     // VM-free and bit-identical to the cold audit it was warmed by.
-    let warm_hub = ScanHub::with_registry(analyzer(), scope::global_shared());
+    let warm_hub = ScanHub::new(analyzer());
     let cold_report = warm_hub.audit(&db, image, &diff).unwrap();
     let executed = vm_executions();
     let warm_report = warm_hub.audit(&db, image, &diff).unwrap();
@@ -95,6 +95,10 @@ fn bench_dyncache(c: &mut Criterion) {
     });
 
     bench_dyn_stage(c, &detector, &device);
+
+    // The warm hub's hit/miss ledger merged with the global registry's
+    // vm.executions chokepoint and stage spans.
+    patchecko_bench::print_snapshot("bench_dyncache", &warm_hub.telemetry_snapshot());
 }
 
 /// Dynamic-stage isolation: the engine-rework headline. Both engines run
@@ -173,7 +177,4 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dyncache.json");
     criterion::write_json_summary(path).expect("write BENCH_dyncache.json");
     println!("wrote {path}");
-    // The warm hub recorded its hit/miss ledger and the vm.executions
-    // chokepoint into the global scope registry; show the combined view.
-    patchecko_bench::print_telemetry("bench_dyncache");
 }

@@ -147,7 +147,13 @@ pub fn build(opts: &HarnessOpts) -> Evaluation {
 /// histograms the service and CLI report, populated here by the library
 /// instrumentation as the harness exercises each stage.
 pub fn print_telemetry(what: &str) {
-    let snap = scope::snapshot();
+    print_snapshot(what, &scope::snapshot());
+}
+
+/// Print `snap` as a telemetry table, for benches that report a hub's
+/// merged snapshot (`ScanHub::telemetry_snapshot`) rather than the global
+/// registry alone.
+pub fn print_snapshot(what: &str, snap: &scope::TelemetrySnapshot) {
     if snap.is_empty() {
         return;
     }

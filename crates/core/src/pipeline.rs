@@ -175,7 +175,7 @@ impl FeatureSource for DirectExtraction {
 /// [`RunCtx::default`] is the uncached, unbounded run: [`DirectExtraction`],
 /// [`LiveProfiling`] and [`CancelToken::unbounded`]. scanhub builds a
 /// tenant's context from its cache namespace
-/// (`patchecko_scanhub::TenantView::ctx`).
+/// (`patchecko_scanhub::ArtifactStore::ctx`).
 pub struct RunCtx<'a> {
     /// Static features, target and reference sides alike.
     pub features: &'a dyn FeatureSource,

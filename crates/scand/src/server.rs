@@ -16,7 +16,8 @@
 //!
 //! Tenancy is a cache-namespace property, not a data-path one: every job
 //! runs `eval::audit_image` or `Patchecko::analyze_image` with the
-//! context of the tenant's [`TenantView`](patchecko_scanhub::TenantView),
+//! context of the tenant's store handle
+//! ([`ScanHub::tenant_view`](patchecko_scanhub::ScanHub::tenant_view)),
 //! which relocates artifact keys into the tenant's namespace, so tenants
 //! share the hub's warm memory without ever reading each other's cache
 //! entries. Per-tenant counters and latency histograms record under
@@ -109,7 +110,7 @@ pub struct ServerConfig {
     pub tenant_quota: Option<TenantQuota>,
     /// Dynamic-stage circuit breaker tuning (`threshold: 0` disables).
     pub breaker: BreakerConfig,
-    /// Persist both cache lanes after every N completed jobs (`None` =
+    /// Persist the three cache lanes after every N completed jobs (`None` =
     /// only on drain). Saves are atomic, so a SIGKILL mid-checkpoint
     /// never corrupts the cache.
     pub checkpoint_every: Option<u64>,

@@ -3,20 +3,19 @@
 //! `ScanHub` is the long-lived object a deployment keeps between requests.
 //! A run goes through the pipeline's own entry points
 //! ([`Patchecko::analyze_image`], [`eval::audit_image`]) with a context
-//! from [`ScanHub::tenant_view`] + [`TenantView::ctx`], so every
-//! static-stage feature lookup — target functions, reference variants,
-//! the differential engine's three-way comparison — routes through the
-//! content-addressed store: the first scan of an image pays for
-//! disassembly and feature extraction once and every later scan (new
-//! CVE, other basis, re-audit after reboot via the on-disk layer) reuses
-//! the artifacts. The dynamic stage routes through the store's dynamic
-//! lane the same way: environment sets and per-function dynamic profiles
-//! are cached by content, so a warm re-audit performs zero VM
-//! executions. Entry points return typed [`ScanError`]s rather than
-//! panicking; batch scheduling retries transient failures per the hub's
-//! [`RetryPolicy`].
+//! from [`ArtifactStore::ctx`], on the hub's store or on a
+//! [`ScanHub::tenant_view`], so every static-stage feature lookup —
+//! target functions, reference variants, the differential engine's
+//! three-way comparison — routes through the content-addressed store:
+//! the first scan of an image pays for disassembly and feature
+//! extraction once and every later scan (new CVE, other basis, re-audit
+//! after reboot via the on-disk layer) reuses the artifacts. The dynamic
+//! stage routes through the store's dynamic lanes the same way:
+//! environment sets and per-function dynamic profiles are cached by
+//! content, so a warm re-audit performs zero VM executions. Entry points
+//! return typed [`ScanError`]s rather than panicking; batch scheduling
+//! retries transient failures per the hub's [`RetryPolicy`].
 
-use crate::namespace::TenantView;
 use crate::schedule::{self, FaultHook, JobRecord, JobSpec, RetryPolicy};
 use crate::store::{ArtifactStore, CacheStats};
 use corpus::vulndb::{DbEntry, VulnDb};
@@ -39,27 +38,16 @@ use std::time::Instant;
 pub struct ScanHub {
     /// The trained analyzer (detector + pipeline settings).
     pub analyzer: Patchecko,
-    // Behind `Arc` so the store can also serve as the pipeline's shared
-    // `Arc<dyn DynProfileSource>` (see [`ScanHub::dyn_source`]).
-    store: Arc<ArtifactStore>,
+    store: ArtifactStore,
     cache_dir: Option<PathBuf>,
     retry: RetryPolicy,
     fault_hook: Option<Arc<FaultHook>>,
 }
 
 impl ScanHub {
-    /// A hub with a fresh in-memory store (and a fresh private metrics
-    /// registry — see [`ScanHub::with_registry`]).
+    /// A hub with a fresh in-memory store.
     pub fn new(analyzer: Patchecko) -> ScanHub {
-        ScanHub::with_store(analyzer, Arc::new(ArtifactStore::new()), None)
-    }
-
-    /// A hub whose cache and scheduler counters record into `registry`.
-    /// The CLI passes `scope::global_shared()` here so the whole
-    /// command's telemetry — cache counters, scheduler counters, stage
-    /// spans — lands in one registry and prints as one table.
-    pub fn with_registry(analyzer: Patchecko, registry: Arc<MetricsRegistry>) -> ScanHub {
-        ScanHub::with_store(analyzer, Arc::new(ArtifactStore::with_registry(registry)), None)
+        ScanHub::over(analyzer, ArtifactStore::new(), None)
     }
 
     /// A hub whose store persists under `dir`: existing artifacts are
@@ -70,36 +58,17 @@ impl ScanHub {
     /// # Errors
     /// Propagates filesystem errors from reading the cache directory.
     pub fn with_cache_dir(analyzer: Patchecko, dir: impl Into<PathBuf>) -> std::io::Result<ScanHub> {
-        ScanHub::with_cache_dir_and_registry(analyzer, dir, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// [`ScanHub::with_cache_dir`] recording telemetry into `registry`.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors from reading the cache directory.
-    pub fn with_cache_dir_and_registry(
-        analyzer: Patchecko,
-        dir: impl Into<PathBuf>,
-        registry: Arc<MetricsRegistry>,
-    ) -> std::io::Result<ScanHub> {
         let dir = dir.into();
-        let store = Arc::new(ArtifactStore::load_with_registry(&dir, registry)?);
-        Ok(ScanHub::with_store(analyzer, store, Some(dir)))
+        Ok(ScanHub::over(analyzer, ArtifactStore::load(&dir)?, Some(dir)))
     }
 
-    /// A hub around an *injected* store. This is the scan daemon's
-    /// constructor: the daemon loads/owns the store itself (so it can
-    /// also hand out per-tenant views of it) and tells the hub where
-    /// [`ScanHub::persist`] should write (`None` disables persistence).
-    pub fn with_store(
-        analyzer: Patchecko,
-        store: Arc<ArtifactStore>,
-        cache_dir: Option<PathBuf>,
-    ) -> ScanHub {
+    /// A hub over `store`, persisting to `cache_dir` when one is given.
+    fn over(analyzer: Patchecko, store: ArtifactStore, cache_dir: Option<PathBuf>) -> ScanHub {
         ScanHub { analyzer, store, cache_dir, retry: RetryPolicy::default(), fault_hook: None }
     }
 
-    /// The registry the hub's cache and scheduler counters live in.
+    /// The registry the hub's cache and scheduler counters live in: the
+    /// store's own.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         self.store.registry()
     }
@@ -110,11 +79,6 @@ impl ScanHub {
         self
     }
 
-    /// The batch retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Install a pre-attempt fault hook (chaos testing seam — see
     /// [`schedule::FaultHook`]). Production deployments leave this unset.
     pub fn with_fault_hook(mut self, hook: Arc<FaultHook>) -> ScanHub {
@@ -122,15 +86,15 @@ impl ScanHub {
         self
     }
 
-    /// The artifact store.
+    /// The artifact store, in the base namespace.
     pub fn store(&self) -> &ArtifactStore {
         &self.store
     }
 
-    /// The store viewed as the base namespace's dynamic-profile source.
+    /// The store as the base namespace's dynamic-profile source.
     pub fn dyn_source(&self) -> Arc<dyn DynProfileSource> {
         // Kept: `hybridbench` wraps this in a tracing source.
-        Arc::clone(&self.store) as Arc<dyn DynProfileSource>
+        Arc::new(self.store.clone())
     }
 
     /// Current cache counters.
@@ -163,17 +127,17 @@ impl ScanHub {
         entry: &DbEntry,
         basis: Basis,
     ) -> Result<StaticScan, ScanError> {
-        let references = Patchecko::reference_feature_set_with(entry, basis, &*self.store)?;
-        let mut scans = self.analyzer.scan_library(bin, &[&references], &*self.store)?;
+        let references = Patchecko::reference_feature_set_with(entry, basis, &self.store)?;
+        let mut scans = self.analyzer.scan_library(bin, &[&references], &self.store)?;
         Ok(scans.pop().expect("one scan per reference set"))
     }
 
-    /// `tenant`'s view of this hub's store: the full feature/dyn-profile
-    /// surface with every cache key relocated into the tenant's
-    /// namespace. The empty tenant is the identity view — the base
-    /// namespace every un-namespaced caller shares.
-    pub fn tenant_view(&self, tenant: &str) -> TenantView {
-        TenantView::new(Arc::clone(&self.store), tenant)
+    /// This hub's store in `tenant`'s namespace ([`ArtifactStore::tenant`]):
+    /// the same lanes, counters and registry, with every cache key
+    /// relocated by the tenant's salt. The empty tenant is the base
+    /// namespace.
+    pub fn tenant_view(&self, tenant: &str) -> ArtifactStore {
+        self.store.tenant(tenant)
     }
 
     /// [`Patchecko::analyze_image`] in `tenant`'s cache namespace with no
@@ -208,16 +172,14 @@ impl ScanHub {
         diff: &DifferentialConfig,
     ) -> Result<AuditReport, ScanError> {
         // Kept: `hybridbench` calls this name.
-        let view = self.tenant_view("");
-        eval::audit_image(&self.analyzer, db, image, diff, &view.ctx(CancelToken::unbounded()))
+        let ctx = self.store.ctx(CancelToken::unbounded());
+        eval::audit_image(&self.analyzer, db, image, diff, &ctx)
     }
 
     /// [`ScanHub::audit`], with the report's `telemetry` field filled by
-    /// the movement of this hub's registry over the audit (merged with
-    /// the global registry's movement — stage spans — when the hub uses a
-    /// private registry). Plain [`ScanHub::audit`] leaves telemetry
-    /// `None`, keeping warm/cold report bytes identical for callers that
-    /// diff them.
+    /// the movement of [`ScanHub::telemetry_snapshot`] over the audit.
+    /// Plain [`ScanHub::audit`] leaves telemetry `None`, keeping warm/cold
+    /// report bytes identical for callers that diff them.
     ///
     /// # Errors
     /// As for [`ScanHub::audit`].
@@ -233,18 +195,12 @@ impl ScanHub {
         Ok(report)
     }
 
-    /// One snapshot covering this hub's registry and — when the hub's
-    /// registry is *not* already the global one — the global registry,
-    /// where stage spans and library counters record. The `Arc::ptr_eq`
-    /// guard prevents double-counting when the CLI wires the hub to
-    /// `scope::global_shared()`.
+    /// One snapshot covering this hub's registry (cache, scheduler and
+    /// daemon counters) merged with the process-global registry (stage
+    /// spans and library counters such as `vm.executions`). No hub
+    /// records into the global registry, so nothing is counted twice.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let own = self.registry().snapshot();
-        if Arc::ptr_eq(self.registry(), &scope::global_shared()) {
-            own
-        } else {
-            own.merged(&scope::snapshot())
-        }
+        self.registry().snapshot().merged(&scope::snapshot())
     }
 
     /// Run a batch of scan jobs across the shared persistent worker pool

@@ -19,8 +19,9 @@
 //!   batch of VM executions.
 //! * **Persistence.** [`Lane::save`] writes one JSON document,
 //!   `{"schema": N, "entries": {"<hex key>": {"checksum": C, "value": V}}}`,
-//!   to a temp file and renames it into place, so a crash mid-save leaves
-//!   the previous document intact rather than a truncated one.
+//!   to a temp file of its own and renames it into place, so a crash
+//!   mid-save leaves the previous document intact rather than a truncated
+//!   one, and overlapping saves each publish a whole document.
 //!
 //! ## Load outcomes
 //!
@@ -48,11 +49,16 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 
 /// Shard count of the in-memory map. Power of two, comfortably above the
 /// worker counts the scheduler runs with.
 const NUM_SHARDS: usize = 16;
+
+/// Saves started in this process; with the pid, it names each save's temp
+/// file.
+static SAVES: AtomicU64 = AtomicU64::new(0);
 
 /// A value a [`Lane`] can cache and persist.
 pub(crate) trait Checksummed: Serialize + DeserializeOwned {
@@ -209,7 +215,9 @@ impl<V: Checksummed> Lane<V> {
     }
 
     /// Write the lane to `dir/<file>` (creating `dir` as needed) through a
-    /// temp file and a rename.
+    /// temp file and a rename. Every call gets its own temp name (pid plus
+    /// a process-wide sequence number), so concurrent saves never rename
+    /// each other's file away or interleave their writes.
     ///
     /// # Errors
     /// Propagates filesystem errors.
@@ -223,7 +231,8 @@ impl<V: Checksummed> Lane<V> {
         let json = serde_json::to_string(&Envelope { schema: SCHEMA_VERSION, entries })
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{}.tmp.{}", self.file, std::process::id()));
+        let seq = SAVES.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!("{}.tmp.{}.{seq}", self.file, std::process::id()));
         std::fs::write(&tmp, json)?;
         std::fs::rename(&tmp, dir.join(self.file))
     }
@@ -290,6 +299,7 @@ mod tests {
     use super::*;
     use crate::store::{ArtifactStore, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE};
     use crate::testfix;
+    use patchecko_core::dynsource::DynProfile;
     use std::fmt::Debug;
 
     /// Which saved entries a damaged file still loads.
@@ -479,7 +489,7 @@ mod tests {
         let bin = testfix::store_binary();
         let store = ArtifactStore::new();
         let artifacts = (0..bin.function_count())
-            .map(|i| (*store.get_or_extract_ns(&bin, i, (0, 0)).unwrap()).clone())
+            .map(|i| (*store.get_or_extract(&bin, i).unwrap()).clone())
             .collect();
         check_lane(ARTIFACTS_FILE, artifacts);
 
@@ -517,5 +527,40 @@ mod tests {
         assert_eq!(computed.into_inner(), 1, "racing misses single-flight to one computation");
         assert_eq!(lane.len(), 1);
         assert_eq!((lane.hits.get(), lane.misses.get()), (0, 4), "one count per call");
+    }
+
+    #[test]
+    fn overlapping_saves_all_succeed_and_publish_whole_documents() {
+        // Two savers race 200 saves each while a third thread keeps
+        // inserting, so every save serializes a different snapshot. With a
+        // shared temp name, one saver's rename moved the other's file
+        // away (`NotFound`) or published a mix of two snapshots.
+        let dir = std::env::temp_dir()
+            .join(format!("scanhub-lane-{}-overlapping-saves", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lane: Lane<DynProfile> = Lane::new(&MetricsRegistry::new(), "test", DYN_PROFILES_FILE);
+        let savers_done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut i = 0;
+                while i < 300 && !savers_done.load(Ordering::Relaxed) {
+                    lane.insert(ArtifactKey { hi: i, lo: !i }, testfix::sample_profile());
+                    i += 1;
+                    std::thread::yield_now();
+                }
+            });
+            let savers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| (0..200).filter(|_| lane.save(&dir).is_err()).count()))
+                .collect();
+            let failed: usize = savers.into_iter().map(|h| h.join().unwrap()).sum();
+            savers_done.store(true, Ordering::Relaxed);
+            assert_eq!(failed, 0, "{failed} of 400 saves failed");
+        });
+        let reloaded: Lane<DynProfile> =
+            Lane::new(&MetricsRegistry::new(), "test", DYN_PROFILES_FILE);
+        reloaded.load(&dir).unwrap();
+        assert_eq!(reloaded.quarantine_records(), Vec::<String>::new());
+        assert!(reloaded.len() > 0, "the last save published its entries");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

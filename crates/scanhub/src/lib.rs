@@ -23,19 +23,22 @@
 //!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource)),
 //!   each persisted to its own file ([`LANE_FILES`]). Retrieval
 //!   signatures for `--retrieval topk` are recomputed from the cached
-//!   features, not cached;
-//! * [`namespace`] — per-tenant [`TenantView`]s over one shared store:
-//!   content keys are relocated by a tenant salt so co-resident tenants
+//!   features, not cached. The store is a cheap-to-clone handle: the
+//!   shared lanes plus a namespace salt. [`ArtifactStore::tenant`]
+//!   returns the same lanes under a tenant's salt, so co-resident tenants
 //!   (the scan daemon's clients) never observe each other's artifacts,
-//!   and [`TenantView::ctx`] builds the pipeline's
-//!   [`RunCtx`](patchecko_core::pipeline::RunCtx) for one tenant (tenant
-//!   `""` is the base namespace);
+//!   and [`ArtifactStore::ctx`] builds the pipeline's
+//!   [`RunCtx`](patchecko_core::pipeline::RunCtx) in the handle's
+//!   namespace (tenant `""` is the base namespace). Every store records
+//!   its counters into a private `scope` registry of its own;
 //! * [`schedule`] — the (image × CVE × basis) job scheduler over the
 //!   shared persistent worker pool ([`neural::pool`]), with per-job
 //!   wall-clock budgets, timing, and graceful failure records;
 //! * [`hub`] — [`ScanHub`], binding a trained
 //!   [`Patchecko`](patchecko_core::pipeline::Patchecko) analyzer to a
-//!   store so scans, audits, and batches all reuse cached artifacts.
+//!   store so scans, audits, and batches all reuse cached artifacts;
+//!   [`ScanHub::telemetry_snapshot`] reports the store's registry merged
+//!   with the process-global one, where stage spans record.
 //!
 //! ## Example
 //!
@@ -66,7 +69,6 @@
 pub mod hub;
 pub mod key;
 mod lane;
-pub mod namespace;
 pub mod schedule;
 pub mod store;
 #[cfg(test)]
@@ -74,7 +76,6 @@ pub(crate) mod testfix;
 
 pub use hub::{BatchReport, ScanHub};
 pub use key::{tenant_salt, ArtifactKey, SCHEMA_VERSION};
-pub use namespace::TenantView;
 pub use schedule::{
     full_schedule, run_jobs, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
 };

@@ -198,10 +198,9 @@ fn run_attempt(
         .get(spec.image)
         .ok_or(ScanError::ImageOutOfRange { index: spec.image, images: images.len() })?;
     let entry = db.get(&spec.cve).ok_or_else(|| ScanError::UnknownCve(spec.cve.clone()))?;
-    let view = hub.tenant_view("");
     let analysis = hub
         .analyzer
-        .analyze_image(image, &[(entry, spec.basis)], &view.ctx(cancel))?
+        .analyze_image(image, &[(entry, spec.basis)], &hub.store().ctx(cancel))?
         .pop()
         .expect("one analysis per pair");
     Ok(JobOutcome::Completed {

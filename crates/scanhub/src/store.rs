@@ -27,20 +27,24 @@
 //!
 //! ## Tenant namespaces
 //!
-//! Every entry point has a `*_ns` variant taking a namespace salt
-//! ([`crate::key::tenant_salt`]): keys are relocated by XOR before they
-//! reach a lane, so tenants sharing one store (and one persisted cache)
-//! never observe each other's artifacts. The plain entry points are the
-//! zero-salt (identity) namespace.
+//! An [`ArtifactStore`] is a handle: the shared lanes plus one namespace
+//! salt ([`crate::key::tenant_salt`]). Every lookup relocates its key by
+//! the handle's salt (XOR) before it reaches a lane, so tenants sharing
+//! one store (and one persisted cache) never observe each other's
+//! artifacts. [`ArtifactStore::new`] and [`ArtifactStore::load`] return
+//! the base namespace, salt `(0, 0)`, which the anonymous tenant `""`
+//! shares; [`ArtifactStore::tenant`] returns the same lanes under a
+//! tenant's salt.
 
-use crate::key::ArtifactKey;
+use crate::key::{tenant_salt, ArtifactKey};
 use crate::lane::{Checksummed, Lane};
 use disasm::CfgSummary;
 use fwbin::format::Binary;
+use patchecko_core::cancel::CancelToken;
 use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet, Fnv2};
 use patchecko_core::error::ScanError;
 use patchecko_core::features::{self, StaticFeatures};
-use patchecko_core::pipeline::FeatureSource;
+use patchecko_core::pipeline::{FeatureSource, RunCtx};
 use scope::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -215,15 +219,22 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// The artifact store: three cache lanes plus the work counters.
+/// The artifact store: a cheap-to-clone handle on three cache lanes, in
+/// one namespace (see the module docs).
 ///
-/// Cache counters are `scope` registry counters, resolved once at
-/// construction and bumped through lock-free handles on the hot path.
-/// Each store owns its registry — a fresh private one by default, so
-/// concurrent stores never see each other's counts — and the CLI passes
-/// `scope::global_shared()` in so cache activity lands in the same
-/// snapshot as span timings and scheduler counters.
+/// Clones and [`ArtifactStore::tenant`] handles share the lanes, the work
+/// counters and the registry; only the salt differs. Cache counters are
+/// `scope` registry counters, resolved once at construction and bumped
+/// through lock-free handles on the hot path. Every store owns a fresh
+/// private registry, so two stores never see each other's counts.
+#[derive(Clone)]
 pub struct ArtifactStore {
+    lanes: Arc<Lanes>,
+    salt: (u64, u64),
+}
+
+/// What every handle on one store shares.
+struct Lanes {
     registry: Arc<MetricsRegistry>,
     artifacts: Lane<Artifact>,
     envsets: Lane<Vec<ExecEnv>>,
@@ -239,42 +250,78 @@ impl Default for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// An empty store with a fresh private metrics registry.
+    /// An empty store in the base namespace, with a fresh private metrics
+    /// registry.
     pub fn new() -> ArtifactStore {
-        ArtifactStore::with_registry(Arc::new(MetricsRegistry::new()))
-    }
-
-    /// An empty store recording its cache counters into `registry`.
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> ArtifactStore {
-        ArtifactStore {
+        let registry = Arc::new(MetricsRegistry::new());
+        let lanes = Lanes {
             artifacts: Lane::new(&registry, "cache", ARTIFACTS_FILE),
             envsets: Lane::new(&registry, "dyncache", DYN_ENVSETS_FILE),
             profiles: Lane::new(&registry, "dyncache", DYN_PROFILES_FILE),
             extractions: registry.counter("cache.extractions"),
             profiled: registry.counter("dyncache.profiled"),
             registry,
-        }
+        };
+        ArtifactStore { lanes: Arc::new(lanes), salt: (0, 0) }
+    }
+
+    /// Load a store persisted by [`ArtifactStore::save`], in the base
+    /// namespace. The disk layer is untrusted: each lane file loads on its
+    /// own, and damage is quarantined rather than served or raised — a
+    /// missing file is an empty lane, an unparseable one is moved aside, a
+    /// stale schema is discarded, and a bad entry is evicted while the
+    /// rest load (the full list is in the `lane` module).
+    ///
+    /// # Errors
+    /// Propagates filesystem errors other than `NotFound`.
+    pub fn load(dir: &Path) -> std::io::Result<ArtifactStore> {
+        let store = ArtifactStore::new();
+        store.lanes.artifacts.load(dir)?;
+        store.lanes.envsets.load(dir)?;
+        store.lanes.profiles.load(dir)?;
+        Ok(store)
+    }
+
+    /// This store's lanes in `tenant`'s namespace. The empty tenant is the
+    /// base namespace.
+    pub fn tenant(&self, tenant: &str) -> ArtifactStore {
+        ArtifactStore { lanes: Arc::clone(&self.lanes), salt: tenant_salt(tenant) }
+    }
+
+    /// The namespace salt every key is relocated by.
+    pub fn salt(&self) -> (u64, u64) {
+        self.salt
+    }
+
+    /// A pipeline context running in this handle's namespace: static
+    /// features and dynamic profiles both come from the handle, and the
+    /// run stops at the first stage boundary after `cancel` expires. Every
+    /// hub, scheduler, daemon and CLI run builds its context here.
+    pub fn ctx(&self, cancel: CancelToken) -> RunCtx<'_> {
+        RunCtx { features: self, profiles: Arc::new(self.clone()), cancel }
     }
 
     /// The registry this store's counters live in.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
+        &self.lanes.registry
     }
 
-    /// Current counter snapshot. The two dynamic lanes share their
-    /// `dyncache.*` counters, so either lane's handle reads the total.
+    /// Current counter snapshot, over every namespace. The two dynamic
+    /// lanes share their `dyncache.*` counters, so either lane's handle
+    /// reads the total.
     pub fn stats(&self) -> CacheStats {
+        let lanes = &*self.lanes;
         CacheStats {
-            hits: self.artifacts.hits.get(),
-            misses: self.artifacts.misses.get(),
-            extractions: self.extractions.get(),
-            entries: self.artifacts.len() as u64,
-            quarantined: self.artifacts.quarantined.get(),
-            dyn_hits: self.profiles.hits.get(),
-            dyn_misses: self.profiles.misses.get(),
-            dyn_profiled: self.profiled.get(),
-            dyn_entries: (self.envsets.len() + self.profiles.len()) as u64,
-            dyn_quarantined: self.profiles.quarantined.get(),
+            hits: lanes.artifacts.hits.get(),
+            misses: lanes.artifacts.misses.get(),
+            extractions: lanes.extractions.get(),
+            entries: lanes.artifacts.len() as u64,
+            quarantined: lanes.artifacts.quarantined.get(),
+            dyn_hits: lanes.profiles.hits.get(),
+            dyn_misses: lanes.profiles.misses.get(),
+            dyn_profiled: lanes.profiled.get(),
+            dyn_entries: (lanes.envsets.len() + lanes.profiles.len()) as u64,
+            dyn_quarantined: lanes.profiles.quarantined.get(),
             sig_hits: 0,
             sig_misses: 0,
         }
@@ -283,60 +330,20 @@ impl ArtifactStore {
     /// Details of every quarantine event since construction (validation
     /// failures found while loading the disk layer, all lanes).
     pub fn quarantine_records(&self) -> Vec<String> {
-        let mut records = self.artifacts.quarantine_records();
-        records.extend(self.envsets.quarantine_records());
-        records.extend(self.profiles.quarantine_records());
+        let mut records = self.lanes.artifacts.quarantine_records();
+        records.extend(self.lanes.envsets.quarantine_records());
+        records.extend(self.lanes.profiles.quarantine_records());
         records
     }
 
-    /// Number of resident static-lane entries.
+    /// Number of resident static-lane entries, over every namespace.
     pub fn len(&self) -> usize {
-        self.artifacts.len()
+        self.lanes.artifacts.len()
     }
 
     /// Whether the static lane holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The artifacts of function `idx` of `bin` in the namespace named by
-    /// `salt` (`(0, 0)` is the base namespace), extracting and caching on
-    /// first sight. Concurrent misses single-flight, so
-    /// `cache.extractions` counts distinct extractions even under a
-    /// racing scheduler.
-    ///
-    /// # Errors
-    /// [`ScanError::Extraction`] when the function's code fails to decode.
-    pub fn get_or_extract_ns(
-        &self,
-        bin: &Binary,
-        idx: usize,
-        salt: (u64, u64),
-    ) -> Result<Arc<Artifact>, ScanError> {
-        let key = ArtifactKey::for_function(bin, idx).namespaced(salt);
-        self.artifacts.get_or_compute(key, || {
-            self.extractions.inc();
-            let dis = disasm::disassemble(bin, idx)
-                .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
-            let features = features::extract(&dis, &bin.functions[idx]);
-            Ok(Artifact { features, cfg: dis.cfg.summary() })
-        })
-    }
-
-    /// Pre-populate the base namespace with every function of an image.
-    /// Returns the number of functions visited.
-    ///
-    /// # Errors
-    /// The first extraction failure, if any function fails to decode.
-    pub fn warm_image(&self, image: &fwbin::FirmwareImage) -> Result<usize, ScanError> {
-        let mut n = 0;
-        for bin in &image.binaries {
-            for idx in 0..bin.function_count() {
-                self.get_or_extract_ns(bin, idx, (0, 0))?;
-                n += 1;
-            }
-        }
-        Ok(n)
     }
 
     /// Write every lane to its file under `dir` (creating `dir` as
@@ -346,82 +353,61 @@ impl ArtifactStore {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        self.artifacts.save(dir)?;
-        self.envsets.save(dir)?;
-        self.profiles.save(dir)
+        self.lanes.artifacts.save(dir)?;
+        self.lanes.envsets.save(dir)?;
+        self.lanes.profiles.save(dir)
     }
 
-    /// Load a store persisted by [`ArtifactStore::save`]. The disk layer
-    /// is untrusted: each lane file loads on its own, and damage is
-    /// quarantined rather than served or raised — a missing file is an
-    /// empty lane, an unparseable one is moved aside, a stale schema is
-    /// discarded, and a bad entry is evicted while the rest load (the
-    /// full list is in the `lane` module).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors other than `NotFound`.
-    pub fn load(dir: &Path) -> std::io::Result<ArtifactStore> {
-        ArtifactStore::load_with_registry(dir, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// [`ArtifactStore::load`] recording cache counters into `registry`
-    /// (quarantines found during the load are counted there too).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors other than `NotFound`.
-    pub fn load_with_registry(
-        dir: &Path,
-        registry: Arc<MetricsRegistry>,
-    ) -> std::io::Result<ArtifactStore> {
-        let store = ArtifactStore::with_registry(registry);
-        store.artifacts.load(dir)?;
-        store.envsets.load(dir)?;
-        store.profiles.load(dir)?;
-        Ok(store)
-    }
-
-    /// [`FeatureSource::features_all`] in the namespace named by `salt`.
-    ///
-    /// # Errors
-    /// The first extraction failure, if any function fails to decode.
-    pub fn features_all_ns(
-        &self,
-        bin: &Binary,
-        salt: (u64, u64),
-    ) -> Result<Vec<StaticFeatures>, ScanError> {
-        (0..bin.function_count())
-            .map(|i| Ok(self.get_or_extract_ns(bin, i, salt)?.features.clone()))
-            .collect()
-    }
-
-    /// [`FeatureSource::features_one`] in the namespace named by `salt`.
-    ///
-    /// # Errors
-    /// [`ScanError::Extraction`] when the function's code fails to decode.
-    pub fn features_one_ns(
+    /// The artifacts of function `idx` of `bin` in this namespace,
+    /// extracting and caching on first sight. Concurrent misses
+    /// single-flight, so `cache.extractions` counts distinct extractions
+    /// even under a racing scheduler.
+    pub(crate) fn get_or_extract(
         &self,
         bin: &Binary,
         idx: usize,
-        salt: (u64, u64),
-    ) -> Result<StaticFeatures, ScanError> {
-        Ok(self.get_or_extract_ns(bin, idx, salt)?.features.clone())
+    ) -> Result<Arc<Artifact>, ScanError> {
+        let key = ArtifactKey::for_function(bin, idx).namespaced(self.salt);
+        self.lanes.artifacts.get_or_compute(key, || {
+            self.lanes.extractions.inc();
+            let dis = disasm::disassemble(bin, idx)
+                .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
+            let features = features::extract(&dis, &bin.functions[idx]);
+            Ok(Artifact { features, cfg: dis.cfg.summary() })
+        })
+    }
+}
+
+/// The static lane in this handle's namespace. A function whose code
+/// fails to decode is a typed [`ScanError::Extraction`].
+impl FeatureSource for ArtifactStore {
+    fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError> {
+        (0..bin.function_count()).map(|i| self.features_one(bin, i)).collect()
     }
 
-    /// [`DynProfileSource::environments`] in the namespace named by
-    /// `salt`.
-    ///
-    /// # Errors
-    /// Infallible today (live generation cannot fail); `Result` for
-    /// seam-compatibility with [`DynProfileSource`].
-    pub fn environments_ns(
+    fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
+        Ok(self.get_or_extract(bin, idx)?.features.clone())
+    }
+}
+
+/// The dynamic lanes in this handle's namespace. Both methods are
+/// infallible by construction: a damaged or missing cache entry was
+/// already quarantined at load time and is simply a miss here, answered
+/// by live fuzzing/execution — so cache trouble degrades to cold-run
+/// behaviour (bitwise-identical results, more VM executions), never to an
+/// error. One live profiling run (a whole batch of VM executions) serves
+/// every concurrent requester. `profile` panics when `func` is out of
+/// range for `target`'s function table (same contract as
+/// `LoadedBinary::run_any`).
+impl DynProfileSource for ArtifactStore {
+    fn environments(
         &self,
         reference: &LoadedBinary,
         fuzz_cfg: &FuzzConfig,
         vm: &VmConfig,
-        salt: (u64, u64),
     ) -> Result<EnvSet, ScanError> {
-        let key = ArtifactKey::for_env_set(reference.binary(), fuzz_cfg, vm).namespaced(salt);
-        let envs = self.envsets.get_or_compute(key, || {
+        let key = ArtifactKey::for_env_set(reference.binary(), fuzz_cfg, vm).namespaced(self.salt);
+        let envs = self.lanes.envsets.get_or_compute(key, || {
             Ok::<_, ScanError>(dynsource::live_environments(reference, fuzz_cfg, vm).envs)
         })?;
         // Recomputing the fingerprint from the stored contents (rather
@@ -432,23 +418,12 @@ impl ArtifactStore {
         Ok(EnvSet::new((*envs).clone(), vm))
     }
 
-    /// [`DynProfileSource::profile`] in the namespace named by `salt`. One
-    /// live profiling run (a whole batch of VM executions) serves every
-    /// concurrent requester.
-    ///
-    /// # Errors
-    /// Infallible today; `Result` for seam-compatibility.
-    ///
-    /// # Panics
-    /// When `func` is out of range for `target`'s function table (same
-    /// contract as `LoadedBinary::run_any`).
-    pub fn profile_ns(
+    fn profile(
         &self,
         target: &LoadedBinary,
         func: usize,
         envs: &EnvSet,
         vm: &VmConfig,
-        salt: (u64, u64),
     ) -> Result<DynProfile, ScanError> {
         // Same contract (and same message) as `LoadedBinary::run_any` and
         // `LiveProfiling`, checked before key derivation so an
@@ -459,50 +434,13 @@ impl ArtifactStore {
             "function index {func} out of range (table holds {})",
             target.function_count()
         );
-        let key =
-            ArtifactKey::for_dyn_profile(target.binary(), func, envs.fingerprint).namespaced(salt);
-        let profile = self.profiles.get_or_compute(key, || {
-            self.profiled.inc();
+        let key = ArtifactKey::for_dyn_profile(target.binary(), func, envs.fingerprint)
+            .namespaced(self.salt);
+        let profile = self.lanes.profiles.get_or_compute(key, || {
+            self.lanes.profiled.inc();
             Ok::<_, ScanError>(dynsource::live_profile(target, func, &envs.envs, vm))
         })?;
         Ok((*profile).clone())
-    }
-}
-
-impl FeatureSource for ArtifactStore {
-    fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError> {
-        self.features_all_ns(bin, (0, 0))
-    }
-
-    fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
-        self.features_one_ns(bin, idx, (0, 0))
-    }
-}
-
-/// The dynamic lane served through the pipeline's [`DynProfileSource`]
-/// seam. Both methods are infallible by construction: a damaged or
-/// missing cache entry was already quarantined at load time and is simply
-/// a miss here, answered by live fuzzing/execution — so cache trouble
-/// degrades to cold-run behaviour (bitwise-identical results, more VM
-/// executions), never to an error.
-impl DynProfileSource for ArtifactStore {
-    fn environments(
-        &self,
-        reference: &LoadedBinary,
-        fuzz_cfg: &FuzzConfig,
-        vm: &VmConfig,
-    ) -> Result<EnvSet, ScanError> {
-        self.environments_ns(reference, fuzz_cfg, vm, (0, 0))
-    }
-
-    fn profile(
-        &self,
-        target: &LoadedBinary,
-        func: usize,
-        envs: &EnvSet,
-        vm: &VmConfig,
-    ) -> Result<DynProfile, ScanError> {
-        self.profile_ns(target, func, envs, vm, (0, 0))
     }
 }
 
@@ -729,13 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_live_in_the_supplied_registry() {
-        let reg = Arc::new(scope::MetricsRegistry::new());
-        let store = ArtifactStore::with_registry(Arc::clone(&reg));
+    fn counters_live_in_the_store_registry() {
+        let store = ArtifactStore::new();
         let bin = sample_binary();
         store.features_all(&bin).unwrap();
-        store.features_all(&bin).unwrap();
-        let snap = reg.snapshot();
+        store.tenant("").features_all(&bin).unwrap();
+        let snap = store.registry().snapshot();
         let n = bin.function_count() as u64;
         assert_eq!(snap.counter("cache.misses"), n);
         assert_eq!(snap.counter("cache.extractions"), n);
@@ -743,7 +680,10 @@ mod tests {
         // stats() reads the very same counters.
         let stats = store.stats();
         assert_eq!(stats.hits, snap.counter("cache.hits"));
-        assert!(Arc::ptr_eq(store.registry(), &reg));
+        // Every handle on one store shares its registry; another store
+        // owns its own.
+        assert!(Arc::ptr_eq(store.tenant("acme").registry(), store.registry()));
+        assert!(!Arc::ptr_eq(ArtifactStore::new().registry(), store.registry()));
     }
 
     #[test]
@@ -883,7 +823,7 @@ mod tests {
     fn checksum_is_structural_and_stable() {
         let bin = sample_binary();
         let store = ArtifactStore::new();
-        let a = store.get_or_extract_ns(&bin, 0, (0, 0)).unwrap();
+        let a = store.get_or_extract(&bin, 0).unwrap();
         let c1 = a.checksum();
         // A JSON round-trip preserves the checksum (bit-exact floats).
         let json = serde_json::to_string(&*a).unwrap();
@@ -936,5 +876,76 @@ mod tests {
         let mut nudged = p.clone();
         nudged.features[0].0[0] = 1.250_000_001;
         assert_ne!(nudged.checksum(), c);
+    }
+
+    #[test]
+    fn tenants_partition_one_store_and_the_anonymous_view_is_identity() {
+        let store = ArtifactStore::new();
+        let bin = sample_binary();
+        let n = bin.function_count() as u64;
+
+        let acme = store.tenant("acme");
+        let feats = acme.features_all(&bin).unwrap();
+        let s1 = store.stats();
+        assert_eq!((s1.extractions, s1.entries), (n, n));
+
+        // Same tenant again: pure cache hits, no new entries.
+        assert_eq!(acme.features_all(&bin).unwrap(), feats);
+        assert_eq!(store.stats().extractions, n);
+
+        // A different tenant re-extracts into its own key set: identical
+        // values, disjoint entries in the same store.
+        let rival = store.tenant("rival");
+        assert_eq!(rival.features_all(&bin).unwrap(), feats);
+        let s2 = store.stats();
+        assert_eq!((s2.extractions, s2.entries), (2 * n, 2 * n));
+
+        // The anonymous tenant shares the base namespace with the plain
+        // (un-namespaced) store surface.
+        let anon = store.tenant("");
+        assert_eq!(anon.salt(), (0, 0));
+        anon.features_all(&bin).unwrap();
+        assert_eq!(store.stats().entries, 3 * n);
+        store.features_all(&bin).unwrap();
+        assert_eq!(store.stats().extractions, 3 * n, "plain surface hits anon's entries");
+    }
+
+    #[test]
+    fn namespaced_entries_survive_persistence_per_tenant() {
+        let dir = std::env::temp_dir().join(format!("scanhub-ns-persist-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::new();
+        let bin = sample_binary();
+        let n = bin.function_count() as u64;
+        store.tenant("acme").features_all(&bin).unwrap();
+        store.save(&dir).unwrap();
+
+        let reloaded = ArtifactStore::load(&dir).unwrap();
+        assert_eq!(reloaded.stats().quarantined, 0);
+        // acme is warm after reload; rival is still cold.
+        reloaded.tenant("acme").features_all(&bin).unwrap();
+        assert_eq!(reloaded.stats().extractions, 0);
+        reloaded.tenant("rival").features_all(&bin).unwrap();
+        assert_eq!(reloaded.stats().extractions, n);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dyn_lane_respects_tenant_namespaces() {
+        let store = ArtifactStore::new();
+        let (lb, fuzz, vmc) = dyn_fixture();
+        let acme = store.tenant("acme");
+        let envs = acme.environments(&lb, &fuzz, &vmc).unwrap();
+        let p = acme.profile(&lb, 0, &envs, &vmc).unwrap();
+        assert_eq!(store.stats().dyn_profiled, 1);
+
+        // Same tenant: cached. Other tenant: recomputed (bitwise equal).
+        assert_eq!(acme.profile(&lb, 0, &envs, &vmc).unwrap(), p);
+        assert_eq!(store.stats().dyn_profiled, 1);
+        let rival = store.tenant("rival");
+        let envs2 = rival.environments(&lb, &fuzz, &vmc).unwrap();
+        assert_eq!(envs2.fingerprint, envs.fingerprint, "contents identical across tenants");
+        assert_eq!(rival.profile(&lb, 0, &envs2, &vmc).unwrap(), p);
+        assert_eq!(store.stats().dyn_profiled, 2, "rival's cold lane profiles live");
     }
 }

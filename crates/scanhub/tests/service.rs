@@ -9,7 +9,7 @@ use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::differential::DifferentialConfig;
 use patchecko_core::error::ScanError;
 use patchecko_core::cancel::CancelToken;
-use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig, RunCtx};
+use patchecko_core::pipeline::{Basis, FeatureSource, Patchecko, PipelineConfig, RunCtx};
 use patchecko_scanhub::{full_schedule, JobOutcome, JobSpec, ScanHub};
 use std::sync::OnceLock;
 
@@ -90,8 +90,7 @@ fn cached_scan_matches_direct_pipeline() {
     let truth = device.truth_for("CVE-2018-9412").unwrap();
     let bin = device.image.binary(&truth.library).unwrap();
 
-    let base = hub.tenant_view("");
-    let cached_ctx = base.ctx(CancelToken::unbounded());
+    let cached_ctx = hub.store().ctx(CancelToken::unbounded());
     let pair = [(entry, Basis::Vulnerable)];
     let cached = hub.analyzer.analyze_library(bin, &pair, &cached_ctx).unwrap().remove(0);
     let direct = hub.analyzer.analyze_library(bin, &pair, &RunCtx::default()).unwrap().remove(0);
@@ -171,7 +170,10 @@ fn persisted_cache_survives_restart() {
         &dir,
     )
     .unwrap();
-    let warmed = hub.store().warm_image(image).unwrap();
+    let mut warmed = 0;
+    for bin in &image.binaries {
+        warmed += hub.store().features_all(bin).unwrap().len();
+    }
     assert_eq!(warmed, image.total_functions());
     // Cache the reference variants too, then persist everything.
     hub.scan_library(image.binary(lib).unwrap(), entry, Basis::Vulnerable).unwrap();
@@ -199,11 +201,8 @@ fn warm_audit_telemetry_shows_zero_extractions_end_to_end() {
     // driven entirely through the scope registry the hub was built with:
     // the `cache.extractions` counter must not move across a warm
     // re-audit, and the attached report telemetry must agree.
-    let reg = std::sync::Arc::new(scope::MetricsRegistry::new());
-    let hub = ScanHub::with_registry(
-        Patchecko::new(shared_detector().clone(), PipelineConfig::default()),
-        std::sync::Arc::clone(&reg),
-    );
+    let hub = fresh_hub();
+    let reg = hub.registry();
     let db = small_db();
     let image = &shared_device().image;
     let diff = DifferentialConfig::default();
@@ -234,12 +233,41 @@ fn warm_audit_telemetry_shows_zero_extractions_end_to_end() {
 }
 
 #[test]
+fn each_hub_reports_its_own_cache_counters_once() {
+    // Two hubs in one process: each hub's merged snapshot must carry
+    // exactly the cache counters its `stats()` reads — neither the other
+    // hub's nor its own twice.
+    let auditor = fresh_hub();
+    let scanner = fresh_hub();
+    let db = small_db();
+    let image = &shared_device().image;
+    let diff = DifferentialConfig::default();
+    auditor.audit(&db, image, &diff).unwrap();
+    auditor.audit(&db, image, &diff).unwrap();
+    scanner.scan_image_tenant(image, &db.featured()[0], Basis::Vulnerable, "acme").unwrap();
+
+    for hub in [&auditor, &scanner] {
+        let (snap, stats) = (hub.telemetry_snapshot(), hub.stats());
+        for (counter, field) in [
+            ("cache.hits", stats.hits),
+            ("cache.misses", stats.misses),
+            ("cache.extractions", stats.extractions),
+            ("dyncache.hits", stats.dyn_hits),
+            ("dyncache.misses", stats.dyn_misses),
+            ("dyncache.profiled", stats.dyn_profiled),
+        ] {
+            assert_eq!(snap.counter(counter), field, "{counter}: {stats}");
+        }
+    }
+    assert!(auditor.stats().hits > 0, "the warm audit was served by the cache");
+    assert!(scanner.stats().extractions > 0, "the scan filled its own store");
+    assert_ne!(auditor.stats(), scanner.stats(), "the two hubs did different work");
+}
+
+#[test]
 fn batch_report_carries_scheduler_telemetry() {
-    let reg = std::sync::Arc::new(scope::MetricsRegistry::new());
-    let hub = std::sync::Arc::new(ScanHub::with_registry(
-        Patchecko::new(shared_detector().clone(), PipelineConfig::default()),
-        std::sync::Arc::clone(&reg),
-    ));
+    let hub = std::sync::Arc::new(fresh_hub());
+    let reg = hub.registry();
     let db = std::sync::Arc::new(small_db());
     let images = std::sync::Arc::new(vec![shared_device().image.clone()]);
     let jobs = full_schedule(images.len(), &db, &[Basis::Vulnerable]);
@@ -264,21 +292,15 @@ fn scheduler_never_sleeps_after_the_final_attempt() {
     // keeps the test robust on loaded CI machines while still failing
     // deterministically if a trailing backoff sneaks in.
     use patchecko_scanhub::RetryPolicy;
-    let reg = std::sync::Arc::new(scope::MetricsRegistry::new());
     let retry = RetryPolicy { max_attempts: 2, base_backoff_ms: 150, job_timeout_ms: None };
-    let hub = std::sync::Arc::new(
-        ScanHub::with_registry(
-            Patchecko::new(shared_detector().clone(), PipelineConfig::default()),
-            std::sync::Arc::clone(&reg),
-        )
-        .with_retry_policy(retry)
-        .with_fault_hook(std::sync::Arc::new(|spec: &JobSpec, _attempt| {
+    let hub = std::sync::Arc::new(fresh_hub().with_retry_policy(retry).with_fault_hook(
+        std::sync::Arc::new(|spec: &JobSpec, _attempt| {
             Some(ScanError::Injected {
                 site: "test".into(),
                 detail: format!("always-failing {}", spec.cve),
             })
-        })),
-    );
+        }),
+    ));
     let db = std::sync::Arc::new(small_db());
     let images = std::sync::Arc::new(vec![shared_device().image.clone()]);
     let jobs =
@@ -295,7 +317,7 @@ fn scheduler_never_sleeps_after_the_final_attempt() {
         "no backoff after the final attempt (elapsed {elapsed:?})"
     );
     // The telemetry agrees: one retry, one backoff of exactly the base.
-    let snap = reg.snapshot();
+    let snap = hub.registry().snapshot();
     assert_eq!(snap.counter("sched.attempts"), 2);
     assert_eq!(snap.counter("sched.retries"), 1);
     assert_eq!(snap.counter("sched.backoff_ms"), 150);
@@ -311,19 +333,13 @@ fn hung_job_times_out_as_transient_failure_instead_of_stalling_the_batch() {
     // running once the batch returns.
     use patchecko_scanhub::RetryPolicy;
     use std::time::Duration;
-    let reg = std::sync::Arc::new(scope::MetricsRegistry::new());
     let retry = RetryPolicy { max_attempts: 2, base_backoff_ms: 10, job_timeout_ms: Some(300) };
-    let hub = std::sync::Arc::new(
-        ScanHub::with_registry(
-            Patchecko::new(shared_detector().clone(), PipelineConfig::default()),
-            std::sync::Arc::clone(&reg),
-        )
-        .with_retry_policy(retry)
-        .with_fault_hook(std::sync::Arc::new(|_spec: &JobSpec, _attempt| {
+    let hub = std::sync::Arc::new(fresh_hub().with_retry_policy(retry).with_fault_hook(
+        std::sync::Arc::new(|_spec: &JobSpec, _attempt| {
             std::thread::sleep(Duration::from_millis(400));
             None
-        })),
-    );
+        }),
+    ));
     let db = std::sync::Arc::new(small_db());
     let images = std::sync::Arc::new(vec![shared_device().image.clone()]);
     let jobs =
@@ -339,7 +355,7 @@ fn hung_job_times_out_as_transient_failure_instead_of_stalling_the_batch() {
         }
         other => panic!("expected a deadline failure, got {other:?}"),
     }
-    let snap = reg.snapshot();
+    let snap = hub.registry().snapshot();
     assert_eq!(snap.counter("sched.timeouts"), 2, "each budgeted attempt recorded its expiry");
     assert_eq!(snap.counter("sched.retries"), 1);
 }

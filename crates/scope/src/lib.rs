@@ -20,14 +20,16 @@
 //! ## Registries: global and local
 //!
 //! Instrumentation embedded in library code (pipeline stages, the worker
-//! pool, fault injectors) records into the process-global registry
-//! ([`global`]). Components that need *exact, isolated* counts — the
-//! artifact store's cache counters, the scheduler's retry counters — own
-//! a registry handle instead (an `Arc<MetricsRegistry>`), which defaults
-//! to a fresh private instance per store/hub so concurrent tests never
-//! observe each other. The CLI passes [`global_shared`] down so a
-//! command's whole run lands in one registry, then prints one
-//! [`TelemetrySnapshot::to_table`].
+//! pool, the VM, fault injectors) records into the process-global
+//! registry ([`global`]). Components that need *exact, isolated* counts
+//! own a private registry instead (an `Arc<MetricsRegistry>`): every
+//! scanhub artifact store has its own, shared by its scan hub's
+//! scheduler and the scan daemon's per-tenant counters, so two hubs in
+//! one process never observe each other. A report merges the two —
+//! the owner's registry plus the global one
+//! ([`TelemetrySnapshot::merged`]) — and since no private registry is
+//! ever the global one, nothing is counted twice. The CLI prints that
+//! merged snapshot as one [`TelemetrySnapshot::to_table`].
 //!
 //! ## Naming convention
 //!
@@ -49,24 +51,13 @@ pub mod trace;
 pub use registry::{Counter, DurationStats, MetricsRegistry, ScopedRegistry, TelemetrySnapshot, Timer};
 pub use span::SpanGuard;
 
-use std::sync::{Arc, OnceLock};
-
-fn global_cell() -> &'static Arc<MetricsRegistry> {
-    static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new()))
-}
+use std::sync::OnceLock;
 
 /// The process-global registry. Spans entered via [`span!`] and
 /// library-level counters record here.
 pub fn global() -> &'static MetricsRegistry {
-    global_cell()
-}
-
-/// The process-global registry as a shareable handle, for components
-/// that take an `Arc<MetricsRegistry>` (the CLI wires the scan hub to
-/// this so one snapshot covers the whole command).
-pub fn global_shared() -> Arc<MetricsRegistry> {
-    Arc::clone(global_cell())
+    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
+    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 /// Add `n` to the global counter `name` (cold-path convenience).
@@ -93,7 +84,6 @@ mod tests {
         add("lib.test.counter", 2);
         inc("lib.test.counter");
         assert_eq!(snapshot().counter("lib.test.counter"), 3);
-        assert!(Arc::ptr_eq(&global_shared(), &global_shared()));
     }
 
     #[test]

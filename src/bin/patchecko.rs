@@ -27,7 +27,8 @@
 //!
 //! Observability (same three commands): `--metrics` prints the run's full
 //! telemetry table — per-stage span timings plus cache / scheduler / pool
-//! counters, all from one `scope::MetricsRegistry` — and
+//! counters: the hub's own `scope::MetricsRegistry` merged with the
+//! process-global one (`ScanHub::telemetry_snapshot`) — and
 //! `--trace-out FILE.json` writes a Chrome-trace of every pipeline span
 //! (load it in `chrome://tracing` or Perfetto).
 
@@ -129,9 +130,9 @@ CACHING / SCHEDULING (scan, audit, batch-audit, serve):
 OBSERVABILITY (scan, audit, batch-audit):
   --metrics         print the run's telemetry table: per-stage span timings
                     (static scan, dynamic profiling, differential, scheduler
-                    jobs) and cache/scheduler/pool counters, all sourced
-                    from one metrics registry; `--metrics json` emits the
-                    full snapshot as machine-readable JSON
+                    jobs) and cache/scheduler/pool counters in one
+                    snapshot; `--metrics json` emits the full snapshot
+                    as machine-readable JSON
   --trace-out FILE  write a Chrome-trace JSON of every pipeline span; load
                     it in chrome://tracing or Perfetto
 
@@ -370,19 +371,19 @@ fn build_analyzer(flags: &HashMap<String, String>) -> Result<Patchecko, String> 
 }
 
 /// Bind an analyzer to an artifact store, persistent when `--cache-dir`
-/// is given. The hub records into the process-global `scope` registry, so
-/// cache counters, scheduler counters, and stage spans all land in the
-/// single snapshot `--metrics` prints. Chrome-trace capture turns on here
-/// when `--trace-out` is given, before any stage span runs.
+/// is given. Cache and scheduler counters record into the hub's own
+/// registry and stage spans into the process-global one; `--metrics`
+/// prints the two merged. Chrome-trace capture turns on here when
+/// `--trace-out` is given, before any stage span runs.
 fn build_hub(flags: &HashMap<String, String>, analyzer: Patchecko) -> Result<ScanHub, String> {
     if flags.contains_key("trace-out") {
         scope::trace::enable();
     }
-    let registry = scope::global_shared();
     match flags.get("cache-dir") {
-        Some(dir) => ScanHub::with_cache_dir_and_registry(analyzer, dir, registry)
-            .map_err(|e| format!("load cache {dir}: {e}")),
-        None => Ok(ScanHub::with_registry(analyzer, registry)),
+        Some(dir) => {
+            ScanHub::with_cache_dir(analyzer, dir).map_err(|e| format!("load cache {dir}: {e}"))
+        }
+        None => Ok(ScanHub::new(analyzer)),
     }
 }
 
@@ -431,8 +432,7 @@ fn cmd_scan(flags: &HashMap<String, String>) -> Result<(), String> {
         image.binaries.len(),
         image.total_functions()
     );
-    let view = hub.tenant_view("");
-    let ctx = view.ctx(CancelToken::unbounded());
+    let ctx = hub.store().ctx(CancelToken::unbounded());
     let result = hub
         .analyzer
         .analyze_image(&image, &[(entry, Basis::Vulnerable)], &ctx)
