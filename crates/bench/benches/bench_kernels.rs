@@ -10,7 +10,7 @@
 //! * `gemm`     — model GEMM shapes (96→128, 128→64) at batch 1/64/1024;
 //! * `forward`  — unfused matmul + bias sweep + ReLU sweep vs the fused pass;
 //! * `pool`     — per-call `crossbeam::thread::scope` spawn vs warm-pool dispatch;
-//! * `extract`  — serial vs pool-parallel `features_all` over a real library;
+//! * `extract`  — serial `features::extract_all` over a real library;
 //! * `train`    — one epoch: seed training loop (pre-activation clones,
 //!   per-batch gather allocation, unfused kernels) vs the new one;
 //! * `classify` — the static stage at ≥256 pairs: per-pair normalization +
@@ -352,15 +352,7 @@ fn bench_extract_and_classify(c: &mut Criterion) {
     let bin = device.image.binary(&truth.library).unwrap().clone();
 
     let mut group = c.benchmark_group("extract");
-    assert_eq!(
-        features::extract_all(&bin).unwrap(),
-        features::extract_all_parallel(&bin).unwrap(),
-        "parallel extraction preserves order and values"
-    );
     group.bench_function("serial", |b| b.iter(|| black_box(features::extract_all(&bin).unwrap())));
-    group.bench_function("parallel", |b| {
-        b.iter(|| black_box(features::extract_all_parallel(&bin).unwrap()))
-    });
     group.finish();
 
     // Static-stage classification at >= 256 pairs: the seed normalized

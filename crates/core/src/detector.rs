@@ -22,10 +22,10 @@ use std::sync::Arc;
 pub const MODEL_DIMS: [usize; 7] = [96, 128, 64, 32, 16, 8, 1];
 
 /// Pairs per [`Detector::classify_pairs`] chunk. A 512-row chunk keeps
-/// each layer's activations (at most 512 × 128 `f32`, 256 KiB) in cache,
-/// and a per-unit top-K stream list (k = 16 over units of up to 17
-/// functions) or a one-CVE scan of a library up to 128 functions (× 4
-/// reference variants) fits in one chunk.
+/// each layer's activations (at most 512 × 128 `f32`, 256 KiB) in cache.
+/// A one-CVE scan of a library up to 128 functions (× 4 reference
+/// variants) fits in one chunk; a streaming working set's top-K list
+/// (about 16 pairs per function, ~17k pairs for 64 units) spans dozens.
 const CHUNK_PAIRS: usize = 512;
 
 /// Detector training configuration.

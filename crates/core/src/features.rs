@@ -254,49 +254,6 @@ pub fn extract_all(bin: &fwbin::Binary) -> Result<Vec<StaticFeatures>, fwbin::en
         .collect()
 }
 
-/// Minimum function count before [`extract_all_parallel`] fans out —
-/// below this, per-function disassembly is cheaper than the dispatch.
-const PAR_EXTRACT_MIN_FUNCS: usize = 16;
-
-/// [`extract_all`] fanned out across the shared worker pool, preserving
-/// function-table order. Functions are split into contiguous index
-/// chunks, each disassembled and extracted on a pool worker; results are
-/// reassembled in order. Falls back to the serial path for small
-/// binaries or width 1.
-///
-/// # Errors
-/// Returns the first decode error encountered (by function index).
-pub fn extract_all_parallel(
-    bin: &fwbin::Binary,
-) -> Result<Vec<StaticFeatures>, fwbin::encode::DecodeError> {
-    type ChunkResult = Result<Vec<StaticFeatures>, fwbin::encode::DecodeError>;
-    type ChunkTask = Box<dyn FnOnce() -> ChunkResult + Send>;
-    let n = bin.function_count();
-    let width = neural::pool::current_width();
-    if width <= 1 || n < PAR_EXTRACT_MIN_FUNCS {
-        return extract_all(bin);
-    }
-    let chunk = n.div_ceil(width).max(1);
-    let shared = std::sync::Arc::new(bin.clone());
-    let tasks: Vec<ChunkTask> = (0..n)
-        .step_by(chunk)
-        .map(|start| {
-            let bin = shared.clone();
-            let end = (start + chunk).min(n);
-            Box::new(move || {
-                (start..end)
-                    .map(|i| Ok(extract(&disasm::disassemble(&bin, i)?, &bin.functions[i])))
-                    .collect()
-            }) as ChunkTask
-        })
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    for part in neural::pool::global().run(tasks) {
-        out.extend(part?);
-    }
-    Ok(out)
-}
-
 /// Number of extended features appended by [`extract_extended`].
 pub const NUM_EXTENDED_FEATURES: usize = 4;
 

@@ -60,9 +60,10 @@ pub struct PipelineConfig {
     /// [`neural::pool`]: candidate profiling in the dynamic stage (more
     /// than three candidates — the paper parallelizes
     /// execution-environment testing), pair classification (one task per
-    /// chunk of a list longer than one chunk), feature extraction and the
-    /// scanhub job scheduler. Work already running on a pool worker runs
-    /// inline.
+    /// chunk of a list longer than one chunk, such as a library's list
+    /// against many reference sets or a streaming working set's) and the
+    /// scanhub job scheduler. Feature extraction runs on the calling
+    /// thread. Work already running on a pool worker runs inline.
     /// `None` derives the count from the `PATCHECKO_THREADS` environment
     /// variable or the machine's available parallelism; `Some(1)` forces
     /// serial execution end to end.
@@ -109,12 +110,17 @@ impl PipelineConfig {
 /// input cannot sink a batch.
 pub trait FeatureSource: Sync {
     /// Static features of every function of `bin`, in function-table order.
+    /// The default maps [`FeatureSource::features_one`] over the function
+    /// table, so a failure carries the index of the first function that
+    /// failed.
     ///
     /// # Errors
     /// [`ScanError::Extraction`] (with function context) when any
     /// function's code bytes fail to decode; implementations may also
     /// surface transient cache/injection failures.
-    fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError>;
+    fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError> {
+        (0..bin.function_count()).map(|idx| self.features_one(bin, idx)).collect()
+    }
 
     /// Static features of one function of `bin`.
     ///
@@ -138,24 +144,7 @@ pub trait FeatureSource: Sync {
 /// The uncached [`FeatureSource`]: disassemble + extract on every request.
 pub struct DirectExtraction;
 
-/// Locate which function a whole-binary extraction failure came from: the
-/// parallel extractor reports only the first [`DecodeError`]
-/// (fwbin::encode::DecodeError); re-probe serially to pin the index for
-/// the error context. Only runs on the (rare) failure path.
-fn locate_extraction_failure(bin: &Binary, e: &fwbin::encode::DecodeError) -> ScanError {
-    for idx in 0..bin.function_count() {
-        if let Err(probe) = disasm::disassemble(bin, idx) {
-            return ScanError::extraction(&bin.lib_name, idx, &probe);
-        }
-    }
-    ScanError::extraction(&bin.lib_name, 0, e)
-}
-
 impl FeatureSource for DirectExtraction {
-    fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError> {
-        features::extract_all_parallel(bin).map_err(|e| locate_extraction_failure(bin, &e))
-    }
-
     fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
         let dis = disasm::disassemble(bin, idx)
             .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
@@ -215,8 +204,9 @@ pub struct StaticScan {
     pub best_ref: Vec<usize>,
     /// Wall-clock seconds of the static pass that produced this scan (the
     /// "DP" column). A batched pass scans the library against every
-    /// reference set at once; each of its scans carries the whole pass's
-    /// time, not a share of it.
+    /// reference set at once, and a streaming scan's pass spans a whole
+    /// working set of libraries; each of a pass's scans carries the whole
+    /// pass's time, not a share of it.
     pub seconds: f64,
 }
 
@@ -396,55 +386,80 @@ impl Patchecko {
         reference_sets: &[&[StaticFeatures]],
         features: &dyn FeatureSource,
     ) -> Result<Vec<StaticScan>, ScanError> {
-        let _span = scope::SpanGuard::enter("static_scan").with_detail(bin.lib_name.clone());
+        self.static_pass(std::slice::from_ref(bin), reference_sets, features)
+    }
+
+    /// [`Patchecko::scan_library`] over several binaries in one pass:
+    /// one [`StaticScan`] per (binary, set), binary-major. Each binary's
+    /// lists are built from its own features and signatures, as in a
+    /// one-binary scan; then its function indices are offset past the
+    /// binaries before it, as reference indices are offset past the sets
+    /// before them. So the pass makes one `classify_pairs` call over the
+    /// concatenated rows, which normalizes and projects each reference row
+    /// once per pass and chunks a long list across the pool, and each
+    /// (binary, set) folds back exactly what its own scan would give.
+    pub(crate) fn static_pass(
+        &self,
+        bins: &[Binary],
+        reference_sets: &[&[StaticFeatures]],
+        features: &dyn FeatureSource,
+    ) -> Result<Vec<StaticScan>, ScanError> {
+        let names: Vec<&str> = bins.iter().map(|bin| bin.lib_name.as_str()).collect();
+        let _span = scope::SpanGuard::enter("static_scan").with_detail(names.join(","));
         let started = Instant::now();
-        let feats = features.features_all(bin)?;
         let any_references = reference_sets.iter().any(|r| !r.is_empty());
-        let target_sigs = match self.config.retrieval {
-            Retrieval::TopK { .. } if any_references && !feats.is_empty() => {
-                features.signatures_all(bin, &feats)
-            }
-            _ => Vec::new(),
-        };
-        // Every set's pairs in one list over the concatenated rows; `lists`
-        // keeps each set's row offset and its slice of `pairs`.
-        let mut rows: Vec<StaticFeatures> = Vec::new();
+        let rows: Vec<StaticFeatures> = reference_sets.concat();
+        // Every (binary, set) list in one pair list over the concatenated
+        // reference and target rows; `lists` keeps each one's binary, row
+        // offsets and slice of `pairs`, binary-major.
+        let mut targets: Vec<StaticFeatures> = Vec::new();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut lists = Vec::with_capacity(reference_sets.len());
-        for references in reference_sets {
-            let offset = rows.len() as u32;
-            let start = pairs.len();
-            if !feats.is_empty() {
-                match self.config.retrieval {
-                    Retrieval::Exact => pairs.extend((0..feats.len() as u32).flat_map(|j| {
-                        (0..references.len() as u32).map(move |r| (offset + r, j))
-                    })),
-                    Retrieval::TopK { k } => pairs.extend(
-                        self.indexed_pairs(references, &target_sigs, k)
-                            .into_iter()
-                            .map(|(r, j)| (offset + r, j)),
-                    ),
+        let mut lists = Vec::with_capacity(bins.len() * reference_sets.len());
+        for bin in bins {
+            let feats = features.features_all(bin)?;
+            let target_sigs = match self.config.retrieval {
+                Retrieval::TopK { .. } if any_references && !feats.is_empty() => {
+                    features.signatures_all(bin, &feats)
                 }
+                _ => Vec::new(),
+            };
+            let functions = feats.len();
+            let t0 = targets.len() as u32;
+            let mut r0 = 0u32;
+            for references in reference_sets {
+                let start = pairs.len();
+                if functions > 0 {
+                    match self.config.retrieval {
+                        Retrieval::Exact => pairs.extend((0..functions as u32).flat_map(|j| {
+                            (0..references.len() as u32).map(move |r| (r0 + r, t0 + j))
+                        })),
+                        Retrieval::TopK { k } => pairs.extend(
+                            self.indexed_pairs(references, &target_sigs, k)
+                                .into_iter()
+                                .map(|(r, j)| (r0 + r, t0 + j)),
+                        ),
+                    }
+                }
+                lists.push((bin, functions, references.len(), (r0, t0), start..pairs.len()));
+                r0 += references.len() as u32;
             }
-            rows.extend_from_slice(references);
-            lists.push((offset, start..pairs.len()));
+            targets.extend(feats);
         }
-        let scores = self.detector.classify_pairs(&rows, &feats, &pairs);
+        let scores = self.detector.classify_pairs(&rows, &targets, &pairs);
         let seconds = started.elapsed().as_secs_f64();
-        Ok(reference_sets
-            .iter()
-            .zip(lists)
-            .map(|(references, (offset, range))| {
+        Ok(lists
+            .into_iter()
+            .map(|(bin, functions, references, offsets, range)| {
                 let (probs, best_ref, candidates) = self.fold_scores(
-                    feats.len(),
-                    references.len(),
+                    functions,
+                    references,
                     &pairs[range.clone()],
                     &scores[range],
-                    offset,
+                    offsets,
                 );
                 StaticScan {
                     library: bin.lib_name.clone(),
-                    total: feats.len(),
+                    total: functions,
                     probs,
                     candidates,
                     best_ref,
@@ -454,18 +469,20 @@ impl Patchecko {
             .collect())
     }
 
-    /// One set's scores folded per function: the best probability, the
-    /// (set-relative) reference that produced it, and the functions at or
-    /// above the threshold. Degenerate scans (nothing to compare) give a
-    /// well-formed empty result: zero probabilities, no candidates, no
-    /// best references — never NaNs or spurious threshold hits.
+    /// One (binary, set) list's scores folded per function: the best
+    /// probability, the (set-relative) reference that produced it, and the
+    /// functions at or above the threshold. `(r0, t0)` are the list's
+    /// reference and target row offsets in the pass. Degenerate scans
+    /// (nothing to compare) give a well-formed empty result: zero
+    /// probabilities, no candidates, no best references — never NaNs or
+    /// spurious threshold hits.
     fn fold_scores(
         &self,
         functions: usize,
         references: usize,
         pairs: &[(u32, u32)],
         scores: &[f32],
-        offset: u32,
+        (r0, t0): (u32, u32),
     ) -> (Vec<f32>, Vec<usize>, Vec<usize>) {
         if references == 0 || functions == 0 {
             return (vec![0.0f32; functions], Vec::new(), Vec::new());
@@ -473,10 +490,10 @@ impl Patchecko {
         let mut probs = vec![0.0f32; functions];
         let mut best_ref = vec![0usize; functions];
         for (&(r, j), &s) in pairs.iter().zip(scores) {
-            let j = j as usize;
+            let j = (j - t0) as usize;
             if s > probs[j] {
                 probs[j] = s;
-                best_ref[j] = (r - offset) as usize;
+                best_ref[j] = (r - r0) as usize;
             }
         }
         let candidates = probs

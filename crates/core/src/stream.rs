@@ -1,19 +1,20 @@
 //! Streaming scan with a bounded working set.
 //!
-//! The corpus-scale workload (ROADMAP item 4) feeds 10⁵+ functions
-//! through the static scanner. Holding such a corpus in memory is exactly
-//! what `corpus::stream` exists to avoid, so the scan side must be
-//! streaming too: [`Patchecko::scan_stream`] pulls compiled units from an
-//! iterator, scans each against the reference feature set, keeps only
-//! match summaries, and drops the binary — at no point are more than
-//! `working_set` units alive.
+//! The corpus-scale workload feeds 10⁵+ functions through the static
+//! scanner. Holding such a corpus in memory is exactly what
+//! `corpus::stream` exists to avoid, so the scan side must be streaming
+//! too: [`Patchecko::scan_stream`] pulls compiled units from an iterator
+//! a working set at a time, scans the working set against the reference
+//! feature set in one static pass, keeps only match summaries, and drops
+//! the binaries — at no point are more than `working_set` units alive.
 //!
-//! Boundedness is **proven, not sniffed**: every unit's residency is
-//! tracked by a [`WorkingSet`] live-entry counter (acquire on pull,
-//! release on drop), and the report carries the observed peak. A corpus
-//! 10× larger than the working set must finish with
-//! `peak_live ≤ working_set` — the invariant the bounded-memory gate
-//! asserts in `cargo test` and in `bench_corpus` before any timing.
+//! Residency is counted twice. Every pulled unit holds a permit on a
+//! [`WorkingSet`] live-entry counter until its batch is done, and the
+//! report carries the observed peak (`peak_live ≤ working_set`, asserted
+//! in `cargo test` and in `bench_corpus` before any timing). That peak is
+//! counted by the loop that enforces it, so the gate that can fail is a
+//! `drive` test whose items count themselves: each is alive from the
+//! moment the iterator yields it until it is dropped.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -28,8 +29,9 @@ use crate::pipeline::{FeatureSource, Patchecko};
 ///
 /// Tracks how many stream units are resident right now (`live`), the most
 /// that were ever resident (`peak`), and the total admitted (`admitted`).
-/// The streaming paths acquire one permit per unit pulled and release it
-/// when the unit is dropped; the peak is the memory-boundedness evidence.
+/// [`WorkingSet::drive`] acquires one permit per unit pulled and releases
+/// it when the unit's batch is done; the peak is reported as
+/// memory-boundedness evidence.
 #[derive(Debug, Default)]
 pub struct WorkingSet {
     live: AtomicUsize,
@@ -73,34 +75,34 @@ impl WorkingSet {
     }
 
     /// Drive `units` through `visit` with at most `working_set` of them
-    /// resident: units are pulled in working-set-sized batches, each holds
-    /// a permit until `visit` (given its 0-based pull index) is done with
-    /// it, and the next batch is pulled only after the current one is
-    /// dropped. Returns `(units visited, peak live units)`.
+    /// resident: units are pulled in batches of up to `working_set`, each
+    /// holding a permit, and `visit` gets the whole batch with the
+    /// 0-based pull index of its first unit. The batch and its permits
+    /// are dropped when `visit` returns, before the next batch is pulled.
+    /// Returns `(units visited, peak live units)`.
     ///
     /// # Errors
     /// Stops at the first error from `visit` and returns it.
     pub fn drive<T, E>(
         units: impl IntoIterator<Item = T>,
         working_set: usize,
-        mut visit: impl FnMut(usize, T) -> Result<(), E>,
+        mut visit: impl FnMut(usize, &[T]) -> Result<(), E>,
     ) -> Result<(usize, usize), E> {
         let tracker = WorkingSet::new();
         let mut iter = units.into_iter();
         let mut visited = 0usize;
         loop {
-            let batch: Vec<_> = iter
+            let mut permits = Vec::new();
+            let batch: Vec<T> = iter
                 .by_ref()
                 .take(working_set.max(1))
-                .map(|unit| (unit, tracker.acquire()))
+                .inspect(|_| permits.push(tracker.acquire()))
                 .collect();
             if batch.is_empty() {
                 return Ok((visited, tracker.peak()));
             }
-            for (unit, _permit) in batch {
-                visit(visited, unit)?;
-                visited += 1;
-            }
+            visit(visited, &batch)?;
+            visited += batch.len();
         }
     }
 }
@@ -168,13 +170,18 @@ impl Patchecko {
     /// Scan a stream of compiled units against `references`, holding at
     /// most `working_set` units in memory at any point.
     ///
-    /// Units are pulled in working-set-sized batches; each unit is
-    /// scanned with [`Patchecko::scan_library`] (so `--retrieval
-    /// topk` prunes pairs exactly as in image scans, and the NN forward
-    /// passes parallelize on the shared pool), reduced to its
-    /// above-threshold [`StreamMatch`]es, and dropped before the next
-    /// batch is pulled. Residency is accounted by a [`WorkingSet`]
-    /// live-entry counter whose peak is returned in the report.
+    /// Units are pulled in working-set-sized batches by
+    /// [`WorkingSet::drive`]. Each batch gets one static pass: every
+    /// unit's features and pair list are built as
+    /// [`Patchecko::scan_library`] builds them (so `--retrieval topk`
+    /// prunes pairs exactly as in image scans), and the batch's lists are
+    /// scored in one `classify_pairs` call, whose chunks run on the shared
+    /// pool. Each unit is folded on its own into its above-threshold
+    /// [`StreamMatch`]es, which are bitwise those of its own
+    /// `scan_library` call at any working-set size, and the batch is
+    /// dropped before the next one is pulled. Residency is accounted by a
+    /// [`WorkingSet`] live-entry counter whose peak is returned in the
+    /// report.
     ///
     /// # Errors
     /// Propagates the first extraction failure; units already scanned are
@@ -211,20 +218,19 @@ impl Patchecko {
         let started = Instant::now();
         let mut matches = Vec::new();
         let mut functions = 0usize;
-        let (units, peak_live) = WorkingSet::drive(units, working_set, |unit, bin| {
-            let scan = self
-                .scan_library(&bin, &[references], source)?
-                .pop()
-                .expect("one scan per reference set");
-            functions += scan.total;
-            for &f in &scan.candidates {
-                matches.push(StreamMatch {
-                    unit,
-                    library: scan.library.clone(),
-                    function: f,
-                    reference: scan.best_ref.get(f).copied().unwrap_or(0),
-                    probability: scan.probs[f],
-                });
+        let (units, peak_live) = WorkingSet::drive(units, working_set, |first, bins| {
+            let scans = self.static_pass(bins, &[references], source)?;
+            for (unit, scan) in (first..).zip(scans) {
+                functions += scan.total;
+                for &f in &scan.candidates {
+                    matches.push(StreamMatch {
+                        unit,
+                        library: scan.library.clone(),
+                        function: f,
+                        reference: scan.best_ref.get(f).copied().unwrap_or(0),
+                        probability: scan.probs[f],
+                    });
+                }
             }
             Ok::<_, ScanError>(())
         })?;
@@ -245,6 +251,8 @@ impl Patchecko {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn working_set_counter_tracks_live_peak_and_admitted() {
@@ -260,5 +268,50 @@ mod tests {
         drop(b);
         drop(c);
         assert_eq!((ws.live(), ws.peak(), ws.admitted()), (0, 2, 3));
+    }
+
+    /// A stream item that counts itself: alive from the moment the
+    /// iterator yields it until it is dropped.
+    struct Counted {
+        id: usize,
+        live: Rc<Cell<usize>>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.live.set(self.live.get() - 1);
+        }
+    }
+
+    /// The bounded-memory gate, counted by the items rather than by
+    /// `drive`'s own permits: at every pull, no more than `working_set`
+    /// items are alive, and every item is visited once, in stream order.
+    #[test]
+    fn drive_never_holds_more_than_the_working_set_alive() {
+        for working_set in [1usize, 3, 8] {
+            let total = working_set * 10;
+            let live = Rc::new(Cell::new(0usize));
+            let max_seen = Cell::new(0usize);
+            let items = (0..total).map(|id| {
+                live.set(live.get() + 1);
+                max_seen.set(max_seen.get().max(live.get()));
+                Counted { id, live: Rc::clone(&live) }
+            });
+            let mut seen = Vec::new();
+            let (visited, peak) = WorkingSet::drive(items, working_set, |first, batch| {
+                assert_eq!(first, seen.len(), "ws {working_set}: batch starts at its pull index");
+                seen.extend(batch.iter().map(|item| item.id));
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            assert!(
+                max_seen.get() <= working_set,
+                "ws {working_set}: {} items alive at once",
+                max_seen.get()
+            );
+            assert_eq!(seen, (0..total).collect::<Vec<_>>(), "ws {working_set}");
+            assert_eq!((visited, peak), (total, working_set));
+            assert_eq!(live.get(), 0, "ws {working_set}: every item dropped");
+        }
     }
 }

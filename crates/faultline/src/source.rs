@@ -127,10 +127,6 @@ impl<S> FaultyFeatureSource<S> {
 }
 
 impl<S: FeatureSource> FeatureSource for FaultyFeatureSource<S> {
-    fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError> {
-        (0..bin.function_count()).map(|idx| self.features_one(bin, idx)).collect()
-    }
-
     fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
         self.inject(bin, idx)?;
         let mut features = self.inner.features_one(bin, idx)?;

@@ -6,8 +6,8 @@
 //! * [`matrix`] — dense `f32` matrices with cache-blocked, register-tiled
 //!   GEMM kernels and a fused dense-layer forward;
 //! * [`pool`] — the shared persistent worker pool that runs whole tasks
-//!   (classify chunks, extraction sweeps, candidate profiling, scheduler
-//!   jobs), plus unified thread-count resolution (`PATCHECKO_THREADS`);
+//!   (classify chunks, candidate profiling, scheduler jobs), plus
+//!   unified thread-count resolution (`PATCHECKO_THREADS`);
 //! * [`net`] — the sequential pair classifier (dense layers, ReLU, sigmoid,
 //!   binary cross-entropy, Adam) plus the training loop that records the
 //!   Figure-8 accuracy/loss curves;

@@ -5,9 +5,9 @@
 //! forward passes) the spawn/join cost is pure overhead. This module
 //! keeps one process-wide pool of detached workers that is initialized
 //! on first use and then reused by every stage that has independent
-//! work items: pair-classification chunks, feature extraction sweeps,
-//! dynamic-stage candidate profiling, and scheduler batches. Matrix
-//! products never dispatch; they run on the thread that calls them.
+//! work items: pair-classification chunks, dynamic-stage candidate
+//! profiling, and scheduler batches. Matrix products and feature
+//! extraction never dispatch; they run on the thread that calls them.
 //!
 //! Thread-count resolution is unified here: an explicit override
 //! (`PipelineConfig::threads` upstream) wins, then the
@@ -185,16 +185,6 @@ pub fn global() -> &'static WorkerPool {
 /// affect each other's parallelism, never their outputs.
 pub fn set_global_threads(n: usize) {
     global().set_limit(n);
-}
-
-/// How many pieces to split work into from this thread: 1 inside a pool
-/// worker (nested work runs inline), the global limit otherwise.
-pub fn current_width() -> usize {
-    if in_worker() {
-        1
-    } else {
-        global().limit()
-    }
 }
 
 #[cfg(test)]

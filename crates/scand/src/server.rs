@@ -8,9 +8,9 @@
 //! *submit* scan/audit work into the shared [`FairQueue`] rather than
 //! executing it themselves. A fixed pool of executor threads pops jobs
 //! from the queue — round-robin across tenants — and runs them against
-//! the one shared hub; the classify chunks, feature extraction and
-//! candidate profiling inside each job fan out further onto the
-//! process-wide `neural::pool`. `stats` and `drain` never queue:
+//! the one shared hub; the classify chunks and candidate profiling
+//! inside each job fan out further onto the process-wide
+//! `neural::pool`. `stats` and `drain` never queue:
 //! statistics must stay observable *while* the queue is full, and drain
 //! must be able to stop a saturated daemon.
 //!

@@ -204,7 +204,7 @@ impl ScanHub {
     }
 
     /// Run a batch of scan jobs across the shared persistent worker pool
-    /// (the same pool classify chunks and feature extraction use — no
+    /// (the same pool classify chunks and candidate profiling use — no
     /// per-batch thread spawning). The worker count honours
     /// `PipelineConfig::threads`
     /// ([`patchecko_core::pipeline::PipelineConfig::effective_threads`]).

@@ -2,8 +2,8 @@
 //! scan jobs across the shared persistent worker pool.
 //!
 //! Jobs are dispatched to [`neural::pool::global`] — the same pool that
-//! classify chunks, feature extraction and candidate profiling use — so
-//! a batch spawns no threads of its own. Workers pull jobs from the
+//! classify chunks and candidate profiling use — so a batch spawns no
+//! threads of its own. Workers pull jobs from the
 //! pool's shared queue, so long jobs (big libraries, many candidates)
 //! don't starve short ones the way static chunking would; a job whose
 //! scan splits its own work runs those tasks inline on its worker

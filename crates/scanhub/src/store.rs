@@ -381,10 +381,6 @@ impl ArtifactStore {
 /// The static lane in this handle's namespace. A function whose code
 /// fails to decode is a typed [`ScanError::Extraction`].
 impl FeatureSource for ArtifactStore {
-    fn features_all(&self, bin: &Binary) -> Result<Vec<StaticFeatures>, ScanError> {
-        (0..bin.function_count()).map(|i| self.features_one(bin, i)).collect()
-    }
-
     fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
         Ok(self.get_or_extract(bin, idx)?.features.clone())
     }
@@ -488,8 +484,15 @@ mod tests {
         let store = ArtifactStore::new();
         let mut bin = sample_binary();
         bin.functions[2].code = vec![0xEE, 0xEE, 0xEE];
-        match store.features_all(&bin) {
-            Err(ScanError::Extraction { function: 2, .. }) => {}
+        let detail = match store.features_all(&bin) {
+            Err(ScanError::Extraction { function: 2, detail, .. }) => detail,
+            other => panic!("expected typed extraction error, got {other:?}"),
+        };
+        // The uncached source names the same function, with the same text.
+        match DirectExtraction.features_all(&bin) {
+            Err(ScanError::Extraction { function: 2, detail: direct, .. }) => {
+                assert_eq!(direct, detail);
+            }
             other => panic!("expected typed extraction error, got {other:?}"),
         }
         // Healthy functions are still servable individually.

@@ -10,14 +10,20 @@
 //!   distractor references wide enough that top-K really prunes, the
 //!   indexed streaming scan retains ≥ 99% of the exact scan's detections
 //!   (the scaled-down `cargo test` face of the gate `bench_corpus`
-//!   re-asserts at full scale before timing).
+//!   re-asserts at full scale before timing);
+//! * **batching is invisible** — one static pass per working set gives
+//!   bitwise the matches of one `scan_library` call per unit, at every
+//!   working-set size, and a corrupt unit fails the scan with its own
+//!   library and function.
 
 use corpus::dataset1::Dataset1Config;
 use corpus::{CorpusStream, StreamConfig};
+use fwbin::format::Binary;
 use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
+use patchecko_core::error::ScanError;
 use patchecko_core::features::StaticFeatures;
-use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko_core::pipeline::{Basis, DirectExtraction, Patchecko, PipelineConfig};
 use patchecko_core::retrieval::{Retrieval, DEFAULT_TOP_K};
 use patchecko_scanhub::ScanHub;
 use std::collections::HashSet;
@@ -145,4 +151,69 @@ fn topk_streaming_detection_recall_is_at_least_99_percent() {
          ({retained}/{} true exact detections retained at K={DEFAULT_TOP_K})",
         exact_true.len()
     );
+}
+
+/// One static pass per working set changes no answer: at working sets 1,
+/// 8 and 64, under exact and top-K retrieval, the stream reports bitwise
+/// the matches that one-binary `scan_library` calls give unit by unit —
+/// the same unit, library, function, reference and probability bits.
+#[test]
+fn stream_matches_are_identical_at_every_working_set() {
+    let mut cfg = StreamConfig::sized(1_100, 0xBA7C4);
+    cfg.plant_every = 4;
+    assert!(cfg.units() > 64, "the 64-unit working set must split the corpus");
+    let units: Vec<Binary> = CorpusStream::new(cfg.clone()).map(|u| u.binary).collect();
+    let refs = reference_pool();
+    type Row = (usize, String, usize, usize, u32);
+    for retrieval in [Retrieval::Exact, Retrieval::TopK { k: DEFAULT_TOP_K }] {
+        let analyzer = analyzer(retrieval);
+        let mut expected: Vec<Row> = Vec::new();
+        for (unit, bin) in units.iter().enumerate() {
+            let scan = analyzer.scan_library(bin, &[&refs], &DirectExtraction).unwrap().remove(0);
+            expected.extend(scan.candidates.iter().map(|&f| {
+                (unit, scan.library.clone(), f, scan.best_ref[f], scan.probs[f].to_bits())
+            }));
+        }
+        // A match past the first unit of an 8-unit batch reads rows that
+        // only the batch's target offset can find.
+        assert!(
+            expected.iter().any(|m| m.0 % 8 != 0),
+            "{retrieval}: no match inside a batch, so batching is untested"
+        );
+        for working_set in [1, 8, 64] {
+            let report = analyzer.scan_stream(units.iter().cloned(), &refs, working_set).unwrap();
+            assert_eq!(report.functions, cfg.total_functions(), "{retrieval}, ws {working_set}");
+            let got: Vec<Row> = report
+                .matches
+                .iter()
+                .map(|m| {
+                    (m.unit, m.library.clone(), m.function, m.reference, m.probability.to_bits())
+                })
+                .collect();
+            assert_eq!(got.len(), expected.len(), "{retrieval}, ws {working_set}: match count");
+            for (g, e) in got.iter().zip(&expected) {
+                assert_eq!(g, e, "{retrieval}, ws {working_set}");
+            }
+        }
+    }
+}
+
+/// A unit whose code fails to decode fails the whole streaming scan with
+/// its own library and function index, whether it is scanned alone or in
+/// the middle of a working set (a streaming scan is all-or-nothing).
+#[test]
+fn corrupt_unit_fails_the_stream_with_its_library_and_function() {
+    let mut units: Vec<Binary> =
+        CorpusStream::new(StreamConfig::sized(320, 0xC0DE)).map(|u| u.binary).collect();
+    let corrupt = units.len() / 2;
+    units[corrupt].functions[2].code = vec![0xEE, 0xEE, 0xEE];
+    let library = units[corrupt].lib_name.clone();
+    let refs = reference_pool();
+    let analyzer = analyzer(Retrieval::TopK { k: DEFAULT_TOP_K });
+    for working_set in [1, 64] {
+        match analyzer.scan_stream(units.iter().cloned(), &refs, working_set) {
+            Err(ScanError::Extraction { library: l, function: 2, .. }) if l == library => {}
+            other => panic!("ws {working_set}: expected {library} fn 2 to fail, got {other:?}"),
+        }
+    }
 }
