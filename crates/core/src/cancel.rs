@@ -2,12 +2,15 @@
 //!
 //! A [`CancelToken`] carries a request's wall-clock deadline from the
 //! service edge down through the analysis pipeline. The pipeline checks
-//! the token *between* stages (per library, before the dynamic stage,
-//! per CVE in an audit) — cheap enough to be free, frequent enough that
-//! an expired request never pins an executor for a whole image. A check
-//! that observes expiry returns the typed
-//! [`ScanError::DeadlineExceeded`], which the service layer maps to a
-//! per-tenant `expired` counter and a typed wire rejection.
+//! the token *between* stages (before an image's one static pass, before
+//! each dynamic stage, per CVE in an audit), which is cheap enough to be
+//! free. An image's static stage is one uninterrupted pass: every
+//! library's features are fetched and every pair is scored before the
+//! next check, so an expired request can hold an executor for that whole
+//! pass and stops before or after it, never inside it. A check that
+//! observes expiry returns the typed [`ScanError::DeadlineExceeded`],
+//! which the service layer maps to a per-tenant `expired` counter and a
+//! typed wire rejection.
 //!
 //! Tokens are plain `Copy` values carried in the run context
 //! ([`crate::pipeline::RunCtx::cancel`]); the default context holds an

@@ -7,7 +7,7 @@
 //! 6-layer sequential model of Figure 4, over 96 inputs (two 48-feature
 //! vectors).
 
-use crate::features::{self, Normalizer, StaticFeatures};
+use crate::features::{self, Normalizer, StaticFeatures, NUM_STATIC_FEATURES};
 use corpus::dataset1::Dataset1;
 use neural::matrix::Matrix;
 use neural::net::{self, Mlp, TrainConfig, TrainHistory};
@@ -15,17 +15,22 @@ use neural::metrics;
 use neural::pool::WorkerPool;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use scope::MetricsRegistry;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Layer widths of the paper's 6-layer model (input shape 96).
 pub const MODEL_DIMS: [usize; 7] = [96, 128, 64, 32, 16, 8, 1];
 
-/// Pairs per [`Detector::classify_pairs`] chunk. A 512-row chunk keeps
-/// each layer's activations (at most 512 × 128 `f32`, 256 KiB) in cache.
-/// A one-CVE scan of a library up to 128 functions (× 4 reference
-/// variants) fits in one chunk; a streaming working set's top-K list
-/// (about 16 pairs per function, ~17k pairs for 64 units) spans dozens.
+/// Distinct pairs per [`Detector::classify_pairs`] chunk. A 512-row chunk
+/// keeps each layer's activations (at most 512 × 128 `f32`, 256 KiB) in
+/// cache. Chunks cut the list of distinct content pairs, not the list
+/// requested. A one-CVE scan of a library up to 128 functions (× 4
+/// reference variants) fits in one chunk; an audit's image-wide pass
+/// (156,600 pairs, ~35k distinct at scale 0.25) and a streaming working
+/// set's top-K list (about 16 pairs per function, ~17k pairs for 64 units)
+/// span dozens.
 const CHUNK_PAIRS: usize = 512;
 
 /// Detector training configuration.
@@ -116,7 +121,6 @@ pub fn sample_pairs(ds: &Dataset1, cfg: &DetectorConfig, norm: &Normalizer) -> P
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
     // Index variants by source identity.
-    use std::collections::HashMap;
     let mut groups: HashMap<(usize, &str), Vec<(usize, usize)>> = HashMap::new();
     for (vi, ids) in ex.identity.iter().enumerate() {
         for (fi, (lib, name)) in ids.iter().enumerate() {
@@ -262,13 +266,30 @@ impl Detector {
     /// bitwise the same whichever list carries the pair, which is what
     /// makes indexed retrieval at full K reproduce the exact scan.
     ///
-    /// A list longer than `CHUNK_PAIRS` pairs is scored in chunks of that
-    /// many, one task per chunk in a single dispatch on the shared
-    /// [`neural::pool`]. Each row is still normalized and projected once
-    /// per call; only the combine and the layers after the first run per
-    /// chunk, inside their task, so a chunk's activations stay in cache.
-    /// Chunking cannot change a bit, by the same row independence. A list that fits one chunk is
-    /// scored in one forward pass, without a chunk dispatch.
+    /// The same property lets the call score each distinct *content* pair
+    /// once. The touched rows are made canonical by their `f64` bit
+    /// patterns, so indices whose 48 features are bitwise equal share one
+    /// normalized, projected row. A dense slot table over (distinct
+    /// reference row, distinct target row) then maps every pair to its
+    /// distinct pair; each distinct pair is scored once and its score is
+    /// copied back to every pair that carries it. The output is bitwise
+    /// what scoring every pair would give. The table holds 4 bytes per
+    /// (distinct reference row, distinct target row) the list touches:
+    /// at most half the 8 bytes per pair of the list that pairs every one
+    /// of those rows, which is the exact scan's own list. How much this
+    /// saves depends on the duplicate rate: many small functions map onto
+    /// the same Table I row. The global counters `classify.pairs` and
+    /// `classify.pairs_scored` count the pairs requested and the pairs
+    /// actually scored.
+    ///
+    /// A list of more than `CHUNK_PAIRS` distinct pairs is scored in
+    /// chunks of that many, one task per chunk in a single dispatch on
+    /// the shared [`neural::pool`]. Each row is still normalized and
+    /// projected once per call; only the combine and the layers after the
+    /// first run per chunk, inside their task, so a chunk's activations
+    /// stay in cache. Chunking cannot change a bit, by the same row
+    /// independence. A list that fits one chunk is scored in one forward
+    /// pass, without a chunk dispatch.
     ///
     /// # Panics
     /// Panics if a pair indexes out of `references`/`targets` range.
@@ -278,13 +299,15 @@ impl Detector {
         targets: &[StaticFeatures],
         pairs: &[(u32, u32)],
     ) -> Vec<f32> {
-        self.classify_pairs_on(neural::pool::global(), references, targets, pairs)
+        self.classify_pairs_on(neural::pool::global(), scope::global(), references, targets, pairs)
     }
 
-    /// [`Detector::classify_pairs`] with its chunks dispatched on `pool`.
+    /// [`Detector::classify_pairs`] with its chunks dispatched on `pool`
+    /// and its counters added to `metrics`.
     fn classify_pairs_on(
         &self,
         pool: &WorkerPool,
+        metrics: &MetricsRegistry,
         references: &[StaticFeatures],
         targets: &[StaticFeatures],
         pairs: &[(u32, u32)],
@@ -296,13 +319,13 @@ impl Detector {
         let (w1, b1) = self.net.layer_params(0);
         let n1 = w1.cols();
         let relu = self.net.num_layers() > 1;
-        // Project only the rows the pair list actually touches — the
-        // point of sparse classification is staying sub-linear in the
+        // Project only the distinct rows the pair list actually touches —
+        // the point of sparse classification is staying sub-linear in the
         // reference DB, so the first-layer projection must not run over
         // every reference. A projected row depends only on its own
         // normalized input, so gathering keeps rows bitwise-identical.
-        let (ref_rows, ref_map) = gather_used(pairs.iter().map(|&(r, _)| r), references.len());
-        let (tgt_rows, tgt_map) = gather_used(pairs.iter().map(|&(_, t)| t), targets.len());
+        let (ref_rows, ref_map) = gather_used(pairs.iter().map(|&(r, _)| r), references);
+        let (tgt_rows, tgt_map) = gather_used(pairs.iter().map(|&(_, t)| t), targets);
         let rn = Matrix::from_vec(
             ref_rows.len(),
             half,
@@ -317,46 +340,83 @@ impl Detector {
         let w_bot = Matrix::from_fn(half, n1, |r, c| w1.get(r + half, c));
         let rpart = rn.matmul(&w_top);
         let tpart = tn.matmul(&w_bot);
-        let remapped: Vec<(u32, u32)> =
-            pairs.iter().map(|&(r, t)| (ref_map[r as usize], tgt_map[t as usize])).collect();
-        if remapped.len() <= CHUNK_PAIRS {
-            let h = Matrix::combine_pairs(&rpart, &tpart, &remapped, b1, relu);
-            return self.net.predict_from(1, h);
-        }
-        // Pool tasks are `'static`: share the projected halves, the pair
-        // list and the network (whose first layer supplies the bias).
-        let (rpart, tpart) = (Arc::new(rpart), Arc::new(tpart));
-        let (remapped, net) = (Arc::new(remapped), Arc::new(self.net.clone()));
-        let tasks: Vec<_> = (0..remapped.len())
-            .step_by(CHUNK_PAIRS)
-            .map(|start| {
-                let (rpart, tpart) = (Arc::clone(&rpart), Arc::clone(&tpart));
-                let (pairs, net) = (Arc::clone(&remapped), Arc::clone(&net));
-                move || {
-                    let chunk = &pairs[start..(start + CHUNK_PAIRS).min(pairs.len())];
-                    let bias = net.layer_params(0).1;
-                    let h = Matrix::combine_pairs(&rpart, &tpart, chunk, bias, relu);
-                    net.predict_from(1, h)
-                }
-            })
-            .collect();
-        pool.run(tasks).concat()
+        let (scored, slot_of) = distinct_pairs(
+            pairs.iter().map(|&(r, t)| (ref_map[r as usize], tgt_map[t as usize])),
+            ref_rows.len(),
+            tgt_rows.len(),
+        );
+        metrics.add("classify.pairs", pairs.len() as u64);
+        metrics.add("classify.pairs_scored", scored.len() as u64);
+        let scores = if scored.len() <= CHUNK_PAIRS {
+            let h = Matrix::combine_pairs(&rpart, &tpart, &scored, b1, relu);
+            self.net.predict_from(1, h)
+        } else {
+            // Pool tasks are `'static`: share the projected halves, the
+            // pair list and the network (whose first layer supplies the
+            // bias).
+            let (rpart, tpart) = (Arc::new(rpart), Arc::new(tpart));
+            let (scored, net) = (Arc::new(scored), Arc::new(self.net.clone()));
+            let tasks: Vec<_> = (0..scored.len())
+                .step_by(CHUNK_PAIRS)
+                .map(|start| {
+                    let (rpart, tpart) = (Arc::clone(&rpart), Arc::clone(&tpart));
+                    let (pairs, net) = (Arc::clone(&scored), Arc::clone(&net));
+                    move || {
+                        let chunk = &pairs[start..(start + CHUNK_PAIRS).min(pairs.len())];
+                        let bias = net.layer_params(0).1;
+                        let h = Matrix::combine_pairs(&rpart, &tpart, chunk, bias, relu);
+                        net.predict_from(1, h)
+                    }
+                })
+                .collect();
+            pool.run(tasks).concat()
+        };
+        slot_of.iter().map(|&s| scores[s as usize]).collect()
     }
 }
 
-/// Distinct indices drawn from `it` in first-appearance order, plus the
-/// dense remap table (`map[original] = packed row`, `u32::MAX` = unused).
-fn gather_used(it: impl Iterator<Item = u32>, len: usize) -> (Vec<u32>, Vec<u32>) {
-    let mut map = vec![u32::MAX; len];
-    let mut rows = Vec::new();
+/// The distinct rows of `rows` that `it` touches, canonical by content:
+/// `used` holds the index where each distinct row first appears, and
+/// `map[i]` is index `i`'s distinct row (`u32::MAX` = untouched). Indices
+/// whose features are bitwise equal as `f64` bit patterns share a row.
+fn gather_used(it: impl Iterator<Item = u32>, rows: &[StaticFeatures]) -> (Vec<u32>, Vec<u32>) {
+    let mut map = vec![u32::MAX; rows.len()];
+    let mut by_content: HashMap<[u64; NUM_STATIC_FEATURES], u32> = HashMap::new();
+    let mut used = Vec::new();
     for i in it {
         let slot = &mut map[i as usize];
         if *slot == u32::MAX {
-            *slot = rows.len() as u32;
-            rows.push(i);
+            let bits = rows[i as usize].0.map(f64::to_bits);
+            *slot = *by_content.entry(bits).or_insert_with(|| {
+                used.push(i);
+                used.len() as u32 - 1
+            });
         }
     }
-    (rows, map)
+    (used, map)
+}
+
+/// Each distinct pair of `pairs` (over `refs` × `targets` distinct rows)
+/// once, in first-appearance order, and each pair's index into that list,
+/// found through a dense `refs × targets` slot table.
+fn distinct_pairs(
+    pairs: impl Iterator<Item = (u32, u32)>,
+    refs: usize,
+    targets: usize,
+) -> (Vec<(u32, u32)>, Vec<u32>) {
+    let mut table = vec![u32::MAX; refs * targets];
+    let mut distinct = Vec::new();
+    let slot_of = pairs
+        .map(|(r, t)| {
+            let slot = &mut table[r as usize * targets + t as usize];
+            if *slot == u32::MAX {
+                *slot = distinct.len() as u32;
+                distinct.push((r, t));
+            }
+            *slot
+        })
+        .collect();
+    (distinct, slot_of)
 }
 
 #[cfg(test)]
@@ -505,19 +565,122 @@ mod tests {
             assert_eq!(s.to_bits(), expect(i, j).to_bits(), "sparse pair ({i},{j})");
         }
 
-        // A list longer than two chunks, with its chunks run inline and on
-        // a private 2-wide pool (independent of the global width).
-        let long: Vec<(u32, u32)> =
-            all.iter().cycle().take(2 * CHUNK_PAIRS + all.len()).copied().collect();
-        for width in [1, 2] {
-            let scores = det.classify_pairs_on(&WorkerPool::new(width), &refs, &targets, &long);
+        assert!(det.classify_pairs(&refs, &targets, &[]).is_empty());
+
+        // A list of more than two chunks of distinct pairs, with its chunks
+        // run inline and on a private 2-wide pool (independent of the
+        // global width), scores as it does cut into lists of one chunk,
+        // each scored in one forward pass. The list runs over widened rows:
+        // the tiny rows give too few distinct pairs to fill one chunk.
+        let (refs, targets) = (widened(&refs), widened(&targets));
+        let long = full_pair_list(refs.len(), targets.len());
+        let by_chunk: Vec<f32> =
+            long.chunks(CHUNK_PAIRS).flat_map(|c| det.classify_pairs(&refs, &targets, c)).collect();
+        let global = scope::global();
+        for (width, runs) in
+            [(1, global.counter("pool.inline_runs")), (2, global.counter("pool.dispatches"))]
+        {
+            let (pool, metrics) = (WorkerPool::new(width), MetricsRegistry::new());
+            let before = runs.get();
+            let scores = det.classify_pairs_on(&pool, &metrics, &refs, &targets, &long);
+            assert!(runs.get() > before, "width {width}: the chunks never reached the pool");
+            let scored = metrics.snapshot().counter("classify.pairs_scored");
+            assert!(scored > 2 * CHUNK_PAIRS as u64, "width {width}: {scored} distinct pairs");
             assert_eq!(scores.len(), long.len());
-            for (p, (&(i, j), s)) in long.iter().zip(&scores).enumerate() {
-                assert_eq!(s.to_bits(), expect(i, j).to_bits(), "width {width}, pair {p}");
+            for (p, (s, want)) in scores.iter().zip(&by_chunk).enumerate() {
+                assert_eq!(s.to_bits(), want.to_bits(), "width {width}, pair {p}");
             }
         }
+    }
 
-        assert!(det.classify_pairs(&refs, &targets, &[]).is_empty());
+    /// `base`, then its first row with one feature raised (one row per
+    /// feature and step), then `base` again: every base row recurs at a
+    /// non-adjacent position, and 96 rows differ from the first in exactly
+    /// one of the 48 features.
+    fn widened(base: &[StaticFeatures]) -> Vec<StaticFeatures> {
+        let mut rows = base.to_vec();
+        for step in [1.0, 2.0] {
+            rows.extend((0..NUM_STATIC_FEATURES).map(|k| {
+                let mut row = base[0].clone();
+                row.0[k] += step;
+                row
+            }));
+        }
+        rows.extend_from_slice(base);
+        rows
+    }
+
+    /// Content dedup is invisible. Rows that recur at non-adjacent
+    /// positions, and rows one feature apart, score bitwise as each pair's
+    /// one-pair call does, in dense and sparse lists under and over one
+    /// chunk, and `classify.pairs_scored` counts the distinct content
+    /// pairs.
+    #[test]
+    fn duplicate_rows_score_once_and_bitwise_as_one_pair_calls() {
+        use std::collections::HashSet;
+        let det = crate::testutil::shared_detector();
+        let ds = tiny_dataset();
+        let base_refs = crate::features::extract_all(&ds.variants[0].binary).unwrap();
+        let base_targets = crate::features::extract_all(&ds.variants[1].binary).unwrap();
+        let (refs, targets) = (widened(&base_refs), widened(&base_targets));
+        let (nr, nt) = (refs.len() as u32, targets.len() as u32);
+        // Row 0 with its last feature raised by 1, on either side.
+        let (r47, t47) = (base_refs.len() + 47, base_targets.len() + 47);
+        let bits = |f: &StaticFeatures| f.0.map(f64::to_bits);
+        assert_eq!(bits(&refs[0])[..47], bits(&refs[r47])[..47]);
+        assert_eq!(bits(&targets[0])[..47], bits(&targets[t47])[..47]);
+        let one = |r: u32, t: u32| det.classify_pairs(&refs, &targets, &[(r, t)])[0].to_bits();
+        assert_ne!(one(0, 0), one(r47 as u32, 0), "rows one feature apart must score apart");
+        assert_ne!(one(0, 0), one(0, t47 as u32), "rows one feature apart must score apart");
+
+        // Base rows, their repeats and the last-feature neighbour.
+        let near = |i: usize, base: usize| i < base || i == base + 47 || i >= base + 96;
+        let every_ref_vs_near_targets: Vec<(u32, u32)> = (0..nt)
+            .filter(|&t| near(t as usize, base_targets.len()))
+            .flat_map(|t| (0..nr).map(move |r| (r, t)))
+            .collect();
+        let near_only: Vec<(u32, u32)> = every_ref_vs_near_targets
+            .iter()
+            .copied()
+            .filter(|&(r, _)| near(r as usize, base_refs.len()))
+            .collect();
+        let n = nr.min(nt);
+        let diagonal: Vec<(u32, u32)> = (0..n).chain((0..n).rev()).map(|i| (i, i)).collect();
+        let shifted: Vec<(u32, u32)> =
+            (0..5).flat_map(|s| (0..n).map(move |i| (i, (i + s) % nt))).collect();
+        let cases = [
+            ("every ref x near targets", every_ref_vs_near_targets),
+            ("near rows only", near_only),
+            ("diagonal", diagonal),
+            ("shifted diagonals", shifted),
+        ];
+        for long in [false, true] {
+            let (dense, sparse) = (&cases[..2], &cases[2..]);
+            assert!(dense.iter().any(|(_, l)| (l.len() > CHUNK_PAIRS) == long));
+            assert!(sparse.iter().any(|(_, l)| (l.len() > CHUNK_PAIRS) == long));
+        }
+
+        let pool = WorkerPool::new(2);
+        let mut expect: HashMap<(u32, u32), u32> = HashMap::new();
+        for (name, list) in &cases {
+            let content_pairs: HashSet<_> = list
+                .iter()
+                .map(|&(r, t)| (bits(&refs[r as usize]), bits(&targets[t as usize])))
+                .collect();
+            assert!(content_pairs.len() < list.len(), "{name}: fixture has no duplicate pair");
+
+            let metrics = MetricsRegistry::new();
+            let scores = det.classify_pairs_on(&pool, &metrics, &refs, &targets, list);
+            assert_eq!(scores.len(), list.len(), "{name}");
+            for (p, (&(r, t), s)) in list.iter().zip(&scores).enumerate() {
+                let want = *expect.entry((r, t)).or_insert_with(|| one(r, t));
+                assert_eq!(s.to_bits(), want, "{name}: pair {p} ({r}, {t})");
+            }
+            let counters = metrics.snapshot();
+            assert_eq!(counters.counter("classify.pairs"), list.len() as u64, "{name}");
+            let scored = counters.counter("classify.pairs_scored");
+            assert_eq!(scored, content_pairs.len() as u64, "{name}");
+        }
     }
 
     #[test]

@@ -246,16 +246,18 @@ fn locate_and_verify(
 
 /// Audit a whole firmware image against the vulnerability database,
 /// producing the deployment-facing [`AuditReport`]. The static and
-/// dynamic stages run library-major: one [`Patchecko::analyze_image`]
-/// pass over both search bases of every entry, so each library is
-/// scanned, and loaded, once for the whole database. Then, per CVE, the
-/// differential tail shared with [`audit_one_cve`] arbitrates with
+/// dynamic stages run in one [`Patchecko::analyze_image`] call over both
+/// search bases of every entry: the image is scanned once, in one static
+/// pass over every library and every reference set (each distinct
+/// feature pair scored once), and each library is loaded once for the
+/// whole database's dynamic stages. Then, per CVE, the differential tail
+/// shared with [`audit_one_cve`] arbitrates with
 /// [`differential::detect_patch_best`] and classifies. With a warm
 /// scanhub context, the whole audit performs zero disassembly /
 /// feature-extraction work *and* zero VM executions.
 ///
-/// `ctx.cancel` is checked before the first feature call, at every
-/// library boundary, before each dynamic stage, before every CVE's
+/// `ctx.cancel` is checked before the first feature call, before the
+/// image's static pass, before each dynamic stage, before every CVE's
 /// differential and per differential candidate, so an audit whose
 /// end-to-end deadline has passed surfaces the typed
 /// [`ScanError::DeadlineExceeded`] at the next stage boundary instead of

@@ -60,7 +60,7 @@ pub struct PipelineConfig {
     /// [`neural::pool`]: candidate profiling in the dynamic stage (more
     /// than three candidates — the paper parallelizes
     /// execution-environment testing), pair classification (one task per
-    /// chunk of a list longer than one chunk, such as a library's list
+    /// chunk of a list longer than one chunk, such as an image's list
     /// against many reference sets or a streaming working set's) and the
     /// scanhub job scheduler. Feature extraction runs on the calling
     /// thread. Work already running on a pool worker runs inline.
@@ -204,7 +204,8 @@ pub struct StaticScan {
     pub best_ref: Vec<usize>,
     /// Wall-clock seconds of the static pass that produced this scan (the
     /// "DP" column). A batched pass scans the library against every
-    /// reference set at once, and a streaming scan's pass spans a whole
+    /// reference set at once, an image analysis's pass spans every
+    /// library of the image, and a streaming scan's pass spans a whole
     /// working set of libraries; each of a pass's scans carries the whole
     /// pass's time, not a share of it.
     pub seconds: f64,
@@ -395,9 +396,12 @@ impl Patchecko {
     /// one-binary scan; then its function indices are offset past the
     /// binaries before it, as reference indices are offset past the sets
     /// before them. So the pass makes one `classify_pairs` call over the
-    /// concatenated rows, which normalizes and projects each reference row
-    /// once per pass and chunks a long list across the pool, and each
-    /// (binary, set) folds back exactly what its own scan would give.
+    /// concatenated rows, which normalizes and projects each distinct row
+    /// once per pass, scores a feature pair that repeats within or across
+    /// binaries once and chunks a long list across the pool, and each
+    /// (binary, set) folds back exactly what its own scan would give. An
+    /// image analysis makes one pass over the whole image, a stream one
+    /// per working set.
     pub(crate) fn static_pass(
         &self,
         bins: &[Binary],
@@ -739,13 +743,13 @@ impl Patchecko {
     /// one target library binary, artifacts served by `ctx`. Returns one
     /// [`CveAnalysis`] per pair, in order.
     ///
-    /// The library is scanned once for the whole batch (one
-    /// [`Patchecko::scan_library`] pass over every pair's reference set)
-    /// and loaded once; then each pair's [`Patchecko::dynamic_stage`]
-    /// runs against it. `ctx.cancel` is checked before any feature call,
-    /// before the library's scan and before each dynamic stage, so a
-    /// request whose end-to-end deadline has passed stops within one
-    /// stage boundary.
+    /// The one-binary case of [`Patchecko::analyze_image`]: the library is
+    /// scanned once for the whole batch (one static pass over every pair's
+    /// reference set) and loaded once; then each pair's
+    /// [`Patchecko::dynamic_stage`] runs against it. `ctx.cancel` is
+    /// checked before any feature call, before the scan and before each
+    /// dynamic stage, so a request whose end-to-end deadline has passed
+    /// stops within one stage boundary.
     ///
     /// # Errors
     /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires between
@@ -760,7 +764,9 @@ impl Patchecko {
         ctx: &RunCtx,
     ) -> Result<Vec<CveAnalysis>, ScanError> {
         let references = Self::gather_references(pairs, ctx)?;
-        self.library_pass(target_bin, pairs, &references, &mut HashMap::new(), ctx)
+        let mut by_library =
+            self.analyze_binaries(std::slice::from_ref(target_bin), pairs, &references, ctx)?;
+        Ok(by_library.pop().expect("one analysis list per binary"))
     }
 
     /// Scan a whole firmware image for every (entry, basis) pair: every
@@ -770,17 +776,23 @@ impl Patchecko {
     /// "PATCHECKO outputs the vulnerable points (functions) within the
     /// target firmware image and the corresponding CVE numbers".
     ///
-    /// The analysis is library-major: each pair's reference set is
-    /// gathered once per call, then each library goes through one batched
-    /// pass as in [`Patchecko::analyze_library`], with each (pair,
+    /// Each pair's reference set is gathered once per call. Then one
+    /// static pass scans every library of the image against every set at
+    /// once, so [`crate::detector::Detector::classify_pairs`] sees the
+    /// whole image's pairs in one list and scores a (reference, function)
+    /// pair that repeats across libraries once. After the pass the
+    /// analysis is library-major: each library is loaded once and each
+    /// pair's dynamic stage runs against it, with each (pair,
     /// architecture) reference build loaded once per call. So an expired
-    /// request stops at the next library boundary. Every library's
-    /// analyses are held until the last library is done: the result holds
-    /// |pairs| × |libraries| [`CveAnalysis`] values at once.
+    /// request stops before or after the one static pass, or before the
+    /// next dynamic stage, never between two libraries' scans. Every
+    /// library's analyses are held until the last library is done: the
+    /// result holds |pairs| × |libraries| [`CveAnalysis`] values at once.
     ///
     /// # Errors
     /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires; otherwise
-    /// the first reference or per-library [`ScanError`] encountered.
+    /// the first reference [`ScanError`], or the first library (in image
+    /// order) whose features fail.
     pub fn analyze_image(
         &self,
         image: &fwbin::FirmwareImage,
@@ -793,7 +805,7 @@ impl Patchecko {
 
     /// [`Patchecko::analyze_image`] with `references[p]` already gathered
     /// for `pairs[p]`, so a caller can settle each pair's reference
-    /// failures before the batch runs.
+    /// failures before the batch runs. The image gets one static pass.
     pub(crate) fn analyze_gathered(
         &self,
         image: &fwbin::FirmwareImage,
@@ -801,12 +813,11 @@ impl Patchecko {
         references: &[Vec<StaticFeatures>],
         ctx: &RunCtx,
     ) -> Result<Vec<ImageAnalysis>, ScanError> {
-        let mut loads = HashMap::new();
-        let mut by_library = Vec::with_capacity(image.binaries.len());
-        for bin in &image.binaries {
-            let analyses = self.library_pass(bin, pairs, references, &mut loads, ctx)?;
-            by_library.push(analyses.into_iter());
-        }
+        let mut by_library: Vec<_> = self
+            .analyze_binaries(&image.binaries, pairs, references, ctx)?
+            .into_iter()
+            .map(Vec::into_iter)
+            .collect();
         Ok(pairs
             .iter()
             .map(|&(entry, basis)| {
@@ -826,24 +837,45 @@ impl Patchecko {
             .collect())
     }
 
-    /// One library against every pair: one static pass over all the
-    /// reference sets, one target load, then each pair's dynamic stage.
-    /// `loads` memoizes the reference builds by (pair, architecture)
-    /// across the libraries of one call.
+    /// Every binary of `bins` against every pair: one static pass over all
+    /// the binaries and reference sets, then, binary by binary, one target
+    /// load and each pair's dynamic stage. Returns one list per binary, in
+    /// order, of one [`CveAnalysis`] per pair. `ctx.cancel` is checked
+    /// before the pass and before each dynamic stage.
+    fn analyze_binaries(
+        &self,
+        bins: &[Binary],
+        pairs: &[(&DbEntry, Basis)],
+        references: &[Vec<StaticFeatures>],
+        ctx: &RunCtx,
+    ) -> Result<Vec<Vec<CveAnalysis>>, ScanError> {
+        ctx.cancel.check()?;
+        if pairs.is_empty() {
+            return Ok(bins.iter().map(|_| Vec::new()).collect());
+        }
+        let sets: Vec<&[StaticFeatures]> = references.iter().map(Vec::as_slice).collect();
+        let mut scans = self.static_pass(bins, &sets, ctx.features)?.into_iter();
+        let mut loads = HashMap::new();
+        bins.iter()
+            .map(|bin| {
+                let scans = scans.by_ref().take(pairs.len());
+                self.library_pass(bin, pairs, scans, &mut loads, ctx)
+            })
+            .collect()
+    }
+
+    /// One library's dynamic half: one target load, then each pair's
+    /// dynamic stage on that pair's static scan (`scans` yields one per
+    /// pair, in order). `loads` memoizes the reference builds by (pair,
+    /// architecture) across the libraries of one call.
     fn library_pass(
         &self,
         target_bin: &Binary,
         pairs: &[(&DbEntry, Basis)],
-        references: &[Vec<StaticFeatures>],
+        scans: impl Iterator<Item = StaticScan>,
         loads: &mut ReferenceLoads,
         ctx: &RunCtx,
     ) -> Result<Vec<CveAnalysis>, ScanError> {
-        ctx.cancel.check()?;
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let sets: Vec<&[StaticFeatures]> = references.iter().map(Vec::as_slice).collect();
-        let scans = self.scan_library(target_bin, &sets, ctx.features)?;
         // Dynamic stage: reference compiled for the *target's* platform —
         // the paper executes both functions on the device itself. A binary
         // that scanned statically but fails to *load* degrades the dynamic
@@ -1264,6 +1296,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An image gets one static pass: a multi-library `analyze_image`
+    /// records exactly one `static_scan` span, whose detail names every
+    /// library in image order.
+    #[test]
+    fn image_analysis_records_one_static_scan_span() {
+        let patchecko = Patchecko::new(quick_detector(), PipelineConfig::default());
+        let db = corpus::build_vulndb(0, 1);
+        let (a, b) = (db.get("CVE-2018-9412").unwrap(), db.get("CVE-2018-9451").unwrap());
+        let mut image = fwbin::FirmwareImage::new("one_pass_fixture", "2018-05");
+        image.binaries.extend([
+            a.vulnerable_bin.clone(),
+            b.patched_bin.clone(),
+            a.patched_bin.clone(),
+        ]);
+        let pairs = [(a, Basis::Vulnerable), (b, Basis::Patched)];
+        // Spans of tests running alongside land in the same trace buffer,
+        // so count only this thread's.
+        scope::trace::enable();
+        let analyses = patchecko.analyze_image(&image, &pairs, &RunCtx::default());
+        let me = scope::trace::thread_id();
+        let scans: Vec<_> = scope::trace::take_events()
+            .into_iter()
+            .filter(|e| e.tid == me && e.name == "static_scan")
+            .collect();
+        scope::trace::disable();
+        let analyses = analyses.unwrap();
+        assert_eq!(analyses.len(), pairs.len());
+        assert!(analyses.iter().all(|a| a.analyses.len() == image.binaries.len()));
+        assert_eq!(scans.len(), 1, "static_scan spans of a 3-library image");
+        let names: Vec<&str> = image.binaries.iter().map(|b| b.lib_name.as_str()).collect();
+        assert_eq!(scans[0].detail.as_deref(), Some(names.join(",").as_str()));
     }
 
     /// The image-wide pick sorts a NaN distance after every number, so
