@@ -2,12 +2,16 @@
 //!
 //! A [`CancelToken`] carries a request's wall-clock deadline from the
 //! service edge down through the analysis pipeline. The pipeline checks
-//! the token *between* stages (before an image's one static pass, before
-//! each dynamic stage, per CVE in an audit), which is cheap enough to be
-//! free. An image's static stage is one uninterrupted pass: every
+//! the token *between* units of work: before an image's one static pass,
+//! before each phase of its one dynamic pass, as each of that pass's pool
+//! tasks (a reference build's environment set and profile, a candidate's
+//! profile) starts, and per CVE in an audit. Each check is cheap enough
+//! to be free. An image's static stage is one uninterrupted pass: every
 //! library's features are fetched and every pair is scored before the
 //! next check, so an expired request can hold an executor for that whole
-//! pass and stops before or after it, never inside it. A check that
+//! pass and stops before or after it, never inside it. In the dynamic
+//! pass a task already running finishes, and every task not yet started
+//! is skipped. A check that
 //! observes expiry returns the typed [`ScanError::DeadlineExceeded`],
 //! which the service layer maps to a per-tenant `expired` counter and a
 //! typed wire rejection.

@@ -249,17 +249,18 @@ fn locate_and_verify(
 /// dynamic stages run in one [`Patchecko::analyze_image`] call over both
 /// search bases of every entry: the image is scanned once, in one static
 /// pass over every library and every reference set (each distinct
-/// feature pair scored once), and each library is loaded once for the
-/// whole database's dynamic stages. Then, per CVE, the differential tail
-/// shared with [`audit_one_cve`] arbitrates with
-/// [`differential::detect_patch_best`] and classifies. With a warm
-/// scanhub context, the whole audit performs zero disassembly /
-/// feature-extraction work *and* zero VM executions.
+/// feature pair scored once), then in one dynamic pass that loads each
+/// library once, asks for each reference build's environment set and
+/// profile once, and profiles every candidate of the database in one pool
+/// dispatch. Then, per CVE, the differential tail shared with
+/// [`audit_one_cve`] arbitrates with [`differential::detect_patch_best`]
+/// and classifies. With a warm scanhub context, the whole audit performs
+/// zero disassembly / feature-extraction work *and* zero VM executions.
 ///
 /// `ctx.cancel` is checked before the first feature call, before the
-/// image's static pass, before each dynamic stage, before every CVE's
-/// differential and per differential candidate, so an audit whose
-/// end-to-end deadline has passed surfaces the typed
+/// image's static pass, before each dynamic phase and each dynamic task,
+/// before every CVE's differential and per differential candidate, so an
+/// audit whose end-to-end deadline has passed surfaces the typed
 /// [`ScanError::DeadlineExceeded`] at the next stage boundary instead of
 /// running the database to completion.
 ///

@@ -57,8 +57,8 @@ pub struct PipelineConfig {
     /// Minkowski order (paper: 3).
     pub minkowski_p: f64,
     /// Worker-thread count for the stages that fan out on the shared
-    /// [`neural::pool`]: candidate profiling in the dynamic stage (more
-    /// than three candidates — the paper parallelizes
+    /// [`neural::pool`]: the dynamic pass (one task per reference build,
+    /// then one per candidate of every stage — the paper parallelizes
     /// execution-environment testing), pair classification (one task per
     /// chunk of a list longer than one chunk, such as an image's list
     /// against many reference sets or a streaming working set's) and the
@@ -250,7 +250,11 @@ pub struct DynamicAnalysis {
     pub confidence: Confidence,
     /// Why the stage degraded, when it did.
     pub degradation: Option<String>,
-    /// Wall-clock seconds (the "DA" column).
+    /// Wall-clock seconds of the dynamic pass that produced this analysis
+    /// (the "DA" column), target and reference loads included. An image
+    /// analysis's pass spans every (library, pair) stage of the image, and
+    /// each of its analyses carries the whole pass's time, as
+    /// [`StaticScan::seconds`] does.
     pub seconds: f64,
 }
 
@@ -590,8 +594,9 @@ impl Patchecko {
     /// A fully degraded analysis: no dynamic evidence at all, ranking by
     /// static probability. Used when the loader or the environment
     /// generator fails — the scan's candidates still reach the report
-    /// instead of sinking the job.
-    pub(crate) fn degraded_analysis(scan: &StaticScan, why: String, seconds: f64) -> DynamicAnalysis {
+    /// instead of sinking the job. The pass it belongs to sets its
+    /// `seconds`.
+    pub(crate) fn degraded_analysis(scan: &StaticScan, why: String) -> DynamicAnalysis {
         scope::inc("pipeline.degraded");
         DynamicAnalysis {
             envs: Vec::new(),
@@ -601,19 +606,22 @@ impl Patchecko {
             ranking: Self::static_fallback_ranking(scan, &scan.candidates),
             confidence: Confidence::Degraded,
             degradation: Some(why),
-            seconds,
+            seconds: 0.0,
         }
     }
 
     /// Stage 2+3: execution-validate the candidates, profile the survivors,
     /// and rank them against the reference profile.
     ///
+    /// The one-target, one-reference case of an image's dynamic pass (see
+    /// [`Patchecko::analyze_image`]), through the same code and in one
+    /// `dynamic_stage` span: one task gets the reference's environment
+    /// set and its profile over that set, the candidates are profiled in
+    /// one dispatch on the shared [`neural::pool`] (one order-preserving
+    /// task per candidate), and the ranking runs on the calling thread.
     /// Environments and profiles come from `dynsrc` — [`LiveProfiling`]
     /// executes everything, scanhub's dynamic lane serves cached profiles
-    /// so a warm re-audit performs zero VM executions. Cache-miss
-    /// profiling is dispatched onto the shared [`neural::pool`] (one
-    /// order-preserving task per candidate), replacing the old per-call
-    /// `crossbeam::thread::scope`.
+    /// so a warm re-audit performs zero VM executions.
     ///
     /// Infallible by design: every failure inside the stage degrades
     /// instead of propagating. A candidate whose profiling *panics* (as
@@ -632,93 +640,248 @@ impl Patchecko {
     ) -> DynamicAnalysis {
         let _span = scope::SpanGuard::enter("dynamic_stage").with_detail(scan.library.clone());
         let started = Instant::now();
-        let candidates: &[usize] = &scan.candidates;
-        let envset = match catch_unwind(AssertUnwindSafe(|| {
-            dynsrc.environments(reference, &self.config.fuzz, &self.config.vm)
-        })) {
-            Ok(Ok(set)) => Arc::new(set),
-            Ok(Err(_)) | Err(_) => Arc::new(EnvSet::new(Vec::new(), &self.config.vm)),
+        let unbounded = CancelToken::unbounded();
+        let reference = Arc::clone(reference);
+        let runs = self.reference_runs(vec![move || Ok(reference)], dynsrc, unbounded);
+        let Ok([Ok(run)]) = runs.as_deref() else {
+            unreachable!("a loaded reference under an unbounded token always runs")
         };
-        if envset.is_empty() && !candidates.is_empty() {
-            return Self::degraded_analysis(
-                scan,
-                "no execution environment survived the reference".to_string(),
-                started.elapsed().as_secs_f64(),
-            );
-        }
-        let reference_profile = match catch_unwind(AssertUnwindSafe(|| {
-            dynsrc.profile(reference, 0, &envset, &self.config.vm)
-        })) {
-            Ok(Ok(p)) if p.validated() => p.features,
-            _ if candidates.is_empty() => Vec::new(),
-            _ => {
-                return Self::degraded_analysis(
-                    scan,
-                    "reference dynamic profile unavailable".to_string(),
-                    started.elapsed().as_secs_f64(),
-                );
-            }
-        };
+        let stage = Stage { scan, inputs: Ok((target, run)) };
+        let mut analyses = self
+            .profile_and_rank(std::slice::from_ref(&stage), dynsrc, unbounded, started)
+            .expect("an unbounded token never expires");
+        analyses.pop().expect("one analysis per stage")
+    }
 
-        // Validate + profile candidates: one task per candidate, on the
-        // shared worker pool when there are more than three (results come
-        // back in submission order). `Ok(validated)` = profiled,
-        // `Ok(!validated)` = execution-validation failure (pruned, as the
-        // paper prescribes), `Err` = the profiler itself panicked or the
-        // source failed (the candidate degrades to static evidence).
-        type ProfileResult = Result<DynProfile, ScanError>;
-        let tasks: Vec<_> = candidates
+    /// The dynamic half of an image analysis: every (library, pair) stage
+    /// in one pass, in one `dynamic_stage` span on the calling thread.
+    /// `scans` holds one static scan per stage, library-major; the result
+    /// holds one analysis per stage in the same order.
+    ///
+    /// Each library is loaded once, on the calling thread. The paper runs
+    /// both functions on the device itself, so a reference is built for
+    /// its target's architecture, and a candidate runs "on the same inputs
+    /// as the reference CVE function": an environment set belongs to a
+    /// reference build. So the pass has three phases. (1) One task per
+    /// (pair, architecture) that some loaded library needs loads that
+    /// reference build, gets its environment set and then its profile,
+    /// all in one pool dispatch. (2) One task per candidate of every stage
+    /// that can run, in one more dispatch. (3) Each stage is ranked on the
+    /// calling thread. `ctx.cancel` is checked before each phase and
+    /// before each task starts.
+    ///
+    /// A library that scanned statically but fails to load degrades its
+    /// stages instead of sinking the job, and so does a reference build
+    /// that fails to load; the reference's failure is the one reported
+    /// when both fail.
+    ///
+    /// # Errors
+    /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires.
+    fn dynamic_pass(
+        &self,
+        bins: &[Binary],
+        pairs: &[(&DbEntry, Basis)],
+        scans: &[StaticScan],
+        ctx: &RunCtx,
+    ) -> Result<Vec<DynamicAnalysis>, ScanError> {
+        let names: Vec<&str> = bins.iter().map(|bin| bin.lib_name.as_str()).collect();
+        let _span = scope::SpanGuard::enter("dynamic_stage").with_detail(names.join(","));
+        let started = Instant::now();
+        ctx.cancel.check()?;
+        let targets: Vec<_> =
+            bins.iter().map(|bin| LoadedBinary::load(bin.clone()).map(Arc::new)).collect();
+        let mut archs: Vec<Arch> = Vec::new();
+        for (bin, target) in bins.iter().zip(&targets) {
+            if target.is_ok() && !archs.contains(&bin.arch) {
+                archs.push(bin.arch);
+            }
+        }
+        let reference_bin = |p: usize, arch: Arch| {
+            let (entry, basis) = pairs[p];
+            entry.reference_for(arch, basis == Basis::Patched)
+        };
+        // Phase 1: the runs of arch `archs[a]` sit at `a * pairs.len()`.
+        let loads = archs
             .iter()
-            .map(|&c| {
-                let target = Arc::clone(target);
-                let envset = Arc::clone(&envset);
+            .flat_map(|&arch| (0..pairs.len()).map(move |p| (p, arch)))
+            .map(|(p, arch)| {
+                let bin = reference_bin(p, arch).clone();
+                move || LoadedBinary::load(bin).map(Arc::new)
+            })
+            .collect();
+        let runs = self.reference_runs(loads, &ctx.profiles, ctx.cancel)?;
+        let mut stages = Vec::with_capacity(scans.len());
+        for ((bin, target), scans) in bins.iter().zip(&targets).zip(scans.chunks(pairs.len())) {
+            for (p, scan) in scans.iter().enumerate() {
+                let library = &pairs[p].0.entry.library;
+                let reference_failed = |e: &LoadError| {
+                    format!("reference failed to load: {}", ScanError::load(library, e))
+                };
+                let inputs = match target {
+                    Ok(target) => {
+                        let a = archs.iter().position(|&a| a == bin.arch);
+                        let a = a.expect("archs holds every loaded library's architecture");
+                        match &runs[a * pairs.len() + p] {
+                            Ok(run) => Ok((target, run)),
+                            Err(e) => Err(reference_failed(e)),
+                        }
+                    }
+                    // No run was made for a library that did not load, so
+                    // its reference is loaded here only to settle which
+                    // failure the stage reports.
+                    Err(e) => Err(match LoadedBinary::load(reference_bin(p, bin.arch).clone()) {
+                        Err(reference) => reference_failed(&reference),
+                        Ok(_) => format!(
+                            "target failed to load: {}",
+                            ScanError::load(&bin.lib_name, e)
+                        ),
+                    }),
+                };
+                stages.push(Stage { scan, inputs });
+            }
+        }
+        ctx.cancel.check()?;
+        self.profile_and_rank(&stages, &ctx.profiles, ctx.cancel, started)
+    }
+
+    /// Phase 1 of a dynamic pass: for each reference build, one task
+    /// loads it with its `load`, then gets its environment set and its
+    /// profile over that set from `dynsrc`, all tasks in one pool
+    /// dispatch. A source that errors or panics leaves the set empty or
+    /// the profile missing, and the stages on that build degrade.
+    ///
+    /// # Errors
+    /// [`ScanError::DeadlineExceeded`] when `cancel` expires before a task
+    /// starts.
+    fn reference_runs<L>(
+        &self,
+        loads: Vec<L>,
+        dynsrc: &Arc<dyn DynProfileSource>,
+        cancel: CancelToken,
+    ) -> Result<Vec<Result<ReferenceRun, LoadError>>, ScanError>
+    where
+        L: FnOnce() -> Result<Arc<LoadedBinary>, LoadError> + Send + 'static,
+    {
+        let tasks = loads
+            .into_iter()
+            .map(|load| {
                 let dynsrc = Arc::clone(dynsrc);
-                let vm_cfg = self.config.vm.clone();
-                move || -> ProfileResult {
-                    catch_unwind(AssertUnwindSafe(|| dynsrc.profile(&target, c, &envset, &vm_cfg)))
-                        .unwrap_or_else(|p| Err(ScanError::from_panic(p.as_ref())))
+                let (fuzz, vm) = (self.config.fuzz.clone(), self.config.vm.clone());
+                move || -> Result<ReferenceRun, LoadError> {
+                    let build = load()?;
+                    let envset =
+                        catch_unwind(AssertUnwindSafe(|| dynsrc.environments(&build, &fuzz, &vm)))
+                            .ok()
+                            .and_then(Result::ok)
+                            .unwrap_or_else(|| EnvSet::new(Vec::new(), &vm));
+                    let profile =
+                        catch_unwind(AssertUnwindSafe(|| dynsrc.profile(&build, 0, &envset, &vm)))
+                            .ok()
+                            .and_then(Result::ok)
+                            .filter(DynProfile::validated)
+                            .map(|p| p.features);
+                    Ok(ReferenceRun { envset: Arc::new(envset), profile })
                 }
             })
             .collect();
-        let results: Vec<ProfileResult> = if tasks.len() > 3 {
-            neural::pool::global().run(tasks)
-        } else {
-            tasks.into_iter().map(|task| task()).collect()
-        };
+        run_until(cancel, tasks)
+    }
 
-        let mut validated = Vec::new();
-        let mut profiles = Vec::new();
-        let mut fallback = Vec::new();
-        let mut degradation: Option<String> = None;
-        for (&c, r) in candidates.iter().zip(results) {
-            match r {
-                Ok(p) if p.validated() => {
-                    validated.push(c);
-                    profiles.push((c, p.features));
-                }
-                Ok(_) => {} // execution-validation failure: pruned.
-                Err(e) => {
-                    fallback.push(c);
-                    degradation
-                        .get_or_insert_with(|| format!("candidate {c} profiling panicked: {e}"));
-                }
+    /// Phases 2 and 3 of a dynamic pass: profile every candidate of every
+    /// stage that can run, in one pool dispatch, then rank each stage on
+    /// the calling thread. Every analysis carries the pass's time, counted
+    /// from `started`.
+    ///
+    /// # Errors
+    /// [`ScanError::DeadlineExceeded`] when `cancel` expires before a task
+    /// starts.
+    fn profile_and_rank(
+        &self,
+        stages: &[Stage],
+        dynsrc: &Arc<dyn DynProfileSource>,
+        cancel: CancelToken,
+        started: Instant,
+    ) -> Result<Vec<DynamicAnalysis>, ScanError> {
+        // `Ok(validated)` = profiled, `Ok(!validated)` =
+        // execution-validation failure (pruned, as the paper prescribes),
+        // `Err` = the profiler itself panicked or the source failed (the
+        // candidate degrades to static evidence).
+        type ProfileResult = Result<DynProfile, ScanError>;
+        let mut tasks = Vec::new();
+        for stage in stages {
+            let Ok((target, run)) = stage.inputs else { continue };
+            if run.blocked().is_some() {
+                continue;
             }
+            tasks.extend(stage.scan.candidates.iter().map(|&c| {
+                let target = Arc::clone(target);
+                let envset = Arc::clone(&run.envset);
+                let dynsrc = Arc::clone(dynsrc);
+                let vm = self.config.vm.clone();
+                move || -> ProfileResult {
+                    catch_unwind(AssertUnwindSafe(|| dynsrc.profile(&target, c, &envset, &vm)))
+                        .unwrap_or_else(|p| Err(ScanError::from_panic(p.as_ref())))
+                }
+            }));
         }
-        let mut ranking = similarity::rank(&reference_profile, &profiles, self.config.minkowski_p);
-        let confidence = if fallback.is_empty() { Confidence::Full } else { Confidence::Degraded };
-        // Degraded candidates rank after every dynamically ranked one:
-        // static evidence never outranks dynamic evidence.
-        ranking.extend(Self::static_fallback_ranking(scan, &fallback));
-        DynamicAnalysis {
-            envs: envset.envs.clone(),
-            reference_profile,
-            validated,
-            profiles,
-            ranking,
-            confidence,
-            degradation,
-            seconds: started.elapsed().as_secs_f64(),
+        let mut results = run_until(cancel, tasks)?.into_iter();
+        let mut analyses: Vec<DynamicAnalysis> = stages
+            .iter()
+            .map(|stage| {
+                let scan = stage.scan;
+                let run = match &stage.inputs {
+                    Ok((_, run)) => run,
+                    Err(why) => return Self::degraded_analysis(scan, why.clone()),
+                };
+                let candidates: &[usize] = &scan.candidates;
+                if let (Some(why), false) = (run.blocked(), candidates.is_empty()) {
+                    return Self::degraded_analysis(scan, why.to_string());
+                }
+                let mut validated = Vec::new();
+                let mut profiles = Vec::new();
+                let mut fallback = Vec::new();
+                let mut degradation: Option<String> = None;
+                let stage_results = results.by_ref().take(candidates.len());
+                for (&c, r) in candidates.iter().zip(stage_results) {
+                    match r {
+                        Ok(p) if p.validated() => {
+                            validated.push(c);
+                            profiles.push((c, p.features));
+                        }
+                        Ok(_) => {} // execution-validation failure: pruned.
+                        Err(e) => {
+                            fallback.push(c);
+                            degradation.get_or_insert_with(|| {
+                                format!("candidate {c} profiling panicked: {e}")
+                            });
+                        }
+                    }
+                }
+                let reference_profile = run.profile.clone().unwrap_or_default();
+                let mut ranking =
+                    similarity::rank(&reference_profile, &profiles, self.config.minkowski_p);
+                let confidence =
+                    if fallback.is_empty() { Confidence::Full } else { Confidence::Degraded };
+                // Degraded candidates rank after every dynamically ranked
+                // one: static evidence never outranks dynamic evidence.
+                ranking.extend(Self::static_fallback_ranking(scan, &fallback));
+                DynamicAnalysis {
+                    envs: run.envset.envs.clone(),
+                    reference_profile,
+                    validated,
+                    profiles,
+                    ranking,
+                    confidence,
+                    degradation,
+                    seconds: 0.0,
+                }
+            })
+            .collect();
+        let seconds = started.elapsed().as_secs_f64();
+        for analysis in &mut analyses {
+            analysis.seconds = seconds;
         }
+        Ok(analyses)
     }
 
     /// Each pair's reference feature set
@@ -745,11 +908,11 @@ impl Patchecko {
     ///
     /// The one-binary case of [`Patchecko::analyze_image`]: the library is
     /// scanned once for the whole batch (one static pass over every pair's
-    /// reference set) and loaded once; then each pair's
-    /// [`Patchecko::dynamic_stage`] runs against it. `ctx.cancel` is
-    /// checked before any feature call, before the scan and before each
-    /// dynamic stage, so a request whose end-to-end deadline has passed
-    /// stops within one stage boundary.
+    /// reference set), then one dynamic pass loads it once and runs each
+    /// pair's stage against it. `ctx.cancel` is checked before any
+    /// feature call, before each pass, before each dynamic phase and
+    /// before each dynamic task starts, so a request whose end-to-end
+    /// deadline has passed stops at the next of those.
     ///
     /// # Errors
     /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires between
@@ -780,14 +943,18 @@ impl Patchecko {
     /// static pass scans every library of the image against every set at
     /// once, so [`crate::detector::Detector::classify_pairs`] sees the
     /// whole image's pairs in one list and scores a (reference, function)
-    /// pair that repeats across libraries once. After the pass the
-    /// analysis is library-major: each library is loaded once and each
-    /// pair's dynamic stage runs against it, with each (pair,
-    /// architecture) reference build loaded once per call. So an expired
-    /// request stops before or after the one static pass, or before the
-    /// next dynamic stage, never between two libraries' scans. Every
-    /// library's analyses are held until the last library is done: the
-    /// result holds |pairs| × |libraries| [`CveAnalysis`] values at once.
+    /// pair that repeats across libraries once. Then one dynamic pass runs
+    /// every (library, pair) stage, in one `dynamic_stage` span: each
+    /// library is loaded once; each (pair, architecture) reference build
+    /// that a loaded library needs is loaded, fuzzed for its environment
+    /// set and profiled once, one pool task each; every candidate of every
+    /// stage is profiled in one more pool dispatch; and each stage is
+    /// ranked on the calling thread. A reference build's environment set
+    /// and profile are each asked for once per call, however many
+    /// libraries share them. So an expired request stops before or after
+    /// the static pass, before a dynamic phase or before a dynamic task
+    /// starts, never between two libraries' scans. The result holds
+    /// |pairs| × |libraries| [`CveAnalysis`] values at once.
     ///
     /// # Errors
     /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires; otherwise
@@ -838,10 +1005,11 @@ impl Patchecko {
     }
 
     /// Every binary of `bins` against every pair: one static pass over all
-    /// the binaries and reference sets, then, binary by binary, one target
-    /// load and each pair's dynamic stage. Returns one list per binary, in
-    /// order, of one [`CveAnalysis`] per pair. `ctx.cancel` is checked
-    /// before the pass and before each dynamic stage.
+    /// the binaries and reference sets, then one dynamic pass over every
+    /// (binary, pair) stage ([`Patchecko::dynamic_pass`]). Returns one list
+    /// per binary, in order, of one [`CveAnalysis`] per pair. `ctx.cancel`
+    /// is checked before each pass, before each dynamic phase and before
+    /// each dynamic task starts.
     fn analyze_binaries(
         &self,
         bins: &[Binary],
@@ -854,62 +1022,60 @@ impl Patchecko {
             return Ok(bins.iter().map(|_| Vec::new()).collect());
         }
         let sets: Vec<&[StaticFeatures]> = references.iter().map(Vec::as_slice).collect();
-        let mut scans = self.static_pass(bins, &sets, ctx.features)?.into_iter();
-        let mut loads = HashMap::new();
-        bins.iter()
-            .map(|bin| {
-                let scans = scans.by_ref().take(pairs.len());
-                self.library_pass(bin, pairs, scans, &mut loads, ctx)
-            })
-            .collect()
-    }
-
-    /// One library's dynamic half: one target load, then each pair's
-    /// dynamic stage on that pair's static scan (`scans` yields one per
-    /// pair, in order). `loads` memoizes the reference builds by (pair,
-    /// architecture) across the libraries of one call.
-    fn library_pass(
-        &self,
-        target_bin: &Binary,
-        pairs: &[(&DbEntry, Basis)],
-        scans: impl Iterator<Item = StaticScan>,
-        loads: &mut ReferenceLoads,
-        ctx: &RunCtx,
-    ) -> Result<Vec<CveAnalysis>, ScanError> {
-        // Dynamic stage: reference compiled for the *target's* platform —
-        // the paper executes both functions on the device itself. A binary
-        // that scanned statically but fails to *load* degrades the dynamic
-        // stage rather than sinking the job.
-        let target = LoadedBinary::load(target_bin.clone()).map(Arc::new);
-        let mut analyses = Vec::with_capacity(pairs.len());
-        for (p, (&(entry, basis), scan)) in pairs.iter().zip(scans).enumerate() {
-            ctx.cancel.check()?;
-            let reference = loads.entry((p, target_bin.arch)).or_insert_with(|| {
-                let bin = entry.reference_for(target_bin.arch, basis == Basis::Patched);
-                LoadedBinary::load(bin.clone()).map(Arc::new)
-            });
-            let dynamic = match (&*reference, &target) {
-                (Ok(reference), Ok(target)) => {
-                    self.dynamic_stage(target, &scan, reference, &ctx.profiles)
-                }
-                (Err(e), _) => {
-                    let why = ScanError::load(&entry.entry.library, e);
-                    Self::degraded_analysis(&scan, format!("reference failed to load: {why}"), 0.0)
-                }
-                (_, Err(e)) => {
-                    let why = ScanError::load(&target_bin.lib_name, e);
-                    Self::degraded_analysis(&scan, format!("target failed to load: {why}"), 0.0)
-                }
-            };
-            analyses.push(CveAnalysis { cve: entry.entry.cve.clone(), basis, scan, dynamic });
-        }
-        Ok(analyses)
+        let scans = self.static_pass(bins, &sets, ctx.features)?;
+        let dynamics = self.dynamic_pass(bins, pairs, &scans, ctx)?;
+        let mut analyses = scans.into_iter().zip(dynamics).zip(pairs.iter().cycle()).map(
+            |((scan, dynamic), &(entry, basis))| CveAnalysis {
+                cve: entry.entry.cve.clone(),
+                basis,
+                scan,
+                dynamic,
+            },
+        );
+        Ok(bins.iter().map(|_| analyses.by_ref().take(pairs.len()).collect()).collect())
     }
 }
 
-/// Reference builds loaded for the dynamic stage, by (pair index, target
-/// architecture).
-type ReferenceLoads = HashMap<(usize, Arch), Result<Arc<LoadedBinary>, LoadError>>;
+/// What phase 1 of a dynamic pass gives one reference build: its
+/// environment set and, when the reference validated on it, its profile.
+struct ReferenceRun {
+    envset: Arc<EnvSet>,
+    profile: Option<Vec<DynFeatures>>,
+}
+
+impl ReferenceRun {
+    /// Why no candidate can run against this reference, if none can.
+    fn blocked(&self) -> Option<&'static str> {
+        if self.envset.is_empty() {
+            Some("no execution environment survived the reference")
+        } else if self.profile.is_none() {
+            Some("reference dynamic profile unavailable")
+        } else {
+            None
+        }
+    }
+}
+
+/// One (target, reference) stage of a dynamic pass: the static scan whose
+/// candidates it profiles, and the loaded target and reference run they
+/// are profiled with, or why the stage cannot run.
+struct Stage<'a> {
+    scan: &'a StaticScan,
+    inputs: Result<(&'a Arc<LoadedBinary>, &'a ReferenceRun), String>,
+}
+
+/// Run `tasks` in one dispatch on the shared pool, outputs in task order.
+/// Each task checks `cancel` before it starts and does not run once it
+/// has expired; the call then returns [`ScanError::DeadlineExceeded`].
+fn run_until<T, F>(cancel: CancelToken, tasks: Vec<F>) -> Result<Vec<T>, ScanError>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let tasks: Vec<_> =
+        tasks.into_iter().map(|task| move || cancel.check().map(|()| task())).collect();
+    neural::pool::global().run(tasks).into_iter().collect()
+}
 
 /// The image-wide best match among per-library analyses: each library's
 /// top-ranked candidate, full-confidence before degraded (static
@@ -1036,7 +1202,7 @@ mod tests {
             best_ref: vec![0; 6],
             seconds: 0.0,
         };
-        let d = Patchecko::degraded_analysis(&scan, "loader failure".into(), 0.0);
+        let d = Patchecko::degraded_analysis(&scan, "loader failure".into());
         assert!(d.is_degraded());
         assert_eq!(d.confidence, Confidence::Degraded);
         assert_eq!(d.degradation.as_deref(), Some("loader failure"));
@@ -1073,11 +1239,11 @@ mod tests {
         assert_eq!(rank_bits(&a.ranking), rank_bits(&b.ranking), "{what}: rankings differ");
     }
 
-    /// Satellite: the pool-dispatched parallel arm of `dynamic_stage` must
-    /// be bitwise-identical to the serial arm at every worker count. The
-    /// candidate set is fabricated to cover every function so the parallel
-    /// gate (`candidates.len() > 3`) engages at threads 2 and 8, while
-    /// `threads = Some(1)` pins the serial path.
+    /// `dynamic_stage` must be bitwise-identical at every worker count:
+    /// candidates profiled across the pool's workers (threads 2 and 8)
+    /// give what the same candidates profiled inline give (`threads =
+    /// Some(1)`). The candidate set is fabricated to cover every function,
+    /// so the candidate dispatch has several tasks to spread.
     #[test]
     fn dynamic_stage_identical_across_thread_counts() {
         let db = corpus::build_vulndb(0, 1);
@@ -1257,6 +1423,14 @@ mod tests {
     /// returns bit for bit what a one-pair call returns — under exact
     /// retrieval, and under top-K with `k` below a set's four references,
     /// where top-K over the concatenated rows would pick other pairs.
+    ///
+    /// Both sides see the same image rows in the same order, so a wrong
+    /// merge of rows inside `classify_pairs` would happen alike on both.
+    /// So every score is also checked against single-pair calls, one
+    /// reference row and one target row each, which have nothing to merge:
+    /// under exact retrieval each function's probability and best
+    /// reference are the strict-`>` maximum over the set's references,
+    /// and under top-K its probability is its best reference's score.
     #[test]
     fn batched_image_analysis_equals_one_pair_calls() {
         let db = corpus::build_vulndb(0, 1);
@@ -1276,6 +1450,8 @@ mod tests {
             })
         };
         let ctx = RunCtx::default();
+        let image_rows: Vec<Vec<StaticFeatures>> =
+            device.image.binaries.iter().map(|bin| features::extract_all(bin).unwrap()).collect();
         for retrieval in [Retrieval::Exact, Retrieval::TopK { k: 2 }] {
             let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
             let patchecko = Patchecko::new(quick_detector(), cfg);
@@ -1283,6 +1459,36 @@ mod tests {
             assert_eq!(batch.len(), pairs.len());
             for (pair, batched) in pairs.iter().zip(&batch) {
                 let what = format!("{retrieval}, {} {}", pair.0.entry.cve, pair.1);
+                let references = Patchecko::reference_feature_set(pair.0, pair.1).unwrap();
+                for (a, rows) in batched.analyses.iter().zip(&image_rows) {
+                    for (f, row) in rows.iter().enumerate() {
+                        let single: Vec<f32> = references
+                            .iter()
+                            .map(|r| {
+                                let (r, t) = (std::slice::from_ref(r), std::slice::from_ref(row));
+                                patchecko.detector.classify_pairs(r, t, &[(0, 0)])[0]
+                            })
+                            .collect();
+                        let (mut arg, mut best) = (0usize, 0.0f32);
+                        for (r, &score) in single.iter().enumerate() {
+                            if score > best {
+                                (arg, best) = (r, score);
+                            }
+                        }
+                        let at = format!("{what}: {} function {f}", a.scan.library);
+                        let best_ref = a.scan.best_ref[f];
+                        match retrieval {
+                            Retrieval::Exact => {
+                                assert_eq!(a.scan.probs[f].to_bits(), best.to_bits(), "{at}");
+                                assert_eq!(best_ref, arg, "{at}: best reference");
+                            }
+                            Retrieval::TopK { .. } => {
+                                let score = single[best_ref].to_bits();
+                                assert_eq!(a.scan.probs[f].to_bits(), score, "{at}");
+                            }
+                        }
+                    }
+                }
                 let one = patchecko
                     .analyze_image(&device.image, std::slice::from_ref(pair), &ctx)
                     .unwrap()
@@ -1296,6 +1502,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Serializes the tests that read the process-wide trace buffer: a
+    /// test that drains it takes every other test's events too.
+    fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// An image gets one static pass: a multi-library `analyze_image`
@@ -1315,6 +1528,7 @@ mod tests {
         let pairs = [(a, Basis::Vulnerable), (b, Basis::Patched)];
         // Spans of tests running alongside land in the same trace buffer,
         // so count only this thread's.
+        let _trace = trace_lock();
         scope::trace::enable();
         let analyses = patchecko.analyze_image(&image, &pairs, &RunCtx::default());
         let me = scope::trace::thread_id();
@@ -1329,6 +1543,141 @@ mod tests {
         assert_eq!(scans.len(), 1, "static_scan spans of a 3-library image");
         let names: Vec<&str> = image.binaries.iter().map(|b| b.lib_name.as_str()).collect();
         assert_eq!(scans[0].detail.as_deref(), Some(names.join(",").as_str()));
+    }
+
+    /// Records the dynamic stage's questions: the architecture and
+    /// function-0 code of every reference build `environments` is asked
+    /// about, and the number of `profile` calls.
+    #[derive(Default)]
+    struct CountingDyn {
+        environments: Mutex<Vec<(Arch, Vec<u8>)>>,
+        profiles: std::sync::atomic::AtomicUsize,
+    }
+
+    impl DynProfileSource for CountingDyn {
+        fn environments(
+            &self,
+            reference: &LoadedBinary,
+            fuzz_cfg: &FuzzConfig,
+            vm: &VmConfig,
+        ) -> Result<EnvSet, ScanError> {
+            let bin = reference.binary();
+            self.environments.lock().unwrap().push((bin.arch, bin.functions[0].code.clone()));
+            LiveProfiling.environments(reference, fuzz_cfg, vm)
+        }
+
+        fn profile(
+            &self,
+            target: &LoadedBinary,
+            func: usize,
+            envs: &EnvSet,
+            vm: &VmConfig,
+        ) -> Result<DynProfile, ScanError> {
+            self.profiles.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            LiveProfiling.profile(target, func, envs, vm)
+        }
+    }
+
+    /// Serves the features of the library named like the intact build it
+    /// holds from that build, as a cache filled before the library's code
+    /// was damaged would: the damaged library still scans, and fails only
+    /// to load. Every other binary's features are extracted directly.
+    struct IntactFeatures(Binary);
+
+    impl FeatureSource for IntactFeatures {
+        fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
+            let intact = if bin.lib_name == self.0.lib_name { &self.0 } else { bin };
+            DirectExtraction.features_one(intact, idx)
+        }
+    }
+
+    /// An image's dynamic pass asks each question once: `environments`
+    /// once per distinct (pair, architecture) that a library which loads
+    /// needs, `profile` once per such reference build plus once per
+    /// candidate, all in one `dynamic_stage` span on the calling thread.
+    /// A library that fails to load asks nothing for its architecture,
+    /// which no other library has, and its stages degrade with its own
+    /// load error.
+    #[test]
+    fn image_dynamic_pass_asks_each_question_once() {
+        let db = corpus::build_vulndb(0, 1);
+        let (a, b) = (db.get("CVE-2018-9412").unwrap(), db.get("CVE-2018-9451").unwrap());
+        let pairs = [(a, Basis::Vulnerable), (b, Basis::Patched)];
+        let cat = corpus::full_catalog();
+        let device = corpus::build_device(&corpus::android_things_spec(), &cat, 0.05);
+        // Two Arm32 device libraries, then two one-function libraries of
+        // two other architectures (Amd64 and X86).
+        let mut intact: Vec<Binary> = device.image.binaries[..2].to_vec();
+        for (variant, name) in a.reference_variants(false).skip(2).zip(["libamd64", "libx86"]) {
+            intact.push(Binary { lib_name: name.to_string(), ..variant.clone() });
+        }
+        let mut patchecko = Patchecko::new(quick_detector(), PipelineConfig::default());
+        patchecko.detector.threshold = 0.0; // every function is a candidate
+        let features = IntactFeatures(intact[3].clone());
+        for broken in [None, Some(3)] {
+            let mut image = fwbin::FirmwareImage::new("dynamic_pass_fixture", "2018-05");
+            image.binaries = intact.clone();
+            if let Some(l) = broken {
+                image.binaries[l].functions[0].code = vec![0xEE, 0xEE, 0xEE];
+            }
+            let counting = Arc::new(CountingDyn::default());
+            let profiles: Arc<dyn DynProfileSource> = counting.clone();
+            let ctx = RunCtx { features: &features, profiles, ..RunCtx::default() };
+            let _trace = trace_lock();
+            scope::trace::enable();
+            let analyses = patchecko.analyze_image(&image, &pairs, &ctx);
+            let me = scope::trace::thread_id();
+            let spans = scope::trace::take_events()
+                .into_iter()
+                .filter(|e| e.tid == me && e.name == "dynamic_stage")
+                .count();
+            scope::trace::disable();
+            let analyses = analyses.unwrap();
+            let what = format!("library {broken:?} broken");
+            assert_eq!(spans, 1, "{what}: dynamic_stage spans");
+
+            let loads = |l: usize| Some(l) != broken;
+            let mut archs: Vec<Arch> = Vec::new();
+            for (l, bin) in image.binaries.iter().enumerate() {
+                if loads(l) && !archs.contains(&bin.arch) {
+                    archs.push(bin.arch);
+                }
+            }
+            assert_eq!(archs.len(), 4 - broken.map_or(1, |_| 2), "{what}: fixture architectures");
+            let asked = counting.environments.lock().unwrap().clone();
+            assert_eq!(asked.len(), pairs.len() * archs.len(), "{what}: environment sets asked");
+            for (i, question) in asked.iter().enumerate() {
+                assert!(archs.contains(&question.0), "{what}: asked for {:?}", question.0);
+                assert!(!asked[..i].contains(question), "{what}: one set asked twice");
+            }
+            let candidates: usize = analyses
+                .iter()
+                .flat_map(|analysis| analysis.analyses.iter().enumerate())
+                .filter(|&(l, _)| loads(l))
+                .map(|(_, a)| a.scan.candidates.len())
+                .sum();
+            assert!(candidates > 0, "{what}: fixture has candidates");
+            let profiled = counting.profiles.load(std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(profiled, asked.len() + candidates, "{what}: profiles asked");
+
+            for analysis in &analyses {
+                for (l, a) in analysis.analyses.iter().enumerate() {
+                    let bin = &image.binaries[l];
+                    if loads(l) {
+                        assert_eq!(a.dynamic.degradation, None, "{what}: {}", bin.lib_name);
+                        continue;
+                    }
+                    let e = LoadedBinary::load(bin.clone()).err().expect("damaged code");
+                    let why = ScanError::load(&bin.lib_name, &e);
+                    let why = format!("target failed to load: {why}");
+                    assert_eq!(a.dynamic.degradation.as_deref(), Some(why.as_str()), "{what}");
+                    assert!(a.is_degraded() && a.dynamic.envs.is_empty(), "{what}");
+                    let order: Vec<usize> =
+                        a.dynamic.ranking.iter().map(|r| r.function_index).collect();
+                    assert_eq!(order, a.scan.candidates, "{what}: static fallback ranking");
+                }
+            }
+        }
     }
 
     /// The image-wide pick sorts a NaN distance after every number, so

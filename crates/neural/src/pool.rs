@@ -5,8 +5,8 @@
 //! forward passes) the spawn/join cost is pure overhead. This module
 //! keeps one process-wide pool of detached workers that is initialized
 //! on first use and then reused by every stage that has independent
-//! work items: pair-classification chunks, dynamic-stage candidate
-//! profiling, and scheduler batches. Matrix products and feature
+//! work items: pair-classification chunks, the dynamic pass's reference
+//! builds and candidate profiles, and scheduler batches. Matrix products and feature
 //! extraction never dispatch; they run on the thread that calls them.
 //!
 //! Thread-count resolution is unified here: an explicit override

@@ -8,8 +8,9 @@
 //!
 //! * **Lookup.** 16 independent `parking_lot` shards keyed by
 //!   [`ArtifactKey`], so scheduler workers rarely contend. Every lookup
-//!   counts a hit or a miss under the lane's counter prefix
-//!   (`<prefix>.hits`, `<prefix>.misses`).
+//!   counts a miss when it computes the value and a hit otherwise, under
+//!   the lane's counter prefix (`<prefix>.hits`, `<prefix>.misses`), so
+//!   the counts do not depend on how concurrent lookups interleave.
 //! * **Single flight.** Concurrent misses on one key coalesce in
 //!   [`Lane::get_or_compute`]: the first caller claims the key and
 //!   computes outside every shard lock; later callers sleep on a condvar
@@ -166,10 +167,11 @@ impl<V: Checksummed> Lane<V> {
     }
 
     /// The value under `key`, computed by `compute` and cached on a miss.
-    /// Every call counts exactly one hit or one miss. Concurrent misses on
-    /// one key single-flight: exactly one caller computes, the rest wait
-    /// and serve the published value. A failed computation publishes
-    /// nothing, so each waiter then retries (and gets its own error back).
+    /// Every call counts exactly one hit or one miss, and a miss only when
+    /// it computes. Concurrent misses on one key single-flight: exactly
+    /// one caller computes, the rest wait and serve the published value,
+    /// each counting a hit. A failed computation publishes nothing, so
+    /// each waiter then retries (and gets its own error back).
     ///
     /// # Errors
     /// Whatever `compute` returns.
@@ -178,19 +180,20 @@ impl<V: Checksummed> Lane<V> {
         key: ArtifactKey,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Arc<V>, E> {
-        if let Some(found) = self.get(key) {
-            self.hits.inc();
-            return Ok(found);
-        }
-        self.misses.inc();
         loop {
+            if let Some(found) = self.get(key) {
+                self.hits.inc();
+                return Ok(found);
+            }
             if let Some(_claim) = self.claim(key) {
                 // Re-check under the claim: a concurrent winner may have
-                // published since the lookup above, or while we waited.
-                return match self.get(key) {
-                    Some(found) => Ok(found),
-                    None => Ok(self.insert(key, compute()?)),
-                };
+                // published since the lookup above.
+                if let Some(found) = self.get(key) {
+                    self.hits.inc();
+                    return Ok(found);
+                }
+                self.misses.inc();
+                return Ok(self.insert(key, compute()?));
             }
         }
     }
@@ -507,14 +510,17 @@ mod tests {
         let lane: Lane<Vec<vm::env::ExecEnv>> =
             Lane::new(&MetricsRegistry::new(), "test", DYN_ENVSETS_FILE);
         let computed = std::sync::atomic::AtomicUsize::new(0);
+        let arrived = std::sync::atomic::AtomicUsize::new(0);
         let key = ArtifactKey { hi: 1, lo: 2 };
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
+                    // Publish only once every caller has found the key
+                    // empty, so all four race on the claim.
+                    assert!(lane.get(key).is_none());
+                    arrived.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     let got = lane.get_or_compute(key, || {
-                        // Publish only once every caller has missed, so all
-                        // four race on the claim.
-                        while lane.misses.get() < 4 {
+                        while arrived.load(std::sync::atomic::Ordering::SeqCst) < 4 {
                             std::thread::yield_now();
                         }
                         computed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -526,7 +532,11 @@ mod tests {
         });
         assert_eq!(computed.into_inner(), 1, "racing misses single-flight to one computation");
         assert_eq!(lane.len(), 1);
-        assert_eq!((lane.hits.get(), lane.misses.get()), (0, 4), "one count per call");
+        assert_eq!(
+            (lane.hits.get(), lane.misses.get()),
+            (3, 1),
+            "one count per call: a miss for the computation, a hit for each caller it served"
+        );
     }
 
     #[test]

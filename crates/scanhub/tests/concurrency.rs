@@ -1,8 +1,10 @@
 //! Concurrent same-key access: racing requesters for one image's
 //! artifacts must coalesce to exactly one extraction (static lane) and
-//! exactly one live profiling run (dynamic lane). This is the
-//! single-process precursor to the scan daemon's in-flight request dedup
-//! — two clients auditing the same image trigger one computation.
+//! exactly one live profiling run (dynamic lane), and count exactly one
+//! miss (the computation) and one hit (the requester it served) per key.
+//! This is the single-process precursor to the scan daemon's in-flight
+//! request dedup — two clients auditing the same image trigger one
+//! computation.
 //!
 //! The dynamic-lane assertions read the process-global `vm.executions`
 //! counter, so those tests serialize on a local mutex; as its own
@@ -11,11 +13,13 @@
 
 use fwbin::format::Binary;
 use fwbin::isa::{Arch, OptLevel};
+use fwlang::ast::{BinOp, Expr, Function, Library, Param, Stmt, Ty};
 use fwlang::gen::Generator;
-use patchecko_core::dynsource::DynProfileSource;
+use patchecko_core::dynsource::{DynProfileSource, EnvSet};
 use patchecko_core::pipeline::FeatureSource;
 use patchecko_scanhub::ArtifactStore;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, OnceLock, PoisonError};
+use vm::env::{ArgSpec, ExecEnv};
 use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
 use vm::loader::LoadedBinary;
@@ -60,11 +64,92 @@ fn concurrent_feature_requests_extract_exactly_once() {
     );
     assert_eq!(stats.entries, n, "one cache entry per function, no duplicates");
     assert_eq!(stats.hits + stats.misses, 2 * n, "every lookup was counted");
+    assert_eq!((stats.misses, stats.hits), (n, n), "one miss (the extraction) and one hit per key");
+}
+
+/// A library of `count` functions that each add up `0..n` for their
+/// one argument `n`: given a huge `n`, every run spins until the VM's
+/// instruction budget stops it.
+fn spinning_binary(count: usize) -> Binary {
+    let mut lib = Library::new("libspin");
+    for k in 0..count {
+        let mut f = Function {
+            name: format!("spin_{k}"),
+            params: vec![Param { name: "n".into(), ty: Ty::Int }],
+            locals: vec![],
+            ret: Some(Ty::Int),
+            body: vec![],
+            exported: true,
+        };
+        let i = f.add_local("i", Ty::Int);
+        let acc = f.add_local("acc", Ty::Int);
+        f.body = vec![
+            Stmt::Let { local: acc, value: Expr::ConstInt(k as i64) },
+            Stmt::For {
+                var: i,
+                start: Expr::ConstInt(0),
+                end: Expr::Param(0),
+                step: Expr::ConstInt(1),
+                body: vec![Stmt::Let {
+                    local: acc,
+                    value: Expr::bin(BinOp::Add, Expr::Local(acc), Expr::Local(i)),
+                }],
+            },
+            Stmt::Return(Some(Expr::Local(acc))),
+        ];
+        lib.functions.push(f);
+    }
+    fwbin::compile_library(&lib, Arch::Arm64, OptLevel::O2).unwrap()
+}
+
+/// A requester that arrives while another computes the same key, waits,
+/// and is served the published value counts a hit, not a miss: each key
+/// counts exactly one miss (its computation) and one hit, however the two
+/// requesters interleave. Each profile runs 4 environments to a
+/// 2M-instruction budget, far longer than the second requester takes to
+/// arrive after the barrier, so the two always overlap.
+#[test]
+fn a_requester_served_by_a_concurrent_computation_counts_a_hit() {
+    let _guard = vm_counter_lock().lock().unwrap_or_else(PoisonError::into_inner);
+    let store = Arc::new(ArtifactStore::new());
+    let keys = 3;
+    let lb = Arc::new(LoadedBinary::load(spinning_binary(keys)).unwrap());
+    let vmc = VmConfig { max_instructions: 2_000_000, ..VmConfig::default() };
+    let env =
+        ExecEnv { input: vec![], args: vec![ArgSpec::Int(1 << 40)], global_overrides: vec![] };
+    let envs = Arc::new(EnvSet::new(vec![env; 4], &vmc));
+    let barrier = Arc::new(Barrier::new(2));
+    let before = store.stats();
+    let profiles: Vec<_> = std::thread::scope(|s| {
+        (0..2)
+            .map(|_| {
+                let (store, lb, envs) = (Arc::clone(&store), Arc::clone(&lb), Arc::clone(&envs));
+                let (barrier, vmc) = (Arc::clone(&barrier), vmc.clone());
+                s.spawn(move || {
+                    barrier.wait();
+                    let profile = |f| store.profile(&lb, f, &envs, &vmc).unwrap();
+                    (0..keys).map(profile).collect::<Vec<_>>()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert_eq!(profiles[0], profiles[1], "both requesters see the same profiles");
+    assert!(profiles[0].iter().all(|p| !p.validated()), "every run hits the budget");
+    let delta = store.stats().since(&before);
+    assert_eq!(delta.dyn_profiled, keys as u64, "one computation per key");
+    assert_eq!(
+        (delta.dyn_misses, delta.dyn_hits),
+        (keys as u64, keys as u64),
+        "exactly one miss and one hit per key"
+    );
 }
 
 #[test]
 fn concurrent_profile_requests_execute_the_vm_exactly_once() {
-    let _guard = vm_counter_lock().lock().unwrap();
+    let _guard = vm_counter_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let store = Arc::new(ArtifactStore::new());
     let lb = Arc::new(LoadedBinary::load(sample_binary()).unwrap());
     let (fuzz, vmc) = (FuzzConfig::default(), VmConfig::default());
@@ -105,7 +190,7 @@ fn concurrent_profile_requests_execute_the_vm_exactly_once() {
 
 #[test]
 fn concurrent_environment_requests_fuzz_exactly_once() {
-    let _guard = vm_counter_lock().lock().unwrap();
+    let _guard = vm_counter_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let store = Arc::new(ArtifactStore::new());
     let lb = Arc::new(LoadedBinary::load(sample_binary()).unwrap());
     let (fuzz, vmc) = (FuzzConfig::default(), VmConfig::default());

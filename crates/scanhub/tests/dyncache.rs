@@ -3,10 +3,11 @@
 //! validation, reference profiling, and the differential engine's
 //! three-way comparisons — is served from the cache, observed through the
 //! process-global `vm.executions` counter that `Vm::run` increments as its
-//! single chokepoint.
+//! single chokepoint. A binary is lowered for the fast engine on its first
+//! run, so a warm re-audit lowers nothing either (`vm.lowerings`).
 //!
-//! The counter is process-global, so the tests in this file serialize on a
-//! local mutex; as an integration-test binary the file owns its process
+//! The counters are process-global, so the tests in this file serialize on
+//! a local mutex; as an integration-test binary the file owns its process
 //! and no other suite's VM runs can leak in.
 
 use corpus::dataset1::Dataset1Config;
@@ -16,10 +17,11 @@ use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::differential::DifferentialConfig;
 use patchecko_core::pipeline::{Patchecko, PipelineConfig};
 use patchecko_scanhub::ScanHub;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Serializes the tests below: both read the global `vm.executions`
-/// counter, which any concurrently running VM would perturb.
+/// Serializes the tests below: both read the global `vm.executions` and
+/// `vm.lowerings` counters, which any concurrently running VM would
+/// perturb.
 fn vm_counter_lock() -> &'static Mutex<()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -61,18 +63,23 @@ fn vm_executions() -> u64 {
     scope::snapshot().counter("vm.executions")
 }
 
+fn vm_lowerings() -> u64 {
+    scope::snapshot().counter("vm.lowerings")
+}
+
 #[test]
 fn warm_reaudit_executes_zero_vm_runs() {
-    let _guard = vm_counter_lock().lock().unwrap();
+    let _guard = vm_counter_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let hub = ScanHub::new(Patchecko::new(shared_detector().clone(), PipelineConfig::default()));
     let db = small_db();
     let image = &shared_device().image;
     let diff = DifferentialConfig::default();
 
-    let before_cold = vm_executions();
+    let (before_cold, lowered_before_cold) = (vm_executions(), vm_lowerings());
     let cold = hub.audit(&db, image, &diff).unwrap();
-    let after_cold = vm_executions();
+    let (after_cold, lowered_after_cold) = (vm_executions(), vm_lowerings());
     assert!(after_cold > before_cold, "cold audit must actually execute on the VM");
+    assert!(lowered_after_cold > lowered_before_cold, "cold audit lowers what it runs");
     let stats_cold = hub.stats();
     assert!(stats_cold.dyn_misses > 0, "cold audit fills the dynamic lane");
     assert!(stats_cold.dyn_profiled > 0, "cold audit profiles live");
@@ -83,6 +90,7 @@ fn warm_reaudit_executes_zero_vm_runs() {
         after_cold,
         "warm re-audit must perform zero VM executions"
     );
+    assert_eq!(vm_lowerings(), lowered_after_cold, "warm re-audit lowers nothing");
     let delta = hub.stats().since(&stats_cold);
     assert_eq!(delta.dyn_misses, 0, "warm re-audit must not miss the dynamic lane");
     assert_eq!(delta.dyn_profiled, 0, "warm re-audit must not profile live");
@@ -97,7 +105,7 @@ fn warm_reaudit_executes_zero_vm_runs() {
 
 #[test]
 fn persisted_dyn_cache_serves_fresh_hub_with_zero_vm_runs() {
-    let _guard = vm_counter_lock().lock().unwrap();
+    let _guard = vm_counter_lock().lock().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("scanhub-dyncache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = small_db();
@@ -114,13 +122,14 @@ fn persisted_dyn_cache_serves_fresh_hub_with_zero_vm_runs() {
     // directory and must answer the whole audit without touching the VM.
     let warm_hub = ScanHub::with_cache_dir(analyzer(), &dir).unwrap();
     assert!(warm_hub.stats().dyn_entries > 0, "persisted dynamic lane reloads");
-    let before_warm = vm_executions();
+    let (before_warm, lowered_before_warm) = (vm_executions(), vm_lowerings());
     let warm = warm_hub.audit(&db, image, &diff).unwrap();
     assert_eq!(
         vm_executions(),
         before_warm,
         "an audit served from a persisted dynamic cache executes nothing"
     );
+    assert_eq!(vm_lowerings(), lowered_before_warm, "nor lowers anything");
     let stats = warm_hub.stats();
     assert_eq!(stats.dyn_profiled, 0);
     assert_eq!(stats.dyn_misses, 0);

@@ -269,6 +269,15 @@ pub(crate) fn executions_counter() -> &'static scope::Counter {
     COUNTER.get_or_init(|| scope::global().counter("vm.executions"))
 }
 
+/// Process-global `vm.lowerings` counter handle, resolved once: one per
+/// binary lowered for the fast engine. A binary is lowered on its first
+/// fast run, not when it loads, so a warm cache-served audit, which runs
+/// nothing, reads zero here as it does under `vm.executions`.
+pub(crate) fn lowerings_counter() -> &'static scope::Counter {
+    static COUNTER: std::sync::OnceLock<scope::Counter> = std::sync::OnceLock::new();
+    COUNTER.get_or_init(|| scope::global().counter("vm.lowerings"))
+}
+
 /// Materialize a global table from an image's initializers plus per-env
 /// overrides. Shared by [`Vm::new`] and the environment pool's snapshots.
 pub(crate) fn resolve_globals(image: &ExecImage<'_>, overrides: &[(u32, i64)]) -> Vec<Value> {

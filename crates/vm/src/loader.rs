@@ -4,7 +4,8 @@
 //! function can be exported and executed without running the whole binary."
 //!
 //! [`LoadedBinary::load`] is the `dlopen` analog (decodes every function
-//! once); [`LoadedBinary::from_bytes`] additionally parses the FWB wire
+//! once, and lowers them for the fast engine on their first run);
+//! [`LoadedBinary::from_bytes`] additionally parses the FWB wire
 //! container first, so malformed on-disk images surface as typed
 //! [`LoadError`]s instead of panics; [`LoadedBinary::find_export`] is
 //! `dlsym`; [`LoadedBinary::run_any`] is the LIEF-style export-anything
@@ -13,12 +14,13 @@
 
 use crate::engine::FastVm;
 use crate::env::ExecEnv;
-use crate::exec::{Engine, ExecImage, Outcome, Vm, VmConfig};
+use crate::exec::{lowerings_counter, Engine, ExecImage, Outcome, Vm, VmConfig};
 use crate::lowered::{lower, LoweredBinary};
 use crate::trace::DynFeatures;
 use fwbin::encode::DecodeError;
 use fwbin::format::{Binary, FormatError};
 use fwbin::isa::Inst;
+use std::sync::OnceLock;
 
 /// Typed loader failure: every way a binary can refuse to load or a
 /// function can be unavailable, with enough context (section, function,
@@ -88,9 +90,12 @@ pub struct LoadedBinary {
     frame_slots: Vec<u32>,
     strings_blob: Vec<u8>,
     string_offsets: Vec<i64>,
-    /// Pre-lowered indexed-dispatch form for the fast engine, computed
-    /// once here so every run skips decoding and classification.
-    lowered: LoweredBinary,
+    /// Indexed-dispatch form for the fast engine, lowered on the first
+    /// [`LoadedBinary::lowered`] call so that a binary the VM never runs
+    /// (every profile served from a cache, or the reference interpreter
+    /// selected) is never lowered; every later run skips decoding and
+    /// classification.
+    lowered: OnceLock<LoweredBinary>,
 }
 
 /// Result of a single function execution.
@@ -105,7 +110,9 @@ pub struct RunResult {
 }
 
 impl LoadedBinary {
-    /// Load (decode) a binary — the `dlopen` analog.
+    /// Load (decode) a binary — the `dlopen` analog. Every function is
+    /// decoded here, so a malformed one fails the load; the fast engine's
+    /// lowering waits for the first run.
     ///
     /// # Errors
     /// Returns [`LoadError::Decode`] naming the first function whose code
@@ -132,8 +139,14 @@ impl LoadedBinary {
             strings_blob.extend_from_slice(s.as_bytes());
             strings_blob.push(0);
         }
-        let lowered = lower(&code, &frame_slots, &binary.imports, &string_offsets);
-        Ok(LoadedBinary { binary, code, frame_slots, strings_blob, string_offsets, lowered })
+        Ok(LoadedBinary {
+            binary,
+            code,
+            frame_slots,
+            strings_blob,
+            string_offsets,
+            lowered: OnceLock::new(),
+        })
     }
 
     /// Parse an FWB wire container and load it — the full `dlopen`-from-
@@ -175,8 +188,15 @@ impl LoadedBinary {
             .position(|f| f.exported && f.name.as_deref() == Some(name))
     }
 
+    /// The fast engine's form of every function, lowered on first use and
+    /// counted under `vm.lowerings`. Lowering cannot fail (an operand it
+    /// cannot resolve becomes a trap), so deferring it from
+    /// [`LoadedBinary::load`] moves only its cost.
     pub(crate) fn lowered(&self) -> &LoweredBinary {
-        &self.lowered
+        self.lowered.get_or_init(|| {
+            lowerings_counter().inc();
+            lower(&self.code, &self.frame_slots, &self.binary.imports, &self.string_offsets)
+        })
     }
 
     pub(crate) fn strings_blob(&self) -> &[u8] {
@@ -442,6 +462,21 @@ mod tests {
         }
         // The intact bytes still load.
         assert_eq!(LoadedBinary::from_bytes(&bytes)?.function_count(), 1);
+        Ok(())
+    }
+
+    #[test]
+    fn load_defers_lowering_to_the_first_fast_run() -> TestResult {
+        let bin = compile(&sum_library(), Arch::Arm64, OptLevel::O2)?;
+        let env = ExecEnv::for_buffer(vec![4, 5], &[]);
+        let lb = LoadedBinary::load(bin)?;
+        assert!(lb.lowered.get().is_none(), "load alone lowers nothing");
+        let interp = VmConfig { engine: Engine::Interp, ..VmConfig::default() };
+        let nine = Outcome::Returned(Value::Int(9));
+        assert_eq!(lb.run_any(0, &env, &interp).outcome, nine);
+        assert!(lb.lowered.get().is_none(), "the interpreter runs the decoded code");
+        assert_eq!(lb.run_any(0, &env, &VmConfig::default()).outcome, nine);
+        assert!(lb.lowered.get().is_some(), "the first fast run lowers");
         Ok(())
     }
 

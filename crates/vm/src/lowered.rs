@@ -1,9 +1,9 @@
 //! Pre-lowered executable form consumed by the fast engine.
 //!
-//! [`crate::loader::LoadedBinary::load`] lowers every decoded function
-//! once: operands are unpacked out of [`Inst`] into flat [`LowOp`]
-//! records, string-id lookups and callee frame sizes are resolved at load
-//! time, import symbols become [`LibFn`] tags (no per-call string
+//! A [`crate::loader::LoadedBinary`] lowers every decoded function once,
+//! on the binary's first fast run: operands are unpacked out of [`Inst`]
+//! into flat [`LowOp`] records, string-id lookups and callee frame sizes
+//! are resolved then, import symbols become [`LibFn`] tags (no per-call string
 //! matching), structurally invalid instructions (stray labels,
 //! out-of-range string ids, calls to symbols outside the tables) become
 //! explicit [`LowOp::Trap`]s, and the per-instruction trace
@@ -56,7 +56,7 @@ pub(crate) fn classify(inst: &Inst) -> u8 {
     c
 }
 
-/// Library routines, resolved from import names at load time.
+/// Library routines, resolved from import names when a binary is lowered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LibFn {
     /// `memmove`/`memcpy` (one shared implementation).
