@@ -1,10 +1,11 @@
 //! Scanhub speedups: cold vs warm cache-backed scans, and per-pair vs
 //! batched classifier inference.
 //!
-//! The warm path is the service's steady state — every static feature is
-//! served from the content-addressed store, so only the NN forward pass
-//! and the dynamic stage remain. The inference pair shows what one GEMM
-//! per layer buys over row-at-a-time forward passes.
+//! The warm path is the service's steady state — the store's scan lane
+//! serves the finished scan, so neither feature lookup nor the NN forward
+//! pass remains (before that lane existed, the warm row timed feature
+//! lookups plus the forward pass). The inference pair shows what one
+//! GEMM per layer buys over row-at-a-time forward passes.
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use std::hint::black_box;
@@ -49,10 +50,10 @@ fn bench_cache(c: &mut Criterion) {
         )
     });
 
-    // Warm: the steady state — the shared store already holds every
-    // artifact, so the scan is cache lookups + the batched forward pass.
-    // Its merged snapshot, printed at the end, shows the hit/miss ledger
-    // for the whole warm sweep.
+    // Warm: the steady state — the shared store already holds the
+    // finished scan, so the scan is the reference lookups, the key
+    // derivation and one scan-lane hit. Its merged snapshot, printed at
+    // the end, shows the hit/miss ledger for the whole warm sweep.
     let warm_hub =
         ScanHub::new(Patchecko::new(analyzer.detector.clone(), PipelineConfig::default()));
     warm_hub.scan_library(&bin, entry, Basis::Vulnerable).unwrap();

@@ -220,6 +220,29 @@ pub fn train(ds: &Dataset1, cfg: &DetectorConfig) -> (Detector, TrainHistory, Te
 }
 
 impl Detector {
+    /// A digest of everything a static scan reads from the detector: each
+    /// layer's shape, weight bits and bias bits, the normalizer's
+    /// statistics and the threshold. It is computed afresh on each call
+    /// (about 23k parameter words, folded a word at a time), so a
+    /// detector changed through its public fields digests differently
+    /// the next time it is asked.
+    pub fn fingerprint(&self) -> (u64, u64) {
+        let mut h = crate::dynsource::Fnv2::new();
+        h.update(b"detector");
+        h.update_u64(self.net.num_layers() as u64);
+        for li in 0..self.net.num_layers() {
+            let (w, b) = self.net.layer_params(li);
+            h.update_u64(w.rows() as u64);
+            h.update_u64(w.cols() as u64);
+            h.update_u64(b.len() as u64);
+            let params = w.as_slice().iter().chain(b);
+            h.update_words(params.map(|x| u64::from(x.to_bits())));
+        }
+        self.norm.digest_into(&mut h);
+        h.update_u32(self.threshold.to_bits());
+        (h.hi, h.lo)
+    }
+
     /// Similarity probability of one pair.
     pub fn similarity(&self, a: &StaticFeatures, b: &StaticFeatures) -> f32 {
         let input = self.norm.pair_input(a, b);

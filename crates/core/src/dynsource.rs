@@ -65,6 +65,21 @@ impl Fnv2 {
         self.update(&v.to_le_bytes());
     }
 
+    /// Feed `words` whole: each lane folds one word per multiply, the `lo`
+    /// lane's rotated left by 3, instead of one byte per multiply as
+    /// [`Fnv2::update`] does, so bulk input (model parameters, feature
+    /// rows, code bytes) hashes five to eight times faster. Each fold is
+    /// a bijection of the lane's state, so two sequences of one length
+    /// that differ in a single word always digest apart. It digests a
+    /// word differently from [`Fnv2::update_u64`], so moving an input
+    /// from one to the other changes every key that hashes it.
+    pub fn update_words(&mut self, words: impl IntoIterator<Item = u64>) {
+        for w in words {
+            self.hi = (self.hi ^ w).wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ w.rotate_left(3)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
     /// Feed an environment list: its length, then each environment's
     /// length-prefixed input bytes, argument specs and global overrides.
     /// [`EnvSet`] fingerprints and scanhub's env-set checksums both hash

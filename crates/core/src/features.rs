@@ -340,6 +340,14 @@ impl Normalizer {
         out.extend(self.apply(b));
         out
     }
+
+    /// Feed every statistic to `h`, length-prefixed, as exact bits.
+    pub(crate) fn digest_into(&self, h: &mut crate::dynsource::Fnv2) {
+        for stats in [&self.mean, &self.std] {
+            h.update_u64(stats.len() as u64);
+            h.update_words(stats.iter().map(|x| x.to_bits()));
+        }
+    }
 }
 
 /// A length-generic variant of [`Normalizer`] for extended feature

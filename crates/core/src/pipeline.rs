@@ -139,6 +139,43 @@ pub trait FeatureSource: Sync {
         let _ = bin;
         feats.iter().map(FunctionSignature::of).collect()
     }
+
+    /// Where this source keeps finished static scans, if it keeps any.
+    /// The default keeps none, and the static pass then scores every
+    /// (binary, set) and derives no key at all. scanhub's store keeps one
+    /// scan per (library, reference set). A source that wraps another
+    /// keeps the wrapped source's scans in use only if it forwards this.
+    fn scan_store(&self) -> Option<&dyn ScanStore> {
+        None
+    }
+}
+
+/// The key of one kept [`StaticScan`], in two halves, each a digest of
+/// one side of the scan's inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ScanKey {
+    /// The scanned binary's [`ScanStore::library_digest`].
+    pub library: (u64, u64),
+    /// What it was scanned with: the detector's
+    /// [`Detector::fingerprint`], the retrieval mode with its `k`, and
+    /// the reference set's rows in order.
+    pub query: (u64, u64),
+}
+
+/// A store of finished static scans, keyed by everything a scan reads
+/// ([`ScanKey`]), which the static pass consults before it builds any
+/// pair list ([`FeatureSource::scan_store`]).
+pub trait ScanStore: Sync {
+    /// A digest of every input of `bin` that its scan reads: each
+    /// function's Table I inputs, in function order. The library's name
+    /// is not one of them. The static pass asks once per binary.
+    fn library_digest(&self, bin: &Binary) -> (u64, u64);
+
+    /// The scan kept under `key`, if any.
+    fn kept(&self, key: ScanKey) -> Option<Arc<StaticScan>>;
+
+    /// Keep `scan` under `key`.
+    fn keep(&self, key: ScanKey, scan: StaticScan);
 }
 
 /// The uncached [`FeatureSource`]: disassemble + extract on every request.
@@ -186,7 +223,7 @@ impl Default for RunCtx<'_> {
 }
 
 /// Result of the static (deep learning) stage on one library.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticScan {
     /// Scanned library name.
     pub library: String,
@@ -406,6 +443,16 @@ impl Patchecko {
     /// (binary, set) folds back exactly what its own scan would give. An
     /// image analysis makes one pass over the whole image, a stream one
     /// per working set.
+    ///
+    /// When `features` keeps scans ([`FeatureSource::scan_store`]), the
+    /// pass first looks up every (binary, set) under its [`ScanKey`]:
+    /// the detector is fingerprinted once, each set digested once and
+    /// each binary once. Only the lists of the scans not kept are built
+    /// and scored, still in one `classify_pairs` call, so distinct pairs
+    /// still dedup across binaries; a binary whose every set was kept is
+    /// not fetched at all, and each scan computed is kept. A kept scan is
+    /// served under the requesting binary's name. Every scan of a pass,
+    /// served or scored, carries the whole pass's time.
     pub(crate) fn static_pass(
         &self,
         bins: &[Binary],
@@ -415,26 +462,57 @@ impl Patchecko {
         let names: Vec<&str> = bins.iter().map(|bin| bin.lib_name.as_str()).collect();
         let _span = scope::SpanGuard::enter("static_scan").with_detail(names.join(","));
         let started = Instant::now();
-        let any_references = reference_sets.iter().any(|r| !r.is_empty());
-        let rows: Vec<StaticFeatures> = reference_sets.concat();
-        // Every (binary, set) list in one pair list over the concatenated
-        // reference and target rows; `lists` keeps each one's binary, row
-        // offsets and slice of `pairs`, binary-major.
+        // One slot per (binary, set), binary-major: the scan, once kept or
+        // scored, and with a store, its key.
+        let sets = reference_sets.len();
+        let store = features.scan_store();
+        let mut keys = Vec::new();
+        let mut scans: Vec<Option<StaticScan>> = Vec::with_capacity(bins.len() * sets);
+        match store {
+            Some(store) => {
+                let model = self.detector.fingerprint();
+                let queries: Vec<_> =
+                    reference_sets.iter().map(|set| self.scan_query(model, set)).collect();
+                for bin in bins {
+                    let library = store.library_digest(bin);
+                    for &query in &queries {
+                        let key = ScanKey { library, query };
+                        scans.push(store.kept(key).map(|scan| (*scan).clone()));
+                        keys.push(key);
+                    }
+                }
+            }
+            None => scans.resize(bins.len() * sets, None),
+        }
+        // Every list still to score in one pair list over the concatenated
+        // reference and target rows; `lists` keeps each one's slot, row
+        // offsets and slice of `pairs`. `first_rows[s]` is set `s`'s first
+        // row in the concatenation.
+        let first_rows: Vec<u32> = reference_sets
+            .iter()
+            .scan(0u32, |next, set| Some(std::mem::replace(next, *next + set.len() as u32)))
+            .collect();
         let mut targets: Vec<StaticFeatures> = Vec::new();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut lists = Vec::with_capacity(bins.len() * reference_sets.len());
-        for bin in bins {
+        let mut lists = Vec::new();
+        for (b, bin) in bins.iter().enumerate() {
+            let missing: Vec<usize> =
+                (0..sets).filter(|&s| scans[b * sets + s].is_none()).collect();
+            if missing.is_empty() {
+                continue;
+            }
             let feats = features.features_all(bin)?;
+            let needs_sigs = missing.iter().any(|&s| !reference_sets[s].is_empty());
             let target_sigs = match self.config.retrieval {
-                Retrieval::TopK { .. } if any_references && !feats.is_empty() => {
+                Retrieval::TopK { .. } if needs_sigs && !feats.is_empty() => {
                     features.signatures_all(bin, &feats)
                 }
                 _ => Vec::new(),
             };
             let functions = feats.len();
             let t0 = targets.len() as u32;
-            let mut r0 = 0u32;
-            for references in reference_sets {
+            for s in missing {
+                let (references, r0) = (reference_sets[s], first_rows[s]);
                 let start = pairs.len();
                 if functions > 0 {
                     match self.config.retrieval {
@@ -448,33 +526,66 @@ impl Patchecko {
                         ),
                     }
                 }
-                lists.push((bin, functions, references.len(), (r0, t0), start..pairs.len()));
-                r0 += references.len() as u32;
+                let slot = b * sets + s;
+                lists.push((slot, functions, references.len(), (r0, t0), start..pairs.len()));
             }
             targets.extend(feats);
         }
-        let scores = self.detector.classify_pairs(&rows, &targets, &pairs);
+        let scores = if pairs.is_empty() {
+            Vec::new()
+        } else {
+            self.detector.classify_pairs(&reference_sets.concat(), &targets, &pairs)
+        };
+        for (slot, functions, references, offsets, range) in lists {
+            let (probs, best_ref, candidates) = self.fold_scores(
+                functions,
+                references,
+                &pairs[range.clone()],
+                &scores[range],
+                offsets,
+            );
+            let scan = StaticScan {
+                library: bins[slot / sets].lib_name.clone(),
+                total: functions,
+                probs,
+                candidates,
+                best_ref,
+                seconds: 0.0,
+            };
+            if let Some(store) = store {
+                store.keep(keys[slot], scan.clone());
+            }
+            scans[slot] = Some(scan);
+        }
         let seconds = started.elapsed().as_secs_f64();
-        Ok(lists
+        Ok(scans
             .into_iter()
-            .map(|(bin, functions, references, offsets, range)| {
-                let (probs, best_ref, candidates) = self.fold_scores(
-                    functions,
-                    references,
-                    &pairs[range.clone()],
-                    &scores[range],
-                    offsets,
-                );
-                StaticScan {
-                    library: bin.lib_name.clone(),
-                    total: functions,
-                    probs,
-                    candidates,
-                    best_ref,
-                    seconds,
-                }
+            .enumerate()
+            .map(|(slot, scan)| {
+                let scan = scan.expect("every slot is kept or scored");
+                StaticScan { library: bins[slot / sets].lib_name.clone(), seconds, ..scan }
             })
             .collect())
+    }
+
+    /// The query half of a [`ScanKey`]: the detector's fingerprint
+    /// `model`, the retrieval mode with its `k`, and `references`' rows
+    /// in order, as exact bits.
+    fn scan_query(&self, model: (u64, u64), references: &[StaticFeatures]) -> (u64, u64) {
+        let mut h = dynsource::Fnv2::new();
+        h.update(b"scan-query");
+        h.update_u64(model.0);
+        h.update_u64(model.1);
+        match self.config.retrieval {
+            Retrieval::Exact => h.update(&[0]),
+            Retrieval::TopK { k } => {
+                h.update(&[1]);
+                h.update_u64(k as u64);
+            }
+        }
+        h.update_u64(references.len() as u64);
+        h.update_words(references.iter().flat_map(|r| r.0.iter().map(|x| x.to_bits())));
+        (h.hi, h.lo)
     }
 
     /// One (binary, set) list's scores folded per function: the best

@@ -6,8 +6,8 @@
 //! 1. **No panic escapes the scheduler** — worker deaths, including raw
 //!    panics, are contained, classified, and retried.
 //! 2. **The cache never serves corrupt artifacts** — whatever happens to
-//!    any lane file on disk, a reloaded store's answers are bit-identical
-//!    to fresh computation.
+//!    any lane file on disk, a reloaded store's answers (features, static
+//!    scans, dynamic profiles) are bit-identical to fresh computation.
 //! 3. **Transient faults leave no trace** — a faulty run whose injected
 //!    faults were retried away produces bitwise-identical outcomes to a
 //!    clean run.
@@ -148,6 +148,29 @@ fn feature_bits(source: &impl FeatureSource, bin: &fwbin::format::Binary) -> Vec
         .collect()
 }
 
+/// One static scan as bits: the total, the probability bits, the
+/// candidates and the best references.
+type ScanBits = (usize, Vec<u32>, Vec<usize>, Vec<usize>);
+
+/// Bitwise image of a static scan of `bin` through `source` against both
+/// bases' reference sets of one CVE, one [`ScanBits`] per set. Through a
+/// store, the scan fills (or is served by) its scan lane.
+fn scan_bits(source: &impl FeatureSource, bin: &fwbin::format::Binary) -> Vec<ScanBits> {
+    static SETS: OnceLock<[Vec<patchecko_core::features::StaticFeatures>; 2]> = OnceLock::new();
+    let sets = SETS.get_or_init(|| {
+        let entry = &small_db().entries[0];
+        [Basis::Vulnerable, Basis::Patched]
+            .map(|basis| Patchecko::reference_feature_set(entry, basis).unwrap())
+    });
+    let analyzer = Patchecko::new(shared_detector().clone(), PipelineConfig::default());
+    analyzer
+        .scan_library(bin, &[&sets[0], &sets[1]], source)
+        .unwrap()
+        .into_iter()
+        .map(|s| (s.total, s.probs.iter().map(|p| p.to_bits()).collect(), s.candidates, s.best_ref))
+        .collect()
+}
+
 /// Sabotage both dynamic-lane files under `dir` with `fault`; returns
 /// what was done to each.
 fn sabotage_dyn(dir: &std::path::Path, fault: DiskFault, plan: &FaultPlan) -> Vec<String> {
@@ -275,7 +298,8 @@ proptest! {
     /// Invariant 2: whatever the saboteur does to any one lane file —
     /// garbage, truncation, stale schema, checksum tampering — a reloaded
     /// store quarantines the damage in that lane alone and serves
-    /// features and dynamic profiles bit-identical to fresh computation.
+    /// features, static scans and dynamic profiles bit-identical to fresh
+    /// computation. Every lane holds entries before the sabotage.
     #[test]
     fn cache_never_serves_corruption(seed in seeds()) {
         let plan = FaultPlan::new(seed);
@@ -292,13 +316,16 @@ proptest! {
         let fresh = feature_bits(&DirectExtraction, bin);
         prop_assert_eq!(&feature_bits(&store, bin), &fresh);
         let cold = dyn_pass_bits(&store, &lb, &fuzz, &vmc);
+        let fresh_scans = scan_bits(&DirectExtraction, bin);
+        prop_assert_eq!(&scan_bits(&store, bin), &fresh_scans);
+        prop_assert_eq!(store.stats().scan_entries, 2, "the scan lane holds both sets' scans");
 
         for file in LANE_FILES {
             store.save(&dir).unwrap();
             let what = disk::sabotage(&dir, file, fault, &plan).unwrap();
             let reloaded = ArtifactStore::load(&dir).unwrap();
             let s = reloaded.stats();
-            prop_assert!(s.quarantined + s.dyn_quarantined >= 1,
+            prop_assert!(s.quarantined + s.dyn_quarantined + s.scan_quarantined >= 1,
                 "sabotage of {file} ({what}) must be noticed and quarantined");
             let records = reloaded.quarantine_records();
             prop_assert!(!records.is_empty());
@@ -308,6 +335,8 @@ proptest! {
                 "a sabotaged cache ({file}: {what}) must re-extract, bit-identical to fresh");
             prop_assert_eq!(&dyn_pass_bits(&reloaded, &lb, &fuzz, &vmc), &cold,
                 "a sabotaged cache ({file}: {what}) must fall back to live execution");
+            prop_assert_eq!(&scan_bits(&reloaded, bin), &fresh_scans,
+                "a sabotaged cache ({file}: {what}) must serve scans bit-identical to fresh");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

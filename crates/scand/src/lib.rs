@@ -2,7 +2,7 @@
 //!
 //! The deployment story of the paper's pipeline: instead of paying model
 //! load + cache warm-up per CLI invocation, one daemon keeps a warm
-//! [`ScanHub`](patchecko_scanhub::ScanHub) (trained detector + the three
+//! [`ScanHub`](patchecko_scanhub::ScanHub) (trained detector + the four
 //! artifact-cache lanes) resident and serves scan/audit requests from
 //! many clients over a Unix socket.
 //!
@@ -17,7 +17,7 @@
 //! * [`server`] — [`ScanServer`]: accept loop, executor pool, per-tenant
 //!   cache namespaces (tenants share warm artifacts *capacity* but never
 //!   each other's entries), live telemetry under `tenant.<name>.*`, and
-//!   graceful drain (finish in-flight, persist the three cache lanes, refuse
+//!   graceful drain (finish in-flight, persist the four cache lanes, refuse
 //!   new work).
 //! * [`client`] — [`ScanClient`]: blocking request helpers with
 //!   misroute detection and overload-aware retry.

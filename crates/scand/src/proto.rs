@@ -278,7 +278,7 @@ pub struct ServiceStats {
     pub expired_at_executor: u64,
     /// Per-tenant counters and latency, keyed by tenant name.
     pub tenants: BTreeMap<String, TenantStats>,
-    /// Shared artifact-store counters (all three cache lanes).
+    /// Shared artifact-store counters (all four cache lanes).
     pub cache: CacheStats,
     /// Process-wide VM executions so far — the warm-request oracle: a
     /// warm re-audit must not move this counter.

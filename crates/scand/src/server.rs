@@ -110,7 +110,7 @@ pub struct ServerConfig {
     pub tenant_quota: Option<TenantQuota>,
     /// Dynamic-stage circuit breaker tuning (`threshold: 0` disables).
     pub breaker: BreakerConfig,
-    /// Persist the three cache lanes after every N completed jobs (`None` =
+    /// Persist the four cache lanes after every N completed jobs (`None` =
     /// only on drain). Saves are atomic, so a SIGKILL mid-checkpoint
     /// never corrupts the cache.
     pub checkpoint_every: Option<u64>,

@@ -12,9 +12,12 @@
 //! after reboot via the on-disk layer) reuses the artifacts. The dynamic
 //! stage routes through the store's dynamic lanes the same way:
 //! environment sets and per-function dynamic profiles are cached by
-//! content, so a warm re-audit performs zero VM executions. Entry points
-//! return typed [`ScanError`]s rather than panicking; batch scheduling
-//! retries transient failures per the hub's [`RetryPolicy`].
+//! content, so a warm re-audit performs zero VM executions. The static
+//! pass keeps its finished scans in the store's scan lane, one per
+//! (library, reference set), so a warm re-audit scores no pair either,
+//! and an updated image re-scores only the libraries that changed.
+//! Entry points return typed [`ScanError`]s rather than panicking; batch
+//! scheduling retries transient failures per the hub's [`RetryPolicy`].
 
 use crate::schedule::{self, FaultHook, JobRecord, JobSpec, RetryPolicy};
 use crate::store::{ArtifactStore, CacheStats};

@@ -1,16 +1,18 @@
 //! One cache lane: a sharded, content-addressed map of checksummed values
 //! with single-flight computation and a trust-nothing on-disk document.
 //!
-//! The artifact store keeps three lanes — static artifacts, environment
-//! sets and dynamic profiles. Each is a [`Lane`] over a value type
-//! implementing [`Checksummed`], plus a file name; everything else lives
-//! here once:
+//! The artifact store keeps four lanes — static artifacts, environment
+//! sets, dynamic profiles and static scans. Each is a [`Lane`] over a
+//! value type implementing [`Checksummed`], plus a file name; everything
+//! else lives here once:
 //!
 //! * **Lookup.** 16 independent `parking_lot` shards keyed by
 //!   [`ArtifactKey`], so scheduler workers rarely contend. Every lookup
 //!   counts a miss when it computes the value and a hit otherwise, under
 //!   the lane's counter prefix (`<prefix>.hits`, `<prefix>.misses`), so
-//!   the counts do not depend on how concurrent lookups interleave.
+//!   the counts do not depend on how concurrent lookups interleave. The
+//!   scan lane's values are scored in batches by the static pass, so it
+//!   looks up with [`Lane::lookup`] and inserts what it scores.
 //! * **Single flight.** Concurrent misses on one key coalesce in
 //!   [`Lane::get_or_compute`]: the first caller claims the key and
 //!   computes outside every shard lock; later callers sleep on a condvar
@@ -27,9 +29,10 @@
 //! ## Load outcomes
 //!
 //! [`Lane::load`] trusts nothing it reads back. Damage is quarantined —
-//! counted under `<prefix>.quarantined` and recorded in the lane's log —
-//! and is never an error and never served; a quarantined entry is just a
-//! future miss.
+//! counted under `<prefix>.quarantined` and recorded in the lane's log,
+//! which keeps the first 64 details and then counts the rest in one
+//! `… and N more` line — and is never an error and never served; a
+//! quarantined entry is just a future miss.
 //!
 //! * no file → an empty lane, nothing quarantined;
 //! * invalid UTF-8, garbage or truncated JSON → the file is quarantined
@@ -99,13 +102,26 @@ pub(crate) struct Lane<V> {
     pub(crate) hits: Counter,
     pub(crate) misses: Counter,
     pub(crate) quarantined: Counter,
-    quarantine_log: Mutex<Vec<String>>,
+    quarantine_log: Mutex<QuarantineLog>,
     /// Keys being computed right now. `std::sync` (not `parking_lot`,
     /// which vendors no condvar): waiters sleep on `landed` until the
     /// winner publishes or fails, instead of polling the shards.
     inflight: std::sync::Mutex<HashSet<ArtifactKey>>,
     landed: Condvar,
 }
+
+/// Quarantine details a lane keeps: the first [`QUARANTINE_LOG_CAP`],
+/// then only a count, so a file of thousands of damaged entries costs a
+/// bounded log. The lane's `<prefix>.quarantined` counter still counts
+/// every event.
+#[derive(Default)]
+struct QuarantineLog {
+    kept: Vec<String>,
+    more: u64,
+}
+
+/// Quarantine details a lane keeps before it only counts.
+const QUARANTINE_LOG_CAP: usize = 64;
 
 /// RAII claim on one in-flight key: dropping it — on success *or* unwind
 /// — releases the key and wakes every waiter, so a panicking winner can
@@ -133,7 +149,7 @@ impl<V: Checksummed> Lane<V> {
             hits: registry.counter(&format!("{prefix}.hits")),
             misses: registry.counter(&format!("{prefix}.misses")),
             quarantined: registry.counter(&format!("{prefix}.quarantined")),
-            quarantine_log: Mutex::new(Vec::new()),
+            quarantine_log: Mutex::new(QuarantineLog::default()),
             inflight: std::sync::Mutex::new(HashSet::new()),
             landed: Condvar::new(),
         }
@@ -144,26 +160,51 @@ impl<V: Checksummed> Lane<V> {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// Details of every quarantine since construction.
+    /// Details of the first [`QUARANTINE_LOG_CAP`] quarantines since
+    /// construction, then one `… and N more in <file>` line for the rest.
     pub(crate) fn quarantine_records(&self) -> Vec<String> {
-        self.quarantine_log.lock().clone()
+        let log = self.quarantine_log.lock();
+        let mut records = log.kept.clone();
+        if log.more > 0 {
+            records.push(format!("… and {} more in {}", log.more, self.file));
+        }
+        records
     }
 
     fn shard(&self, key: ArtifactKey) -> &Mutex<HashMap<ArtifactKey, Arc<V>>> {
         &self.shards[key.shard(NUM_SHARDS)]
     }
 
-    fn insert(&self, key: ArtifactKey, value: V) -> Arc<V> {
+    pub(crate) fn insert(&self, key: ArtifactKey, value: V) -> Arc<V> {
         let arc = Arc::new(value);
         self.shard(key).lock().insert(key, Arc::clone(&arc));
         arc
     }
 
     /// Record a quarantine: the offending value is never inserted, the
-    /// counter moves, and the detail is kept for reports and tests.
+    /// counter moves, and the detail is kept for reports and tests while
+    /// the log has room.
     fn quarantine(&self, detail: String) {
         self.quarantined.inc();
-        self.quarantine_log.lock().push(detail);
+        let mut log = self.quarantine_log.lock();
+        if log.kept.len() < QUARANTINE_LOG_CAP {
+            log.kept.push(detail);
+        } else {
+            log.more += 1;
+        }
+    }
+
+    /// The value under `key`, if resident, counting a hit or a miss. For
+    /// a lane whose values are computed in batches by the caller, which
+    /// then [`Lane::insert`]s them: a miss is counted for the caller that
+    /// computes.
+    pub(crate) fn lookup(&self, key: ArtifactKey) -> Option<Arc<V>> {
+        let found = self.get(key);
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
+        found
     }
 
     /// The value under `key`, computed by `compute` and cached on a miss.
@@ -300,9 +341,12 @@ impl<V: Checksummed> Lane<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{ArtifactStore, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE};
+    use crate::store::{
+        ArtifactStore, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE, SCANS_FILE,
+    };
     use crate::testfix;
     use patchecko_core::dynsource::DynProfile;
+    use patchecko_core::pipeline::StaticScan;
     use std::fmt::Debug;
 
     /// Which saved entries a damaged file still loads.
@@ -503,6 +547,54 @@ mod tests {
         let mut other = profile.clone();
         other.ok[1] = true;
         check_lane(DYN_PROFILES_FILE, vec![profile, other]);
+
+        let scan = StaticScan {
+            library: "libscan".into(),
+            total: 3,
+            probs: vec![0.25, 0.1 + 0.2, 0.75],
+            candidates: vec![2],
+            best_ref: vec![1, 0, 3],
+            seconds: 0.0,
+        };
+        let empty = StaticScan {
+            probs: vec![0.0; 3],
+            candidates: vec![],
+            best_ref: vec![],
+            ..scan.clone()
+        };
+        check_lane(SCANS_FILE, vec![scan, empty]);
+    }
+
+    /// A lane file of 200 damaged entries counts all 200 quarantines but
+    /// keeps a bounded log: the first 64 details and one line for the
+    /// rest.
+    #[test]
+    fn quarantine_log_keeps_64_details_and_counts_the_rest() {
+        let dir = std::env::temp_dir()
+            .join(format!("scanhub-lane-{}-quarantine-bound", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lane: Lane<DynProfile> = Lane::new(&MetricsRegistry::new(), "test", DYN_PROFILES_FILE);
+        for i in 0..200 {
+            lane.insert(ArtifactKey { hi: i, lo: !i }, testfix::sample_profile());
+        }
+        lane.save(&dir).unwrap();
+        edit(&dir.join(DYN_PROFILES_FILE), |doc| {
+            for entry in doc.entries.values_mut() {
+                entry.checksum ^= 1;
+            }
+        });
+
+        let reloaded: Lane<DynProfile> =
+            Lane::new(&MetricsRegistry::new(), "test", DYN_PROFILES_FILE);
+        reloaded.load(&dir).unwrap();
+        assert_eq!(reloaded.len(), 0, "no damaged entry is served");
+        assert_eq!(reloaded.quarantined.get(), 200, "the counter counts every event");
+        let records = reloaded.quarantine_records();
+        assert!(records.len() <= 65, "{} records kept", records.len());
+        assert!(records[..64].iter().all(|r| r.contains("checksum mismatch")), "{records:?}");
+        let rest = format!("… and 136 more in {DYN_PROFILES_FILE}");
+        assert_eq!(records.last(), Some(&rest));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -14,13 +14,18 @@
 //!   values with hit/miss/quarantine counters, single-flight computation
 //!   on a miss, and an on-disk document that is quarantined, never
 //!   served, when damaged;
-//! * [`store`] — the [`ArtifactStore`], three lanes behind the pipeline's
+//! * [`store`] — the [`ArtifactStore`], four lanes behind the pipeline's
 //!   seams: static artifacts
 //!   ([`StaticFeatures`](patchecko_core::features::StaticFeatures) +
-//!   [`CfgSummary`](disasm::CfgSummary)), execution-environment sets and
+//!   [`CfgSummary`](disasm::CfgSummary)), execution-environment sets,
 //!   dynamic profiles (so a warm re-audit performs zero VM executions —
 //!   the store implements
-//!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource)),
+//!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource))
+//!   and finished static scans, one per (library, reference set), keyed
+//!   by the model, the reference set and the library's content (so a
+//!   warm re-audit scores nothing, and a firmware update that changes
+//!   one library re-scores only that library — the store is the
+//!   pipeline's [`ScanStore`](patchecko_core::pipeline::ScanStore)),
 //!   each persisted to its own file ([`LANE_FILES`]). Retrieval
 //!   signatures for `--retrieval topk` are recomputed from the cached
 //!   features, not cached. The store is a cheap-to-clone handle: the
@@ -81,5 +86,5 @@ pub use schedule::{
 };
 pub use store::{
     Artifact, ArtifactStore, CacheStats, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE,
-    LANE_FILES,
+    LANE_FILES, SCANS_FILE,
 };

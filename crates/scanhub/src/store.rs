@@ -1,4 +1,4 @@
-//! The content-addressed artifact store: three cache lanes behind the
+//! The content-addressed artifact store: four cache lanes behind the
 //! pipeline's [`FeatureSource`] and [`DynProfileSource`] seams.
 //!
 //! * **static** — one [`Artifact`] (Table-I features + condensed CFG) per
@@ -6,16 +6,22 @@
 //! * **env sets** — the fuzzed execution environments per
 //!   [`ArtifactKey::for_env_set`]; `dyncache.*`; [`DYN_ENVSETS_FILE`];
 //! * **profiles** — one [`DynProfile`] per [`ArtifactKey::for_dyn_profile`];
-//!   `dyncache.*`, shared with the env sets; [`DYN_PROFILES_FILE`].
+//!   `dyncache.*`, shared with the env sets; [`DYN_PROFILES_FILE`];
+//! * **scans** — one finished [`StaticScan`] per (library, reference set),
+//!   keyed by [`ArtifactKey::for_static_scan`] over everything the scan
+//!   reads (the store is the pipeline's [`ScanStore`]); `scancache.*`;
+//!   [`SCANS_FILE`].
 //!
 //! Each is a `Lane`: sharded lookup, single-flight computation on a
-//! miss, and a checksummed on-disk document that is quarantined, never
-//! served, when damaged (the `lane` module lists the load outcomes). Every
-//! lane persists to its own file, so corruption in one never takes down
-//! the others, and a damaged or missing entry is only a miss: the store
-//! recomputes it — re-extraction, live fuzzing, live execution — and the
-//! results stay bitwise-identical to a cold run. Besides the lane
-//! counters, the store counts the work it actually performs:
+//! miss (the scan lane's misses are scored in batches by the static pass
+//! instead), and a checksummed on-disk document that is quarantined,
+//! never served, when damaged (the `lane` module lists the load
+//! outcomes). Every lane persists to its own file, so corruption in one
+//! never takes down the others, and a damaged or missing entry is only a
+//! miss: the store recomputes it — re-extraction, live fuzzing, live
+//! execution, re-scoring — and the results stay bitwise-identical to a
+//! cold run. Besides the lane counters, the store counts the work it
+//! actually performs:
 //! `cache.extractions` (disassemblies with feature extraction) and
 //! `dyncache.profiled` (live profiling runs).
 //!
@@ -44,7 +50,7 @@ use patchecko_core::cancel::CancelToken;
 use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet, Fnv2};
 use patchecko_core::error::ScanError;
 use patchecko_core::features::{self, StaticFeatures};
-use patchecko_core::pipeline::{FeatureSource, RunCtx};
+use patchecko_core::pipeline::{FeatureSource, RunCtx, ScanKey, ScanStore, StaticScan};
 use scope::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -60,8 +66,11 @@ pub const ARTIFACTS_FILE: &str = "artifacts.json";
 pub const DYN_ENVSETS_FILE: &str = "dyn_envsets.json";
 /// File name of the dynamic-profile lane.
 pub const DYN_PROFILES_FILE: &str = "dyn_profiles.json";
+/// File name of the static-scan lane.
+pub const SCANS_FILE: &str = "static_scans.json";
 /// Every file [`ArtifactStore::save`] writes, in save order.
-pub const LANE_FILES: [&str; 3] = [ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE];
+pub const LANE_FILES: [&str; 4] =
+    [ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE, SCANS_FILE];
 
 /// The cached artifacts of one function.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -120,6 +129,26 @@ impl Checksummed for DynProfile {
     }
 }
 
+/// Every field, the library name's bytes and the probability, candidate
+/// and best-reference lists length-prefixed. The lane keeps scans with
+/// `seconds` 0: a served scan takes the time of the pass that serves it.
+impl Checksummed for StaticScan {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        h.update_u64(self.library.len() as u64);
+        h.update(self.library.as_bytes());
+        h.update_u64(self.total as u64);
+        h.update_u64(self.probs.len() as u64);
+        h.update_words(self.probs.iter().map(|p| u64::from(p.to_bits())));
+        for list in [&self.candidates, &self.best_ref] {
+            h.update_u64(list.len() as u64);
+            h.update_words(list.iter().map(|&i| i as u64));
+        }
+        h.update_u64(self.seconds.to_bits());
+        h.hi
+    }
+}
+
 /// A point-in-time snapshot of the store's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -152,6 +181,20 @@ pub struct CacheStats {
     /// for failing checksum/schema/parse validation.
     #[serde(default)]
     pub dyn_quarantined: u64,
+    /// Static scans served from the scan lane — each one a (library,
+    /// reference set) the pass neither fetched features for nor scored.
+    #[serde(default)]
+    pub scan_hits: u64,
+    /// Scan-lane lookups that found nothing (each one scored and kept).
+    #[serde(default)]
+    pub scan_misses: u64,
+    /// Scan-lane entries currently resident.
+    #[serde(default)]
+    pub scan_entries: u64,
+    /// Scan-lane entries (or whole scan-lane files) evicted on load for
+    /// failing checksum/schema/parse validation.
+    #[serde(default)]
+    pub scan_quarantined: u64,
     /// Always 0: the store keeps no signature lane.
     // Kept: `hybridbench` adds this into its hit count.
     #[serde(default)]
@@ -192,6 +235,10 @@ impl CacheStats {
             dyn_profiled: self.dyn_profiled.saturating_sub(earlier.dyn_profiled),
             dyn_entries: self.dyn_entries,
             dyn_quarantined: self.dyn_quarantined.saturating_sub(earlier.dyn_quarantined),
+            scan_hits: self.scan_hits.saturating_sub(earlier.scan_hits),
+            scan_misses: self.scan_misses.saturating_sub(earlier.scan_misses),
+            scan_entries: self.scan_entries,
+            scan_quarantined: self.scan_quarantined.saturating_sub(earlier.scan_quarantined),
             sig_hits: self.sig_hits.saturating_sub(earlier.sig_hits),
             sig_misses: self.sig_misses.saturating_sub(earlier.sig_misses),
         }
@@ -203,7 +250,8 @@ impl std::fmt::Display for CacheStats {
         write!(
             f,
             "{} hits / {} misses ({:.1}% hit rate), {} extractions, {} entries, {} quarantined; \
-             dyn: {} hits / {} misses, {} profiled, {} entries, {} quarantined",
+             dyn: {} hits / {} misses, {} profiled, {} entries, {} quarantined; \
+             scan: {} hits / {} misses, {} entries, {} quarantined",
             self.hits,
             self.misses,
             self.hit_rate() * 100.0,
@@ -214,12 +262,16 @@ impl std::fmt::Display for CacheStats {
             self.dyn_misses,
             self.dyn_profiled,
             self.dyn_entries,
-            self.dyn_quarantined
+            self.dyn_quarantined,
+            self.scan_hits,
+            self.scan_misses,
+            self.scan_entries,
+            self.scan_quarantined
         )
     }
 }
 
-/// The artifact store: a cheap-to-clone handle on three cache lanes, in
+/// The artifact store: a cheap-to-clone handle on four cache lanes, in
 /// one namespace (see the module docs).
 ///
 /// Clones and [`ArtifactStore::tenant`] handles share the lanes, the work
@@ -239,6 +291,7 @@ struct Lanes {
     artifacts: Lane<Artifact>,
     envsets: Lane<Vec<ExecEnv>>,
     profiles: Lane<DynProfile>,
+    scans: Lane<StaticScan>,
     extractions: Counter,
     profiled: Counter,
 }
@@ -258,6 +311,7 @@ impl ArtifactStore {
             artifacts: Lane::new(&registry, "cache", ARTIFACTS_FILE),
             envsets: Lane::new(&registry, "dyncache", DYN_ENVSETS_FILE),
             profiles: Lane::new(&registry, "dyncache", DYN_PROFILES_FILE),
+            scans: Lane::new(&registry, "scancache", SCANS_FILE),
             extractions: registry.counter("cache.extractions"),
             profiled: registry.counter("dyncache.profiled"),
             registry,
@@ -279,6 +333,7 @@ impl ArtifactStore {
         store.lanes.artifacts.load(dir)?;
         store.lanes.envsets.load(dir)?;
         store.lanes.profiles.load(dir)?;
+        store.lanes.scans.load(dir)?;
         Ok(store)
     }
 
@@ -322,6 +377,10 @@ impl ArtifactStore {
             dyn_profiled: lanes.profiled.get(),
             dyn_entries: (lanes.envsets.len() + lanes.profiles.len()) as u64,
             dyn_quarantined: lanes.profiles.quarantined.get(),
+            scan_hits: lanes.scans.hits.get(),
+            scan_misses: lanes.scans.misses.get(),
+            scan_entries: lanes.scans.len() as u64,
+            scan_quarantined: lanes.scans.quarantined.get(),
             sig_hits: 0,
             sig_misses: 0,
         }
@@ -333,6 +392,7 @@ impl ArtifactStore {
         let mut records = self.lanes.artifacts.quarantine_records();
         records.extend(self.lanes.envsets.quarantine_records());
         records.extend(self.lanes.profiles.quarantine_records());
+        records.extend(self.lanes.scans.quarantine_records());
         records
     }
 
@@ -355,7 +415,8 @@ impl ArtifactStore {
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         self.lanes.artifacts.save(dir)?;
         self.lanes.envsets.save(dir)?;
-        self.lanes.profiles.save(dir)
+        self.lanes.profiles.save(dir)?;
+        self.lanes.scans.save(dir)
     }
 
     /// The artifacts of function `idx` of `bin` in this namespace,
@@ -379,10 +440,34 @@ impl ArtifactStore {
 }
 
 /// The static lane in this handle's namespace. A function whose code
-/// fails to decode is a typed [`ScanError::Extraction`].
+/// fails to decode is a typed [`ScanError::Extraction`]. The store keeps
+/// the static pass's finished scans too, in the scan lane.
 impl FeatureSource for ArtifactStore {
     fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
         Ok(self.get_or_extract(bin, idx)?.features.clone())
+    }
+
+    fn scan_store(&self) -> Option<&dyn ScanStore> {
+        Some(self)
+    }
+}
+
+/// The scan lane in this handle's namespace: one [`StaticScan`] per
+/// [`ArtifactKey::for_static_scan`], relocated by the tenant salt. The
+/// library half of a key is [`ArtifactKey::for_library`].
+impl ScanStore for ArtifactStore {
+    fn library_digest(&self, bin: &Binary) -> (u64, u64) {
+        let key = ArtifactKey::for_library(bin);
+        (key.hi, key.lo)
+    }
+
+    fn kept(&self, key: ScanKey) -> Option<Arc<StaticScan>> {
+        self.lanes.scans.lookup(ArtifactKey::for_static_scan(key).namespaced(self.salt))
+    }
+
+    fn keep(&self, key: ScanKey, scan: StaticScan) {
+        let key = ArtifactKey::for_static_scan(key).namespaced(self.salt);
+        self.lanes.scans.insert(key, StaticScan { seconds: 0.0, ..scan });
     }
 }
 

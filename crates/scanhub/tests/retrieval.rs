@@ -12,7 +12,7 @@
 //!   that real pruning happens;
 //! * **persistence** — a hub scan in top-K mode is bitwise-stable cold,
 //!   warm and after a save/load cycle, and the persisted cache holds the
-//!   three lane files and no signature index (signatures are recomputed
+//!   four lane files and no signature index (signatures are recomputed
 //!   from the cached features).
 
 use corpus::catalog;

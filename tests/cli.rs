@@ -266,3 +266,48 @@ fn train_build_scan_roundtrip() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A warm `audit --cache-dir` in a fresh process is served from the
+/// persisted lanes: its report's telemetry counts no classify call and no
+/// VM execution, and scan-lane hits instead, where the cold run scored
+/// pairs and executed the VM. Both report the same findings.
+#[test]
+fn warm_audit_reloaded_from_disk_scores_and_executes_nothing() {
+    let dir = tmpdir("warm_audit_scan_lane");
+    let model = dir.join("model.json");
+    let image = dir.join("image");
+    let cache = dir.join("cache");
+    let out = bin()
+        .args(["train", "--out", model.to_str().unwrap(), "--libs", "10", "--epochs", "8", "--pairs", "6"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = bin()
+        .args(["build-image", "--device", "android_things", "--out", image.to_str().unwrap(), "--scale", "0.04"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let audit = |run: &str| -> serde_json::Value {
+        let report = dir.join(format!("{run}.json"));
+        let out = bin()
+            .args(["audit", "--model", model.to_str().unwrap(), "--image", image.to_str().unwrap()])
+            .args(["--cache-dir", cache.to_str().unwrap(), "--json", report.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{run}: {}", String::from_utf8_lossy(&out.stderr));
+        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap()
+    };
+    let (cold, warm) = (audit("cold"), audit("warm"));
+    let count = |report: &serde_json::Value, name: &str| {
+        report["telemetry"]["counters"][name].as_u64().unwrap_or(0)
+    };
+    assert!(count(&cold, "classify.pairs") > 0, "the cold audit scores pairs");
+    assert!(count(&cold, "vm.executions") > 0, "the cold audit executes the VM");
+    assert_eq!(count(&warm, "classify.pairs"), 0, "the warm audit scores no pair");
+    assert_eq!(count(&warm, "vm.executions"), 0, "the warm audit executes nothing");
+    assert!(count(&warm, "scancache.hits") > 0, "the warm audit is served by the scan lane");
+    assert_eq!(count(&warm, "scancache.misses"), 0);
+    assert_eq!(cold["findings"], warm["findings"], "warm and cold findings differ");
+    let _ = std::fs::remove_dir_all(&dir);
+}
