@@ -17,7 +17,7 @@ use corpus::vulndb::VulnDb;
 use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::differential::DifferentialConfig;
-use patchecko_core::pipeline::{Patchecko, PipelineConfig, RunCtx, StaticScan};
+use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig, RunCtx, StaticScan};
 use patchecko_scanhub::ScanHub;
 use vm::loader::LoadedBinary;
 use vm::trace::DynFeatures;
@@ -113,7 +113,6 @@ fn bench_dyn_stage(c: &mut Criterion, detector: &Detector, device: &corpus::devi
     let truth = device.truth_for("CVE-2018-9412").unwrap();
     let bin = device.image.binary(&truth.library).unwrap();
     let target = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
-    let reference = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
     let n = target.function_count();
     let scan = StaticScan {
         library: truth.library.clone(),
@@ -137,8 +136,8 @@ fn bench_dyn_stage(c: &mut Criterion, detector: &Detector, device: &corpus::devi
 
     // Correctness gate before any timing: both engines must produce
     // bitwise-identical dynamic analyses (floats compared by bit pattern).
-    let a = fast.dynamic_stage(&target, &scan, &reference, &dynsrc);
-    let b = interp.dynamic_stage(&target, &scan, &reference, &dynsrc);
+    let a = fast.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &dynsrc);
+    let b = interp.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &dynsrc);
     let bits = |fs: &[DynFeatures]| -> Vec<Vec<u64>> {
         fs.iter().map(|f| f.0.iter().map(|x| x.to_bits()).collect()).collect()
     };
@@ -159,10 +158,10 @@ fn bench_dyn_stage(c: &mut Criterion, detector: &Detector, device: &corpus::devi
     );
 
     c.bench_function("dyncache/dyn_stage_cold_interp", |b| {
-        b.iter(|| black_box(interp.dynamic_stage(&target, &scan, &reference, &dynsrc)))
+        b.iter(|| black_box(interp.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &dynsrc)))
     });
     c.bench_function("dyncache/dyn_stage_cold_fast", |b| {
-        b.iter(|| black_box(fast.dynamic_stage(&target, &scan, &reference, &dynsrc)))
+        b.iter(|| black_box(fast.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &dynsrc)))
     });
 }
 

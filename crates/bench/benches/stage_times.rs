@@ -51,18 +51,15 @@ fn bench_stages(c: &mut Criterion) {
 
     // DA column: dynamic stage over the scan's candidate set.
     let scan = patchecko.scan_library(&bin, &[&references], &DirectExtraction).unwrap().remove(0);
-    let ref_loaded = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
     let target_loaded = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
     let dynsrc = RunCtx::default().profiles;
-    c.bench_function("dynamic_stage/validate_and_profile", |b| {
-        b.iter(|| {
-            black_box(patchecko.dynamic_stage(&target_loaded, &scan, &ref_loaded, &dynsrc))
-        })
-    });
+    let stage = || patchecko.dynamic_stage(&target_loaded, &scan, entry, Basis::Vulnerable, &dynsrc);
+    c.bench_function("dynamic_stage/validate_and_profile", |b| b.iter(|| black_box(stage())));
 
-    // Single-function execution with tracing (one candidate, one env).
-    let envs = patchecko.make_environments(&ref_loaded);
-    let env = envs[0].clone();
+    // Single-function execution with tracing (one candidate, one of the
+    // stage's environments, which both reference builds survive).
+    let dynamic = stage();
+    let env = dynamic.envs[0].clone();
     c.bench_function("dynamic_stage/single_run_traced", |b| {
         b.iter(|| {
             black_box(target_loaded.run_any(truth.function_index, &env, &patchecko.config.vm))
@@ -72,7 +69,6 @@ fn bench_stages(c: &mut Criterion) {
     // Ranking: Minkowski over profiled candidates (paper Eq. 1-2). The
     // stage has no internal span, so record it through a registry timer —
     // the bucket lands next to the pipeline's own `span.*` histograms.
-    let dynamic = patchecko.dynamic_stage(&target_loaded, &scan, &ref_loaded, &dynsrc);
     let rank_timer = scope::global().timer("span.similarity_rank");
     c.bench_function("similarity/rank_candidates", |b| {
         b.iter_batched(

@@ -12,7 +12,6 @@
 
 use patchecko_bench::{build, write_json, HarnessOpts};
 use patchecko_core::pipeline::{Basis, RunCtx};
-use vm::loader::LoadedBinary;
 
 #[derive(serde::Serialize)]
 struct ProfileRow {
@@ -68,19 +67,13 @@ fn main() {
             features: avg(profile),
         });
     }
-    // Reference row (the paper's "Vulnerable function" last row) — the
-    // device-architecture reference build, as the dynamic stage uses.
-    let reference =
-        LoadedBinary::load(entry.reference_for(bin.arch, false).clone()).expect("reference loads");
-    let envs = ev.patchecko.make_environments(&reference);
-    let ref_profile: Vec<vm::DynFeatures> = envs
-        .iter()
-        .map(|e| reference.run_any(0, e, &ev.patchecko.config.vm).features)
-        .collect();
+    // Reference row (the paper's "Vulnerable function" last row): the
+    // device-architecture vulnerable build over the stage's environments,
+    // the profile the candidates were ranked against.
     rows.push(ProfileRow {
         candidate: "Vulnerable function".into(),
         ground_truth: entry.entry.function.clone(),
-        features: avg(&ref_profile),
+        features: avg(&analysis.dynamic.reference_profile),
     });
 
     println!("\nTable III: dynamic feature profile for CVE-2018-9412 candidates\n");

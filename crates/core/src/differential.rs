@@ -17,7 +17,7 @@
 //! patch changes one integer constant and is invisible to all three
 //! channels.
 
-use crate::dynsource::EnvSet;
+use crate::dynsource;
 use crate::error::ScanError;
 use crate::features::StaticFeatures;
 use crate::pipeline::{Basis, Patchecko, RunCtx};
@@ -209,9 +209,10 @@ fn share(a: f64, b: f64) -> f64 {
 /// execution here.
 ///
 /// `target_idx` is the function (from the pipeline's ranking) inside
-/// `target_bin`. Environments are generated from both references and
-/// filtered to those all three functions survive, so the three dynamic
-/// profiles are comparable.
+/// `target_bin`. The dynamic channel runs on both search bases'
+/// environment sets ([`dynsource::shared_environments`]), vulnerable
+/// first, kept where the target survives too, so all three functions are
+/// compared on environments they all survive.
 ///
 /// # Errors
 /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` has expired;
@@ -255,30 +256,36 @@ pub fn detect_patch(
     let mut degraded = loaded.is_err();
     let (dv, dp, loaded) = match loaded {
         Ok((vref, pref, target)) => {
-            // Env union of both references, then the old in-place `retain`
-            // (keep environments all three functions survive) expressed as
-            // an ok-bit intersection over full per-env profiles — runs are
+            // Both bases' sets, vulnerable first, kept where the target
+            // survives: each basis set already holds only environments both
+            // references survive, so this is the union of both builds' own
+            // sets kept where all three functions survive. The reference
+            // profiles are the dynamic pass's, and the target's profile over
+            // a basis set is its candidate profile there — runs are
             // independent per environment, so subsetting a full profile is
-            // bitwise-identical to re-running the subset, and one cached
-            // profile per (function, env set) serves every verdict.
+            // bitwise-identical to re-running the subset.
             let dyn_channel = (|| -> Result<(f64, f64), ScanError> {
-                let fuzz_cfg = &patchecko.config.fuzz;
-                let set_v = dynsrc.environments(&vref, fuzz_cfg, vm_cfg)?;
-                let set_p = dynsrc.environments(&pref, fuzz_cfg, vm_cfg)?;
-                let union: EnvSet = set_v.union(&set_p, vm_cfg);
-                let prof_v = dynsrc.profile(&vref, 0, &union, vm_cfg)?;
-                let prof_p = dynsrc.profile(&pref, 0, &union, vm_cfg)?;
-                let prof_t = dynsrc.profile(&target, target_idx, &union, vm_cfg)?;
-                let keep: Vec<usize> = (0..union.len())
-                    .filter(|&i| prof_v.ok[i] && prof_p.ok[i] && prof_t.ok[i])
-                    .collect();
-                let sub = |prof: &crate::dynsource::DynProfile| -> Vec<vm::DynFeatures> {
-                    keep.iter().map(|&i| prof.features[i].clone()).collect()
-                };
+                let (mut fv, mut fp, mut ft) = (Vec::new(), Vec::new(), Vec::new());
+                for basis in [Basis::Vulnerable, Basis::Patched] {
+                    let shared = dynsource::shared_environments(
+                        &**dynsrc,
+                        [&vref, &pref],
+                        basis,
+                        &patchecko.config.fuzz,
+                        vm_cfg,
+                    )?;
+                    let prof_t = dynsrc.profile(&target, target_idx, &shared.set, vm_cfg)?;
+                    let runs = prof_t.ok.iter().zip(prof_t.features);
+                    for (((&ok, t), v), p) in runs.zip(shared.vulnerable).zip(shared.patched) {
+                        if ok {
+                            fv.push(v);
+                            fp.push(p);
+                            ft.push(t);
+                        }
+                    }
+                }
                 let p = patchecko.config.minkowski_p;
-                let dv = similarity::sim_over_envs(&sub(&prof_v), &sub(&prof_t), p);
-                let dp = similarity::sim_over_envs(&sub(&prof_p), &sub(&prof_t), p);
-                Ok((dv, dp))
+                Ok((similarity::sim_over_envs(&fv, &ft, p), similarity::sim_over_envs(&fp, &ft, p)))
             })();
             match dyn_channel {
                 Ok((dv, dp)) => (dv, dp, Some((vref, pref, target))),

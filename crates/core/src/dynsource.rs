@@ -1,6 +1,7 @@
 //! Where the dynamic stage gets execution environments and dynamic
 //! profiles from — the dynamic-side twin of
-//! [`crate::pipeline::FeatureSource`].
+//! [`crate::pipeline::FeatureSource`] — and the one rule that decides
+//! which environments a search runs on.
 //!
 //! The paper's dynamic stage is the pipeline's dominant cost (Table VII:
 //! hours of on-device execution against seconds of static scanning), and
@@ -16,8 +17,16 @@
 //! artifact store implements the trait to serve both from its
 //! content-addressed dynamic lane, which is how a warm re-audit performs
 //! zero VM executions.
+//!
+//! The paper replays inputs that it "tested ... worked with both the
+//! vulnerable and patched functions" (§IV-B). [`shared_environments`] is
+//! that rule, written once: a search basis runs on its own build's set,
+//! kept where the other build survives too. The dynamic pass ranks every
+//! stage on it, and the differential engine compares the target on both
+//! bases' sets, so the two can never disagree about which inputs count.
 
 use crate::error::ScanError;
+use crate::pipeline::Basis;
 use serde::{Deserialize, Serialize};
 use vm::env::{ArgSpec, ExecEnv};
 use vm::envpool::EnvPool;
@@ -154,14 +163,6 @@ impl EnvSet {
     pub fn is_empty(&self) -> bool {
         self.envs.is_empty()
     }
-
-    /// Concatenate two sets (differential-engine env union), recomputing
-    /// the fingerprint from the combined contents.
-    pub fn union(&self, other: &EnvSet, vm: &VmConfig) -> EnvSet {
-        let mut envs = self.envs.clone();
-        envs.extend(other.envs.iter().cloned());
-        EnvSet::new(envs, vm)
-    }
 }
 
 /// One function's dynamic behaviour over every environment of an
@@ -171,10 +172,11 @@ impl EnvSet {
 /// Keeping the per-environment `ok` bits (instead of the pipeline's old
 /// early-exit `Option`) lets one cached profile serve every consumer
 /// bitwise-identically: the pipeline validates a candidate iff every run
-/// succeeded, and the differential engine intersects the `ok` bits of
-/// three profiles to pick its surviving environments — per-environment
-/// runs are independent, so subsetting a full profile equals re-running
-/// the subset.
+/// succeeded, [`shared_environments`] keeps the environments whose `ok`
+/// bits hold for both reference builds, and the differential engine
+/// keeps those the target survives too — per-environment runs are
+/// independent, so subsetting a full profile equals re-running the
+/// subset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynProfile {
     /// Per-environment execution-validation outcome (`true` = returned).
@@ -209,8 +211,11 @@ impl DynProfile {
 /// falls back to live execution internally rather than surfacing cache
 /// damage.
 pub trait DynProfileSource: Send + Sync {
-    /// Execution environments for `reference` (fuzz the reference's
-    /// function 0, keep environments the reference itself survives).
+    /// Execution environments for one reference build (fuzz its
+    /// function 0, keep environments that build itself survives). This is
+    /// one build's input to [`shared_environments`], not the set a search
+    /// runs on: that rule also drops what the other build does not
+    /// survive.
     ///
     /// # Errors
     /// Implementation-specific transient failures; [`LiveProfiling`]
@@ -263,10 +268,10 @@ impl DynProfileSource for LiveProfiling {
 }
 
 /// Generate execution environments by fuzzing `reference`'s function 0,
-/// keeping only environments the reference itself survives ("We tested
-/// that these inputs worked with both the vulnerable and patched
-/// functions"). The survival replay goes through one [`EnvPool`] so the
-/// reference's state is snapshotted once, not per environment.
+/// keeping only environments the reference itself survives. The survival
+/// replay goes through one [`EnvPool`] so the reference's state is
+/// snapshotted once, not per environment. [`shared_environments`] then
+/// keeps the ones the other build survives too.
 pub fn live_environments(
     reference: &LoadedBinary,
     fuzz_cfg: &FuzzConfig,
@@ -281,6 +286,73 @@ pub fn live_environments(
         .map(|(_, e)| e)
         .collect();
     EnvSet::new(surviving, vm)
+}
+
+/// The environments one search basis runs on, with both reference
+/// builds' profiles over them.
+#[derive(Debug, Clone)]
+pub struct SharedEnvironments {
+    /// The basis build's environments that both builds survive, in the
+    /// basis build's order.
+    pub set: EnvSet,
+    /// The vulnerable build's function 0 over [`SharedEnvironments::set`].
+    pub vulnerable: Vec<DynFeatures>,
+    /// The patched build's function 0 over [`SharedEnvironments::set`].
+    pub patched: Vec<DynFeatures>,
+}
+
+impl SharedEnvironments {
+    /// The profile of the build that drives `basis`.
+    pub fn reference(&self, basis: Basis) -> &[DynFeatures] {
+        match basis {
+            Basis::Vulnerable => &self.vulnerable,
+            Basis::Patched => &self.patched,
+        }
+    }
+}
+
+/// The paper's environment rule (§IV-B: inputs "tested ... worked with
+/// both the vulnerable and patched functions"), for one CVE, architecture
+/// and search basis. `builds` holds the vulnerable and the patched
+/// reference build of that architecture, in that order.
+///
+/// The set is `basis`'s own build's [`DynProfileSource::environments`],
+/// kept where both builds survive, in its order. Both builds' profiles
+/// over that own set come through [`DynProfileSource::profile`], so a
+/// cached source keeps them, and the kept environments' features are
+/// returned. The dynamic pass ranks a stage's candidates on `set`; the
+/// differential engine concatenates both bases' sets, vulnerable first,
+/// and keeps the environments the target survives, which is the union of
+/// both builds' sets kept where all three functions survive.
+///
+/// # Errors
+/// The first error from `src`.
+pub fn shared_environments(
+    src: &dyn DynProfileSource,
+    builds: [&LoadedBinary; 2],
+    basis: Basis,
+    fuzz_cfg: &FuzzConfig,
+    vm: &VmConfig,
+) -> Result<SharedEnvironments, ScanError> {
+    let [vulnerable, patched] = builds;
+    let own = match basis {
+        Basis::Vulnerable => vulnerable,
+        Basis::Patched => patched,
+    };
+    let own_set = src.environments(own, fuzz_cfg, vm)?;
+    let vulnerable = src.profile(vulnerable, 0, &own_set, vm)?;
+    let patched = src.profile(patched, 0, &own_set, vm)?;
+    let keep: Vec<usize> =
+        (0..own_set.len()).filter(|&i| vulnerable.ok[i] && patched.ok[i]).collect();
+    let pick = |profile: DynProfile| -> Vec<DynFeatures> {
+        keep.iter().map(|&i| profile.features[i].clone()).collect()
+    };
+    let set = if keep.len() == own_set.len() {
+        own_set
+    } else {
+        EnvSet::new(keep.iter().map(|&i| own_set.envs[i].clone()).collect(), vm)
+    };
+    Ok(SharedEnvironments { set, vulnerable: pick(vulnerable), patched: pick(patched) })
 }
 
 /// Profile `target[func]` under every environment, through one
@@ -356,15 +428,48 @@ mod tests {
         }
     }
 
+    /// The rule's set is the basis build's own set kept where both builds
+    /// survive, in order, and its profiles are each build's live profile
+    /// over that set. On CVE-2018-9451's patched basis the vulnerable
+    /// build faults on part of the patched build's set.
     #[test]
-    fn union_fingerprint_tracks_order_and_content() {
+    fn shared_environments_keep_what_both_builds_survive() {
+        let db = corpus::build_vulndb(0, 1);
         let vm = VmConfig::default();
-        let a = EnvSet::new(vec![ExecEnv::for_buffer(vec![1], &[0])], &vm);
-        let b = EnvSet::new(vec![ExecEnv::for_buffer(vec![2], &[0])], &vm);
-        let ab = a.union(&b, &vm);
-        let ba = b.union(&a, &vm);
-        assert_eq!(ab.len(), 2);
-        assert_ne!(ab.fingerprint, ba.fingerprint, "union is order-sensitive");
-        assert_ne!(ab.fingerprint, a.fingerprint);
+        let fuzz = FuzzConfig::default();
+        let mut dropped = 0;
+        for cve in ["CVE-2018-9412", "CVE-2018-9451", "CVE-2018-9470"] {
+            let entry = db.get(cve).unwrap();
+            let builds = [false, true].map(|patched| {
+                LoadedBinary::load(entry.reference_for(Arch::Arm32, patched).clone()).unwrap()
+            });
+            for basis in [Basis::Vulnerable, Basis::Patched] {
+                let own = &builds[usize::from(basis == Basis::Patched)];
+                let own_set = live_environments(own, &fuzz, &vm);
+                let shared = shared_environments(
+                    &LiveProfiling,
+                    [&builds[0], &builds[1]],
+                    basis,
+                    &fuzz,
+                    &vm,
+                )
+                .unwrap();
+                let survived_by_both = |env: &ExecEnv| {
+                    builds.iter().all(|b| b.run_any(0, env, &vm).outcome.is_ok())
+                };
+                let expect: Vec<ExecEnv> =
+                    own_set.envs.iter().filter(|e| survived_by_both(e)).cloned().collect();
+                assert!(!expect.is_empty(), "{cve} {basis}: no shared environment");
+                assert_eq!(shared.set.envs, expect, "{cve} {basis}");
+                assert_eq!(shared.set.fingerprint, EnvSet::new(expect, &vm).fingerprint);
+                dropped += own_set.len() - shared.set.len();
+                for (build, features) in builds.iter().zip([&shared.vulnerable, &shared.patched]) {
+                    let live = live_profile(build, 0, &shared.set.envs, &vm);
+                    assert!(live.validated(), "{cve} {basis}");
+                    assert_eq!(&live.features, features, "{cve} {basis}");
+                }
+            }
+        }
+        assert!(dropped > 0, "the fixture must include an environment one build faults on");
     }
 }

@@ -57,9 +57,10 @@ pub struct PipelineConfig {
     /// Minkowski order (paper: 3).
     pub minkowski_p: f64,
     /// Worker-thread count for the stages that fan out on the shared
-    /// [`neural::pool`]: the dynamic pass (one task per reference build,
-    /// then one per candidate of every stage — the paper parallelizes
-    /// execution-environment testing), pair classification (one task per
+    /// [`neural::pool`]: the dynamic pass (one task per (pair,
+    /// architecture) environment set, then one per candidate of every
+    /// stage — the paper parallelizes execution-environment testing),
+    /// pair classification (one task per
     /// chunk of a list longer than one chunk, such as an image's list
     /// against many reference sets or a streaming working set's) and the
     /// scanhub job scheduler. Feature extraction runs on the calling
@@ -675,14 +676,6 @@ impl Patchecko {
         index
     }
 
-    /// Generate execution environments by fuzzing the reference function,
-    /// keeping only environments the reference itself survives ("We tested
-    /// that these inputs worked with both the vulnerable and patched
-    /// functions").
-    pub fn make_environments(&self, reference: &LoadedBinary) -> Vec<ExecEnv> {
-        dynsource::live_environments(reference, &self.config.fuzz, &self.config.vm).envs
-    }
-
     /// Static-only fallback ranking for candidates without dynamic
     /// evidence: descending probability, i.e. ascending pseudo-distance
     /// `1 - probability`, ties broken by function index so the order is
@@ -724,40 +717,47 @@ impl Patchecko {
     /// Stage 2+3: execution-validate the candidates, profile the survivors,
     /// and rank them against the reference profile.
     ///
-    /// The one-target, one-reference case of an image's dynamic pass (see
+    /// The one-target, one-pair case of an image's dynamic pass (see
     /// [`Patchecko::analyze_image`]), through the same code and in one
-    /// `dynamic_stage` span: one task gets the reference's environment
-    /// set and its profile over that set, the candidates are profiled in
-    /// one dispatch on the shared [`neural::pool`] (one order-preserving
-    /// task per candidate), and the ranking runs on the calling thread.
-    /// Environments and profiles come from `dynsrc` — [`LiveProfiling`]
-    /// executes everything, scanhub's dynamic lane serves cached profiles
-    /// so a warm re-audit performs zero VM executions.
+    /// `dynamic_stage` span: one task loads both of `entry`'s reference
+    /// builds for the target's architecture and gets the `basis` stage's
+    /// environments and reference profile
+    /// ([`dynsource::shared_environments`]), the candidates are profiled
+    /// in one dispatch on the shared [`neural::pool`] (one
+    /// order-preserving task per candidate), and the ranking runs on the
+    /// calling thread. Environments and profiles come from `dynsrc` —
+    /// [`LiveProfiling`] executes everything, scanhub's dynamic lane
+    /// serves cached profiles so a warm re-audit performs zero VM
+    /// executions.
     ///
     /// Infallible by design: every failure inside the stage degrades
     /// instead of propagating. A candidate whose profiling *panics* (as
     /// opposed to the paper's execution-validation failures — fault,
     /// timeout — which still prune the candidate) falls back to its
     /// static score and is appended after the dynamically ranked set; if
-    /// the whole stage cannot run (no surviving environment, reference
-    /// profile dies), the ranking is static-only and the result is marked
-    /// [`Confidence::Degraded`].
+    /// the whole stage cannot run (a reference build fails to load, no
+    /// environment survives both builds, the source fails), the ranking
+    /// is static-only and the result is marked [`Confidence::Degraded`].
     pub fn dynamic_stage(
         &self,
         target: &Arc<LoadedBinary>,
         scan: &StaticScan,
-        reference: &Arc<LoadedBinary>,
+        entry: &DbEntry,
+        basis: Basis,
         dynsrc: &Arc<dyn DynProfileSource>,
     ) -> DynamicAnalysis {
         let _span = scope::SpanGuard::enter("dynamic_stage").with_detail(scan.library.clone());
         let started = Instant::now();
         let unbounded = CancelToken::unbounded();
-        let reference = Arc::clone(reference);
-        let runs = self.reference_runs(vec![move || Ok(reference)], dynsrc, unbounded);
-        let Ok([Ok(run)]) = runs.as_deref() else {
-            unreachable!("a loaded reference under an unbounded token always runs")
-        };
-        let stage = Stage { scan, inputs: Ok((target, run)) };
+        let load = load_references(entry, target.binary().arch);
+        let mut runs = self
+            .reference_runs(vec![(basis, load)], dynsrc, unbounded)
+            .expect("an unbounded token never expires");
+        let run = runs.pop().expect("one run per load");
+        let inputs = run.as_ref().map(|run| (target, run)).map_err(|e| {
+            format!("reference failed to load: {}", ScanError::load(&entry.entry.library, e))
+        });
+        let stage = Stage { scan, inputs };
         let mut analyses = self
             .profile_and_rank(std::slice::from_ref(&stage), dynsrc, unbounded, started)
             .expect("an unbounded token never expires");
@@ -772,19 +772,22 @@ impl Patchecko {
     /// Each library is loaded once, on the calling thread. The paper runs
     /// both functions on the device itself, so a reference is built for
     /// its target's architecture, and a candidate runs "on the same inputs
-    /// as the reference CVE function": an environment set belongs to a
-    /// reference build. So the pass has three phases. (1) One task per
-    /// (pair, architecture) that some loaded library needs loads that
-    /// reference build, gets its environment set and then its profile,
-    /// all in one pool dispatch. (2) One task per candidate of every stage
-    /// that can run, in one more dispatch. (3) Each stage is ranked on the
-    /// calling thread. `ctx.cancel` is checked before each phase and
-    /// before each task starts.
+    /// as the reference CVE function", inputs "tested ... [to work] with
+    /// both the vulnerable and patched functions": an environment set
+    /// belongs to a (pair, architecture), and
+    /// [`dynsource::shared_environments`] makes it. So the pass has three
+    /// phases. (1) One task per (pair, architecture) that some loaded
+    /// library needs loads both reference builds of that architecture
+    /// and gets the stage's environments and reference profile from the
+    /// rule, all in one pool dispatch. (2) One task per candidate of
+    /// every stage that can run, in one more dispatch. (3) Each stage is
+    /// ranked on the calling thread. `ctx.cancel` is checked before each
+    /// phase and before each task starts.
     ///
     /// A library that scanned statically but fails to load degrades its
     /// stages instead of sinking the job, and so does a reference build
-    /// that fails to load; the reference's failure is the one reported
-    /// when both fail.
+    /// that fails to load; a reference's failure is the one reported when
+    /// both fail.
     ///
     /// # Errors
     /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires.
@@ -807,18 +810,11 @@ impl Patchecko {
                 archs.push(bin.arch);
             }
         }
-        let reference_bin = |p: usize, arch: Arch| {
-            let (entry, basis) = pairs[p];
-            entry.reference_for(arch, basis == Basis::Patched)
-        };
         // Phase 1: the runs of arch `archs[a]` sit at `a * pairs.len()`.
         let loads = archs
             .iter()
-            .flat_map(|&arch| (0..pairs.len()).map(move |p| (p, arch)))
-            .map(|(p, arch)| {
-                let bin = reference_bin(p, arch).clone();
-                move || LoadedBinary::load(bin).map(Arc::new)
-            })
+            .flat_map(|&arch| pairs.iter().map(move |&(entry, basis)| (entry, basis, arch)))
+            .map(|(entry, basis, arch)| (basis, load_references(entry, arch)))
             .collect();
         let runs = self.reference_runs(loads, &ctx.profiles, ctx.cancel)?;
         let mut stages = Vec::with_capacity(scans.len());
@@ -838,9 +834,9 @@ impl Patchecko {
                         }
                     }
                     // No run was made for a library that did not load, so
-                    // its reference is loaded here only to settle which
+                    // its references are loaded here only to settle which
                     // failure the stage reports.
-                    Err(e) => Err(match LoadedBinary::load(reference_bin(p, bin.arch).clone()) {
+                    Err(e) => Err(match load_references(pairs[p].0, bin.arch)() {
                         Err(reference) => reference_failed(&reference),
                         Ok(_) => format!(
                             "target failed to load: {}",
@@ -855,43 +851,48 @@ impl Patchecko {
         self.profile_and_rank(&stages, &ctx.profiles, ctx.cancel, started)
     }
 
-    /// Phase 1 of a dynamic pass: for each reference build, one task
-    /// loads it with its `load`, then gets its environment set and its
-    /// profile over that set from `dynsrc`, all tasks in one pool
-    /// dispatch. A source that errors or panics leaves the set empty or
-    /// the profile missing, and the stages on that build degrade.
+    /// Phase 1 of a dynamic pass: for each (basis, load), one task loads
+    /// both reference builds with `load`, then gets the basis stage's
+    /// environments and reference profile from
+    /// [`dynsource::shared_environments`] through `dynsrc`, all tasks in
+    /// one pool dispatch. A source that errors or panics leaves the
+    /// profile missing, and the stages on that run degrade.
     ///
     /// # Errors
     /// [`ScanError::DeadlineExceeded`] when `cancel` expires before a task
     /// starts.
     fn reference_runs<L>(
         &self,
-        loads: Vec<L>,
+        loads: Vec<(Basis, L)>,
         dynsrc: &Arc<dyn DynProfileSource>,
         cancel: CancelToken,
     ) -> Result<Vec<Result<ReferenceRun, LoadError>>, ScanError>
     where
-        L: FnOnce() -> Result<Arc<LoadedBinary>, LoadError> + Send + 'static,
+        L: FnOnce() -> Result<[LoadedBinary; 2], LoadError> + Send + 'static,
     {
         let tasks = loads
             .into_iter()
-            .map(|load| {
+            .map(|(basis, load)| {
                 let dynsrc = Arc::clone(dynsrc);
                 let (fuzz, vm) = (self.config.fuzz.clone(), self.config.vm.clone());
                 move || -> Result<ReferenceRun, LoadError> {
-                    let build = load()?;
-                    let envset =
-                        catch_unwind(AssertUnwindSafe(|| dynsrc.environments(&build, &fuzz, &vm)))
-                            .ok()
-                            .and_then(Result::ok)
-                            .unwrap_or_else(|| EnvSet::new(Vec::new(), &vm));
-                    let profile =
-                        catch_unwind(AssertUnwindSafe(|| dynsrc.profile(&build, 0, &envset, &vm)))
-                            .ok()
-                            .and_then(Result::ok)
-                            .filter(DynProfile::validated)
-                            .map(|p| p.features);
-                    Ok(ReferenceRun { envset: Arc::new(envset), profile })
+                    let [vulnerable, patched] = load()?;
+                    let builds = [&vulnerable, &patched];
+                    let shared = catch_unwind(AssertUnwindSafe(|| {
+                        dynsource::shared_environments(&*dynsrc, builds, basis, &fuzz, &vm)
+                    }))
+                    .ok()
+                    .and_then(Result::ok);
+                    Ok(match shared {
+                        Some(shared) => ReferenceRun {
+                            profile: Some(shared.reference(basis).to_vec()),
+                            envset: Arc::new(shared.set),
+                        },
+                        None => {
+                            let envset = Arc::new(EnvSet::new(Vec::new(), &vm));
+                            ReferenceRun { envset, profile: None }
+                        }
+                    })
                 }
             })
             .collect();
@@ -1056,15 +1057,17 @@ impl Patchecko {
     /// whole image's pairs in one list and scores a (reference, function)
     /// pair that repeats across libraries once. Then one dynamic pass runs
     /// every (library, pair) stage, in one `dynamic_stage` span: each
-    /// library is loaded once; each (pair, architecture) reference build
-    /// that a loaded library needs is loaded, fuzzed for its environment
-    /// set and profiled once, one pool task each; every candidate of every
-    /// stage is profiled in one more pool dispatch; and each stage is
-    /// ranked on the calling thread. A reference build's environment set
-    /// and profile are each asked for once per call, however many
-    /// libraries share them. So an expired request stops before or after
-    /// the static pass, before a dynamic phase or before a dynamic task
-    /// starts, never between two libraries' scans. The result holds
+    /// library is loaded once; for each (pair, architecture) that a loaded
+    /// library needs, both reference builds are loaded and the stage's
+    /// environments and reference profile are made once
+    /// ([`dynsource::shared_environments`]), one pool task each; every
+    /// candidate of every stage is profiled in one more pool dispatch; and
+    /// each stage is ranked on the calling thread. A (pair,
+    /// architecture)'s environment set and reference profiles are each
+    /// asked for once per call, however many libraries share them. So an
+    /// expired request stops before or after the static pass, before a
+    /// dynamic phase or before a dynamic task starts, never between two
+    /// libraries' scans. The result holds
     /// |pairs| × |libraries| [`CveAnalysis`] values at once.
     ///
     /// # Errors
@@ -1147,8 +1150,9 @@ impl Patchecko {
     }
 }
 
-/// What phase 1 of a dynamic pass gives one reference build: its
-/// environment set and, when the reference validated on it, its profile.
+/// What phase 1 of a dynamic pass gives one (pair, architecture): the
+/// environments both reference builds survive and, unless the source
+/// failed, the basis build's profile over them.
 struct ReferenceRun {
     envset: Arc<EnvSet>,
     profile: Option<Vec<DynFeatures>>,
@@ -1157,14 +1161,24 @@ struct ReferenceRun {
 impl ReferenceRun {
     /// Why no candidate can run against this reference, if none can.
     fn blocked(&self) -> Option<&'static str> {
-        if self.envset.is_empty() {
-            Some("no execution environment survived the reference")
-        } else if self.profile.is_none() {
+        if self.profile.is_none() {
             Some("reference dynamic profile unavailable")
+        } else if self.envset.is_empty() {
+            Some("no execution environment survived both reference builds")
         } else {
             None
         }
     }
+}
+
+/// Loads `entry`'s vulnerable and patched reference builds for `arch`, in
+/// that order; the first failure is the one reported.
+fn load_references(
+    entry: &DbEntry,
+    arch: Arch,
+) -> impl FnOnce() -> Result<[LoadedBinary; 2], LoadError> + Send + 'static {
+    let [vulnerable, patched] = [false, true].map(|p| entry.reference_for(arch, p).clone());
+    move || Ok([LoadedBinary::load(vulnerable)?, LoadedBinary::load(patched)?])
 }
 
 /// One (target, reference) stage of a dynamic pass: the static scan whose
@@ -1364,7 +1378,6 @@ mod tests {
         let truth = device.truth_for("CVE-2018-9412").unwrap();
         let bin = device.image.binary(&truth.library).unwrap();
         let target = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
-        let reference = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
         let n = target.function_count();
         assert!(n > 3, "need > 3 candidates to engage the parallel arm (got {n})");
         let scan = StaticScan {
@@ -1381,7 +1394,7 @@ mod tests {
                 let cfg = PipelineConfig { threads: Some(t), ..PipelineConfig::default() };
                 let patchecko = Patchecko::new(quick_detector(), cfg);
                 let profiles = RunCtx::default().profiles;
-                (t, patchecko.dynamic_stage(&target, &scan, &reference, &profiles))
+                (t, patchecko.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &profiles))
             })
             .collect();
         let (_, serial) = &runs[0];
@@ -1405,7 +1418,6 @@ mod tests {
         let truth = device.truth_for("CVE-2018-9412").unwrap();
         let bin = device.image.binary(&truth.library).unwrap();
         let target = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
-        let reference = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
         let n = target.function_count();
         let scan = StaticScan {
             library: truth.library.clone(),
@@ -1424,7 +1436,7 @@ mod tests {
                 };
                 let patchecko = Patchecko::new(quick_detector(), cfg);
                 let profiles = RunCtx::default().profiles;
-                (engine, patchecko.dynamic_stage(&target, &scan, &reference, &profiles))
+                (engine, patchecko.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &profiles))
             })
             .collect();
         let (_, fast) = &runs[0];
@@ -1446,7 +1458,6 @@ mod tests {
         let truth = device.truth_for("CVE-2018-9412").unwrap();
         let bin = device.image.binary(&truth.library).unwrap();
         let target = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
-        let reference = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
         let n = target.function_count();
         let rogue = n + 2; // out of range: profiling panics, candidate degrades.
         let scan = StaticScan {
@@ -1463,7 +1474,7 @@ mod tests {
                 let cfg = PipelineConfig { threads: Some(t), ..PipelineConfig::default() };
                 let patchecko = Patchecko::new(quick_detector(), cfg);
                 let profiles = RunCtx::default().profiles;
-                (t, patchecko.dynamic_stage(&target, &scan, &reference, &profiles))
+                (t, patchecko.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &profiles))
             })
             .collect();
         let (_, serial) = &runs[0];
@@ -1704,8 +1715,11 @@ mod tests {
 
     /// An image's dynamic pass asks each question once: `environments`
     /// once per distinct (pair, architecture) that a library which loads
-    /// needs, `profile` once per such reference build plus once per
-    /// candidate, all in one `dynamic_stage` span on the calling thread.
+    /// needs, for the basis build; `profile` twice per such pair and
+    /// architecture, once for each reference build over the basis build's
+    /// set (the other build's survival is what the set is kept by), plus
+    /// once per candidate, all in one `dynamic_stage` span on the calling
+    /// thread.
     /// A library that fails to load asks nothing for its architecture,
     /// which no other library has, and its stages degrade with its own
     /// load error.
@@ -1769,7 +1783,7 @@ mod tests {
                 .sum();
             assert!(candidates > 0, "{what}: fixture has candidates");
             let profiled = counting.profiles.load(std::sync::atomic::Ordering::SeqCst);
-            assert_eq!(profiled, asked.len() + candidates, "{what}: profiles asked");
+            assert_eq!(profiled, 2 * asked.len() + candidates, "{what}: profiles asked");
 
             for analysis in &analyses {
                 for (l, a) in analysis.analyses.iter().enumerate() {
@@ -1984,22 +1998,6 @@ mod tests {
                 "{name}: expected DeadlineExceeded, got {result:?}"
             );
             assert_eq!(counting.calls(), 0, "{name} called into the feature source");
-        }
-    }
-
-    #[test]
-    fn environments_are_reference_survivable() {
-        let detector = quick_detector();
-        let patchecko = Patchecko::new(detector, PipelineConfig::default());
-        let db = corpus::build_vulndb(0, 1);
-        for cve in ["CVE-2018-9412", "CVE-2018-9451", "CVE-2018-9470"] {
-            let entry = db.get(cve).unwrap();
-            let ref_loaded = LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap();
-            let envs = patchecko.make_environments(&ref_loaded);
-            assert!(!envs.is_empty(), "{cve}: no surviving environments");
-            for env in &envs {
-                assert!(ref_loaded.run_any(0, env, &patchecko.config.vm).outcome.is_ok());
-            }
         }
     }
 }

@@ -246,8 +246,9 @@ impl ScanSummary {
 /// What drain accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DrainSummary {
-    /// Whether the artifact caches were written to disk (false when the
-    /// daemon has no cache directory, or for the losers of a drain race).
+    /// Whether drain wrote any cache lane file (false when the daemon has
+    /// no cache directory, when every lane file there already held its
+    /// lane, or for the losers of a drain race).
     pub persisted: bool,
 }
 

@@ -112,7 +112,9 @@ pub struct ServerConfig {
     pub breaker: BreakerConfig,
     /// Persist the four cache lanes after every N completed jobs (`None` =
     /// only on drain). Saves are atomic, so a SIGKILL mid-checkpoint
-    /// never corrupts the cache.
+    /// never corrupts the cache, and a lane whose file already holds it
+    /// is not rewritten; `serve.checkpoints` counts the checkpoints that
+    /// wrote a file.
     pub checkpoint_every: Option<u64>,
     /// Chaos seam: tenants whose dynamic stage is forced to fail, as if
     /// every one of their binaries crashed the VM. Test-only — the wire

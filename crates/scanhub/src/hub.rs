@@ -106,16 +106,15 @@ impl ScanHub {
     }
 
     /// Write the store to the configured cache directory (no-op without
-    /// one). Returns whether anything was written.
+    /// one). Returns whether any lane file was written: `false` without a
+    /// directory, and when every lane file there already holds exactly
+    /// its lane ([`ArtifactStore::save`]), as after a warm run.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn persist(&self) -> std::io::Result<bool> {
         match &self.cache_dir {
-            Some(dir) => {
-                self.store.save(dir)?;
-                Ok(true)
-            }
+            Some(dir) => self.store.save(dir),
             None => Ok(false),
         }
     }

@@ -24,7 +24,10 @@
 //!   `{"schema": N, "entries": {"<hex key>": {"checksum": C, "value": V}}}`,
 //!   to a temp file of its own and renames it into place, so a crash
 //!   mid-save leaves the previous document intact rather than a truncated
-//!   one, and overlapping saves each publish a whole document.
+//!   one, and overlapping saves each publish a whole document. It skips a
+//!   file that already holds exactly the lane: one this lane last loaded
+//!   without dropping anything or last wrote, still byte for byte as it
+//!   was then, with nothing inserted since. A warm run rewrites nothing.
 //!
 //! ## Load outcomes
 //!
@@ -48,11 +51,12 @@
 
 use crate::key::{ArtifactKey, SCHEMA_VERSION};
 use parking_lot::Mutex;
+use patchecko_core::dynsource::Fnv2;
 use scope::{Counter, MetricsRegistry};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 
@@ -108,6 +112,32 @@ pub(crate) struct Lane<V> {
     /// winner publishes or fails, instead of polling the shards.
     inflight: std::sync::Mutex<HashSet<ArtifactKey>>,
     landed: Condvar,
+    /// Bumped after every insert, so a save can tell whether the lane
+    /// changed since it was synced with a file.
+    inserts: AtomicU64,
+    /// The file this lane last loaded without dropping anything or last
+    /// wrote, if any.
+    synced: Mutex<Option<Synced>>,
+}
+
+/// A lane file that held exactly the lane's entries.
+struct Synced {
+    dir: PathBuf,
+    /// The lane's insert count at the time.
+    inserts: u64,
+    /// [`file_digest`] of the file's bytes.
+    digest: (u64, u64),
+}
+
+/// Length and contents of a lane file's bytes, eight bytes per multiply.
+fn file_digest(bytes: &[u8]) -> (u64, u64) {
+    let mut h = Fnv2::new();
+    h.update_u64(bytes.len() as u64);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    h.update_words(words.map(|w| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"))));
+    h.update(tail);
+    (h.hi, h.lo)
 }
 
 /// Quarantine details a lane keeps: the first [`QUARANTINE_LOG_CAP`],
@@ -152,6 +182,8 @@ impl<V: Checksummed> Lane<V> {
             quarantine_log: Mutex::new(QuarantineLog::default()),
             inflight: std::sync::Mutex::new(HashSet::new()),
             landed: Condvar::new(),
+            inserts: AtomicU64::new(0),
+            synced: Mutex::new(None),
         }
     }
 
@@ -178,6 +210,9 @@ impl<V: Checksummed> Lane<V> {
     pub(crate) fn insert(&self, key: ArtifactKey, value: V) -> Arc<V> {
         let arc = Arc::new(value);
         self.shard(key).lock().insert(key, Arc::clone(&arc));
+        // After the shard insert: a save that reads the new count also
+        // sees the entry.
+        self.inserts.fetch_add(1, Ordering::Release);
         arc
     }
 
@@ -259,13 +294,18 @@ impl<V: Checksummed> Lane<V> {
     }
 
     /// Write the lane to `dir/<file>` (creating `dir` as needed) through a
-    /// temp file and a rename. Every call gets its own temp name (pid plus
-    /// a process-wide sequence number), so concurrent saves never rename
-    /// each other's file away or interleave their writes.
+    /// temp file and a rename, unless that file already holds exactly the
+    /// lane. Every call gets its own temp name (pid plus a process-wide
+    /// sequence number), so concurrent saves never rename each other's
+    /// file away or interleave their writes. Returns whether it wrote.
     ///
     /// # Errors
     /// Propagates filesystem errors.
-    pub(crate) fn save(&self, dir: &Path) -> std::io::Result<()> {
+    pub(crate) fn save(&self, dir: &Path) -> std::io::Result<bool> {
+        let inserts = self.inserts.load(Ordering::Acquire);
+        if self.holds(dir, inserts) {
+            return Ok(false);
+        }
         let mut entries = BTreeMap::new();
         for shard in &self.shards {
             for (k, v) in shard.lock().iter() {
@@ -277,12 +317,28 @@ impl<V: Checksummed> Lane<V> {
         std::fs::create_dir_all(dir)?;
         let seq = SAVES.fetch_add(1, Ordering::Relaxed);
         let tmp = dir.join(format!("{}.tmp.{}.{seq}", self.file, std::process::id()));
+        let digest = file_digest(json.as_bytes());
         std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, dir.join(self.file))
+        std::fs::rename(&tmp, dir.join(self.file))?;
+        *self.synced.lock() = Some(Synced { dir: dir.to_path_buf(), inserts, digest });
+        Ok(true)
+    }
+
+    /// Whether `dir/<file>` holds exactly the lane: it is the file the lane
+    /// was last synced with, nothing was inserted since (`inserts`), and
+    /// its bytes are unchanged, so a file damaged or replaced behind the
+    /// lane's back is rewritten.
+    fn holds(&self, dir: &Path, inserts: u64) -> bool {
+        let digest = match &*self.synced.lock() {
+            Some(synced) if synced.dir == dir && synced.inserts == inserts => synced.digest,
+            _ => return false,
+        };
+        std::fs::read(dir.join(self.file)).is_ok_and(|bytes| file_digest(&bytes) == digest)
     }
 
     /// Load `dir/<file>` into this (empty) lane; the module docs list the
-    /// outcome for every kind of damage.
+    /// outcome for every kind of damage. A file that loads whole is the
+    /// one [`Lane::save`] may skip.
     ///
     /// # Errors
     /// Propagates filesystem errors other than `NotFound`.
@@ -293,6 +349,7 @@ impl<V: Checksummed> Lane<V> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         };
+        let digest = file_digest(&bytes);
         // Non-UTF-8 bytes are just another flavour of unparseable file.
         let parsed = String::from_utf8(bytes)
             .map_err(|_| "invalid UTF-8".to_string())
@@ -316,6 +373,7 @@ impl<V: Checksummed> Lane<V> {
             ));
             return Ok(());
         }
+        let listed = doc.entries.len();
         for (hex, entry) in doc.entries {
             let Some(key) = ArtifactKey::from_hex(&hex) else {
                 self.quarantine(format!("{} entry {hex}: invalid key", self.file));
@@ -333,6 +391,11 @@ impl<V: Checksummed> Lane<V> {
                 )),
                 Err(e) => self.quarantine(format!("{} entry {hex}: undecodable ({e})", self.file)),
             }
+        }
+        // Every listed entry loaded, each under a key of its own.
+        if self.len() == listed {
+            let inserts = self.inserts.load(Ordering::Acquire);
+            *self.synced.lock() = Some(Synced { dir: dir.to_path_buf(), inserts, digest });
         }
         Ok(())
     }

@@ -409,14 +409,20 @@ impl ArtifactStore {
     /// Write every lane to its file under `dir` (creating `dir` as
     /// needed), each through a temp file and a rename, so a crash mid-save
     /// leaves the previous cache intact rather than a truncated document.
+    /// A lane whose file there already holds exactly its entries (loaded
+    /// whole or written by this store, unchanged since, nothing inserted
+    /// since) is skipped. Returns whether any file was written.
     ///
     /// # Errors
     /// Propagates filesystem errors.
-    pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        self.lanes.artifacts.save(dir)?;
-        self.lanes.envsets.save(dir)?;
-        self.lanes.profiles.save(dir)?;
-        self.lanes.scans.save(dir)
+    pub fn save(&self, dir: &Path) -> std::io::Result<bool> {
+        let wrote = [
+            self.lanes.artifacts.save(dir)?,
+            self.lanes.envsets.save(dir)?,
+            self.lanes.profiles.save(dir)?,
+            self.lanes.scans.save(dir)?,
+        ];
+        Ok(wrote.contains(&true))
     }
 
     /// The artifacts of function `idx` of `bin` in this namespace,
@@ -603,6 +609,89 @@ mod tests {
         assert_eq!(after.misses, before.misses);
         assert_eq!(feats, DirectExtraction.features_all(&bin).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Each lane file's inode: a save replaces a file by renaming a new
+    /// one into place, so a changed inode means the lane was rewritten.
+    fn lane_inodes(dir: &Path) -> Vec<u64> {
+        use std::os::unix::fs::MetadataExt;
+        LANE_FILES.iter().map(|f| std::fs::metadata(dir.join(f)).unwrap().ino()).collect()
+    }
+
+    /// A save skips exactly the lanes whose file already holds them: a
+    /// store loaded whole and unchanged writes nothing; one insert
+    /// rewrites only its lane; a lane that quarantined an entry on load,
+    /// or whose file was damaged after it was written, is rewritten; and
+    /// a save to another directory writes every lane.
+    #[test]
+    fn save_rewrites_only_lanes_whose_file_does_not_hold_them() {
+        let dir = temp_cache("save-skip");
+        let (lb, fuzz, vmc) = dyn_fixture();
+        let store = ArtifactStore::new();
+        store.features_all(&sample_binary()).unwrap();
+        let envs = store.environments(&lb, &fuzz, &vmc).unwrap();
+        store.profile(&lb, 0, &envs, &vmc).unwrap();
+        store.keep(ScanKey { library: (1, 2), query: (3, 4) }, StaticScan {
+            library: "libs".into(),
+            total: 1,
+            probs: vec![0.5],
+            candidates: vec![0],
+            best_ref: vec![0],
+            seconds: 0.0,
+        });
+        assert!(store.save(&dir).unwrap(), "a first save writes");
+        let written = lane_inodes(&dir);
+        assert!(!store.save(&dir).unwrap(), "a second save with nothing new writes nothing");
+        assert_eq!(lane_inodes(&dir), written);
+
+        // A warm run: loaded whole, asked again, nothing new.
+        let warm = ArtifactStore::load(&dir).unwrap();
+        warm.features_all(&sample_binary()).unwrap();
+        let envs = warm.environments(&lb, &fuzz, &vmc).unwrap();
+        warm.profile(&lb, 0, &envs, &vmc).unwrap();
+        assert!(!warm.save(&dir).unwrap(), "a warm store writes nothing");
+        assert_eq!(lane_inodes(&dir), written);
+
+        // One new profile rewrites the profile lane alone.
+        warm.profile(&lb, 1, &envs, &vmc).unwrap();
+        assert!(warm.save(&dir).unwrap());
+        let after_insert = lane_inodes(&dir);
+        let rewritten: Vec<&str> = (0..LANE_FILES.len())
+            .filter(|&i| after_insert[i] != written[i])
+            .map(|i| LANE_FILES[i])
+            .collect();
+        assert_eq!(rewritten, [DYN_PROFILES_FILE]);
+
+        // A lane that quarantined an entry on load is rewritten, whole.
+        let path = dir.join(ARTIFACTS_FILE);
+        let mut doc: Envelope =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        doc.entries.values_mut().next().unwrap().checksum ^= 1;
+        std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
+        let damaged = lane_inodes(&dir);
+        let healed = ArtifactStore::load(&dir).unwrap();
+        assert_eq!(healed.stats().quarantined, 1);
+        assert!(healed.save(&dir).unwrap());
+        let after_heal = lane_inodes(&dir);
+        assert_ne!(after_heal[0], damaged[0], "the lane that dropped an entry is rewritten");
+        assert_eq!(after_heal[1..], damaged[1..], "the whole lanes are not");
+
+        // A file damaged behind a synced lane's back is rewritten too.
+        std::fs::write(dir.join(SCANS_FILE), "{ not json").unwrap();
+        assert!(healed.save(&dir).unwrap());
+        let reloaded = ArtifactStore::load(&dir).unwrap();
+        assert_eq!(reloaded.quarantine_records(), Vec::<String>::new());
+        assert_eq!(reloaded.stats().scan_entries, 1);
+
+        // Another directory gets every lane.
+        let other = temp_cache("save-skip-other");
+        assert!(reloaded.save(&other).unwrap());
+        for file in LANE_FILES {
+            assert!(other.join(file).exists(), "{file} written to the other directory");
+        }
+        assert!(!reloaded.save(&other).unwrap(), "and then holds them");
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&other).unwrap();
     }
 
     #[test]

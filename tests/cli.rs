@@ -270,7 +270,9 @@ fn train_build_scan_roundtrip() {
 /// A warm `audit --cache-dir` in a fresh process is served from the
 /// persisted lanes: its report's telemetry counts no classify call and no
 /// VM execution, and scan-lane hits instead, where the cold run scored
-/// pairs and executed the VM. Both report the same findings.
+/// pairs and executed the VM. Both report the same findings, and the warm
+/// run rewrites no lane file: each keeps the inode the cold run's
+/// save renamed into place.
 #[test]
 fn warm_audit_reloaded_from_disk_scores_and_executes_nothing() {
     let dir = tmpdir("warm_audit_scan_lane");
@@ -298,7 +300,17 @@ fn warm_audit_reloaded_from_disk_scores_and_executes_nothing() {
         assert!(out.status.success(), "{run}: {}", String::from_utf8_lossy(&out.stderr));
         serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap()
     };
-    let (cold, warm) = (audit("cold"), audit("warm"));
+    let inodes = || -> Vec<u64> {
+        use std::os::unix::fs::MetadataExt;
+        patchecko::scanhub::LANE_FILES
+            .iter()
+            .map(|f| std::fs::metadata(cache.join(f)).unwrap().ino())
+            .collect()
+    };
+    let cold = audit("cold");
+    let written = inodes();
+    let warm = audit("warm");
+    assert_eq!(inodes(), written, "the warm audit rewrote a lane file");
     let count = |report: &serde_json::Value, name: &str| {
         report["telemetry"]["counters"][name].as_u64().unwrap_or(0)
     };
