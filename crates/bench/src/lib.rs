@@ -1,7 +1,9 @@
 //! # patchecko-bench — evaluation harness
 //!
-//! One binary per table/figure of the paper's evaluation (§V), plus the
-//! Criterion micro-benchmarks:
+//! One binary per table, figure and ablation of the paper's evaluation
+//! (§V). The repository's performance harness is `hybridbench`, a
+//! package of its own; this crate times nothing beyond the per-stage
+//! seconds the tables report.
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -11,6 +13,9 @@
 //! | `table45_rankings` | Tables IV & V: top-10 similarity rankings |
 //! | `table67_hybrid_accuracy` | Tables VI & VII: per-CVE hybrid accuracy |
 //! | `table8_patch_detection` | Table VIII: final patch verdicts |
+//! | `baseline_comparison` | §VI: the detector against Gemini-style and bipartite baselines |
+//! | `ablation_feature_set` | Table I feature-set ablation |
+//! | `ablation_exploit_channel` | §V-D: the exploit channel ablation |
 //!
 //! Every binary accepts `--scale <f>` (device-library scale, default 0.25),
 //! `--libs <n>` (Dataset I libraries, default 100), `--epochs <n>`
@@ -147,13 +152,7 @@ pub fn build(opts: &HarnessOpts) -> Evaluation {
 /// histograms the service and CLI report, populated here by the library
 /// instrumentation as the harness exercises each stage.
 pub fn print_telemetry(what: &str) {
-    print_snapshot(what, &scope::snapshot());
-}
-
-/// Print `snap` as a telemetry table, for benches that report a hub's
-/// merged snapshot (`ScanHub::telemetry_snapshot`) rather than the global
-/// registry alone.
-pub fn print_snapshot(what: &str, snap: &scope::TelemetrySnapshot) {
+    let snap = scope::snapshot();
     if snap.is_empty() {
         return;
     }

@@ -538,20 +538,38 @@ mod tests {
             ..DetectorConfig::default()
         };
         let (det, _, _) = train(&ds, &cfg);
-        let refs = crate::features::extract_all(&ds.variants[0].binary).unwrap();
-        let targets = crate::features::extract_all(&ds.variants[1].binary).unwrap();
-        let pairs: Vec<(&StaticFeatures, &StaticFeatures)> =
-            refs.iter().flat_map(|a| targets.iter().map(move |b| (a, b))).collect();
-        // The factorized first layer splits each pair's reduction into a
-        // reference partial plus a target partial, so scores agree with
-        // the pairwise path to tolerance rather than bitwise.
-        let full = det.classify_pairs(&refs, &targets, &full_pair_list(refs.len(), targets.len()));
-        let batch = det.classify_batch(&pairs);
-        assert_eq!(full.len(), batch.len());
-        for (p, q) in full.iter().zip(&batch) {
-            assert!((p - q).abs() <= 1e-6, "{p} vs {q}");
+        let features = |v: usize| crate::features::extract_all(&ds.variants[v].binary).unwrap();
+        let refs = features(0);
+        // One variant's functions, then more variants' until the list
+        // is scored in more than one chunk of distinct pairs.
+        let mut wide = Vec::new();
+        for v in 1..ds.variants.len() {
+            if refs.len() * wide.len() > 3 * CHUNK_PAIRS {
+                break;
+            }
+            wide.extend(features(v));
         }
-        assert!(det.classify_pairs(&[], &targets, &[]).is_empty());
+        let chunked = CHUNK_PAIRS as u64 + 1;
+        for (targets, min_scored) in [(features(1), 0), (wide, chunked)] {
+            let what = format!("{}x{} pairs", refs.len(), targets.len());
+            let pairs: Vec<(&StaticFeatures, &StaticFeatures)> =
+                refs.iter().flat_map(|a| targets.iter().map(move |b| (a, b))).collect();
+            // The factorized first layer splits each pair's reduction into
+            // a reference partial plus a target partial, so scores agree
+            // with the pairwise path to tolerance rather than bitwise.
+            let metrics = MetricsRegistry::new();
+            let all = full_pair_list(refs.len(), targets.len());
+            let full =
+                det.classify_pairs_on(neural::pool::global(), &metrics, &refs, &targets, &all);
+            let batch = det.classify_batch(&pairs);
+            assert_eq!(full.len(), batch.len(), "{what}");
+            for (p, q) in full.iter().zip(&batch) {
+                assert!((p - q).abs() <= 1e-6, "{what}: {p} vs {q}");
+            }
+            let scored = metrics.snapshot().counter("classify.pairs_scored");
+            assert!(scored >= min_scored, "{what}: {scored} distinct pairs");
+        }
+        assert!(det.classify_pairs(&[], &refs, &[]).is_empty());
         assert!(det.classify_pairs(&refs, &[], &[]).is_empty());
     }
 

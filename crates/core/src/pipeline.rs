@@ -1408,7 +1408,8 @@ mod tests {
     /// The engine knob must be invisible in results: a full `dynamic_stage`
     /// under the fast engine (env generation, survival filtering, candidate
     /// profiling, ranking) is bitwise-identical to the same stage under the
-    /// reference interpreter.
+    /// reference interpreter, at the default fuzz budget and at 1500
+    /// rounds for 10 environments.
     #[test]
     fn dynamic_stage_identical_across_engines() {
         let db = corpus::build_vulndb(0, 1);
@@ -1427,22 +1428,26 @@ mod tests {
             best_ref: vec![0; n],
             seconds: 0.0,
         };
-        let runs: Vec<(vm::Engine, DynamicAnalysis)> = [vm::Engine::Fast, vm::Engine::Interp]
-            .into_iter()
-            .map(|engine| {
+        let budgets = [
+            vm::FuzzConfig::default(),
+            vm::FuzzConfig { rounds: 1500, num_envs: 10, ..vm::FuzzConfig::default() },
+        ];
+        for fuzz in budgets {
+            let [fast, interp] = [vm::Engine::Fast, vm::Engine::Interp].map(|engine| {
                 let cfg = PipelineConfig {
+                    fuzz: fuzz.clone(),
                     vm: VmConfig { engine, ..VmConfig::default() },
                     ..PipelineConfig::default()
                 };
                 let patchecko = Patchecko::new(quick_detector(), cfg);
                 let profiles = RunCtx::default().profiles;
-                (engine, patchecko.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &profiles))
-            })
-            .collect();
-        let (_, fast) = &runs[0];
-        assert_eq!(fast.confidence, Confidence::Full);
-        assert!(!fast.validated.is_empty(), "fixture must validate at least one candidate");
-        assert_dynamic_bitwise_eq(fast, &runs[1].1, "engine fast vs interp");
+                patchecko.dynamic_stage(&target, &scan, entry, Basis::Vulnerable, &profiles)
+            });
+            let what = format!("{} rounds, {} envs", fuzz.rounds, fuzz.num_envs);
+            assert_eq!(fast.confidence, Confidence::Full, "{what}");
+            assert!(!fast.validated.is_empty(), "{what}: fixture must validate a candidate");
+            assert_dynamic_bitwise_eq(&fast, &interp, &format!("engine fast vs interp, {what}"));
+        }
     }
 
     /// Same invariance on the degraded/fallback branch: an out-of-range

@@ -11,10 +11,11 @@
 //! Residency is counted twice. Every pulled unit holds a permit on a
 //! [`WorkingSet`] live-entry counter until its batch is done, and the
 //! report carries the observed peak (`peak_live ≤ working_set`, asserted
-//! in `cargo test` and in `bench_corpus` before any timing). That peak is
-//! counted by the loop that enforces it, so the gate that can fail is a
-//! `drive` test whose items count themselves: each is alive from the
-//! moment the iterator yields it until it is dropped.
+//! by the scanhub stream tests). That peak is counted by the loop that
+//! enforces it, so it misses units held outside the permits; the gate
+//! that catches those is a `drive` test whose items count themselves:
+//! each is alive from the moment the iterator yields it until it is
+//! dropped.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;

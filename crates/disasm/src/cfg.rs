@@ -223,61 +223,6 @@ impl Cfg {
     pub fn count_kind(&self, kind: BlockKind) -> u32 {
         self.blocks.iter().filter(|b| b.kind == kind).count() as u32
     }
-
-    /// Condense the graph into a [`CfgSummary`].
-    pub fn summary(&self) -> CfgSummary {
-        CfgSummary::of(self)
-    }
-}
-
-/// The block kinds in `kind_counts` order (Table I's `fcb_*` order).
-pub const SUMMARY_KINDS: [BlockKind; 8] = [
-    BlockKind::Normal,
-    BlockKind::IndJump,
-    BlockKind::Ret,
-    BlockKind::CndRet,
-    BlockKind::NoRet,
-    BlockKind::ExternNoRet,
-    BlockKind::Extern,
-    BlockKind::Error,
-];
-
-/// A compact, serializable condensation of a [`Cfg`]: the graph-shape
-/// numbers downstream consumers (reports, caches, differential signatures)
-/// need, without the per-block instruction ranges. Cheap to store in the
-/// scanhub artifact cache next to the static feature vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CfgSummary {
-    /// Basic-block count.
-    pub num_blocks: u32,
-    /// Edge count.
-    pub num_edges: u32,
-    /// Cyclomatic complexity `E - N + 2`.
-    pub cyclomatic: i64,
-    /// Block counts per kind, in [`SUMMARY_KINDS`] order.
-    pub kind_counts: [u32; 8],
-    /// Instruction count of the largest block.
-    pub max_block_len: u32,
-    /// Total encoded byte size across blocks.
-    pub byte_size: u32,
-}
-
-impl CfgSummary {
-    /// Summarize a recovered CFG.
-    pub fn of(cfg: &Cfg) -> CfgSummary {
-        let mut kind_counts = [0u32; 8];
-        for (slot, kind) in kind_counts.iter_mut().zip(SUMMARY_KINDS) {
-            *slot = cfg.count_kind(kind);
-        }
-        CfgSummary {
-            num_blocks: cfg.num_blocks(),
-            num_edges: cfg.num_edges,
-            cyclomatic: cfg.cyclomatic_complexity(),
-            kind_counts,
-            max_block_len: cfg.blocks.iter().map(|b| b.len()).max().unwrap_or(0),
-            byte_size: cfg.blocks.iter().map(|b| b.byte_size).sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -410,26 +355,5 @@ mod tests {
         let cfg = Cfg::build(&[], &[]);
         assert_eq!(cfg.num_blocks(), 0);
         assert_eq!(cfg.num_edges, 0);
-    }
-
-    #[test]
-    fn summary_condenses_graph_consistently() {
-        let insts = sized(vec![
-            Inst::CBr { cond: Cond::Eq, rs1: r(0), rs2: r(1), target: 2 },
-            Inst::MovImm { rd: r(0), imm: 1 },
-            Inst::Ret,
-        ]);
-        let cfg = Cfg::build(&insts, &[]);
-        let s = cfg.summary();
-        assert_eq!(s.num_blocks, cfg.num_blocks());
-        assert_eq!(s.num_edges, cfg.num_edges);
-        assert_eq!(s.cyclomatic, cfg.cyclomatic_complexity());
-        assert_eq!(s.kind_counts.iter().sum::<u32>(), cfg.num_blocks());
-        assert_eq!(s.byte_size, insts.iter().map(|(_, sz)| sz).sum::<u32>());
-        assert!(s.max_block_len >= 1);
-        // Round-trips through the value tree (cache persistence).
-        let json = serde_json::to_string(&s).unwrap();
-        let back: CfgSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -37,7 +37,7 @@ pub mod dom;
 pub mod fmt;
 pub mod graph;
 
-pub use cfg::{BasicBlock, BlockKind, Cfg, CfgSummary};
+pub use cfg::{BasicBlock, BlockKind, Cfg};
 pub use dom::{max_loop_depth, natural_loops, Dominators, NaturalLoop};
 
 use fwbin::encode::{decode_with_sizes, DecodeError};

@@ -741,13 +741,18 @@ mod tests {
 
     #[test]
     fn kernels_match_naive_loops_bitwise() {
-        // (m, k, n): the detector's widest layers, the narrow layers'
-        // column remainders (n < NR), `matmul_t` on both sides of its
-        // transpose switch (odd row and column counts reach every
-        // remainder path), and an empty batch.
+        // (m, k, n): the detector's widest layers at batch 1, 64 and
+        // 1024, the backward pass's `delta · wᵀ` (1024x128x96), the
+        // narrow layers' column remainders (n < NR), `matmul_t` on both
+        // sides of its transpose switch (odd row and column counts reach
+        // every remainder path), and an empty batch.
         let shapes = [
+            (1, 96, 128),
+            (64, 96, 128),
             (1024, 96, 128),
             (512, 128, 64),
+            (1024, 128, 64),
+            (1024, 128, 96),
             (512, 32, 16),
             (512, 16, 8),
             (512, 8, 1),

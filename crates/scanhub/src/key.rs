@@ -28,7 +28,7 @@ use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
 
 /// Version of the cached-artifact schema. Bump whenever
-/// `patchecko_core::features::extract`, [`disasm::CfgSummary`], or the
+/// `patchecko_core::features::extract`, a lane's value type, or the
 /// dynamic-lane shapes (`vm::env::ExecEnv`,
 /// `patchecko_core::dynsource::DynProfile`) change so stale on-disk
 /// caches miss instead of serving wrong vectors.
@@ -56,7 +56,12 @@ use vm::fuzz::FuzzConfig;
 /// `dyn_profiles.json`. A v4 file parses (its lane-named map is ignored)
 /// and is discarded as stale; a leftover `dyn_artifacts.json` is no
 /// longer read.
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the static lane stores the bare feature vector; the CFG summary
+/// kept beside it was never read. A v5 cache is discarded on every lane,
+/// which also drops the profile entries nothing has asked for since an
+/// environment set keeps only what both reference builds survive.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// A 128-bit content hash naming one function's cached artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -314,15 +319,14 @@ mod tests {
         assert_ne!(k.namespaced(acme), k1.namespaced(acme));
     }
 
-    /// Golden values captured before the hasher was shared with core (the
-    /// scan-lane keys when that lane was added). A drift in any of them
-    /// silently cold-misses every persisted schema-5 cache, so a hash
+    /// Golden values captured at the schema-6 bump. A drift in any of
+    /// them silently cold-misses every persisted schema-6 cache, so a hash
     /// change must come with a `SCHEMA_VERSION` bump.
     #[test]
-    fn hashes_match_schema_5_golden_values() {
-        assert_eq!(SCHEMA_VERSION, 5);
+    fn hashes_match_schema_6_golden_values() {
+        assert_eq!(SCHEMA_VERSION, 6);
         let key = ArtifactKey::for_function(&crate::testfix::store_binary(), 0);
-        assert_eq!(key.to_hex(), "0b52a5e34c66aa96a4b14189ff74646b");
+        assert_eq!(key.to_hex(), "424680130c598c8f106fdc573947ae03");
         assert_eq!(tenant_salt("acme"), (0x057f_017f_5af3_60e9, 0x2355_8ca5_4e83_9da1));
         let envs = patchecko_core::dynsource::EnvSet::new(
             crate::testfix::sample_envs(),
@@ -330,9 +334,9 @@ mod tests {
         );
         assert_eq!(envs.fingerprint, (0xb3c6_5814_6078_038e, 0x44a2_7777_ac5b_f185));
         let library = ArtifactKey::for_library(&crate::testfix::store_binary());
-        assert_eq!(library.to_hex(), "bde28fda1389a41aba602f3450b7594f");
+        assert_eq!(library.to_hex(), "cd04b5d183b797ffef7cf98610304a67");
         let scan = ArtifactKey::for_static_scan(ScanKey { library: (1, 2), query: (3, 4) });
-        assert_eq!(scan.to_hex(), "6bec2739d323f0d90ee0b86d6bbfe25e");
+        assert_eq!(scan.to_hex(), "41215e37342f0096eea216d229c7c0f6");
     }
 
     #[test]

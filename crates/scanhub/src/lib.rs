@@ -15,11 +15,10 @@
 //!   on a miss, and an on-disk document that is quarantined, never
 //!   served, when damaged;
 //! * [`store`] — the [`ArtifactStore`], four lanes behind the pipeline's
-//!   seams: static artifacts
-//!   ([`StaticFeatures`](patchecko_core::features::StaticFeatures) +
-//!   [`CfgSummary`](disasm::CfgSummary)), execution-environment sets,
-//!   dynamic profiles (so a warm re-audit performs zero VM executions —
-//!   the store implements
+//!   seams: static feature vectors
+//!   ([`StaticFeatures`](patchecko_core::features::StaticFeatures)),
+//!   execution-environment sets, dynamic profiles (so a warm re-audit
+//!   performs zero VM executions — the store implements
 //!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource))
 //!   and finished static scans, one per (library, reference set), keyed
 //!   by the model, the reference set and the library's content (so a
@@ -85,6 +84,6 @@ pub use schedule::{
     full_schedule, run_jobs, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
 };
 pub use store::{
-    Artifact, ArtifactStore, CacheStats, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE,
+    ArtifactStore, CacheStats, ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE,
     LANE_FILES, SCANS_FILE,
 };

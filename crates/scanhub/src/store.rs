@@ -1,7 +1,7 @@
 //! The content-addressed artifact store: four cache lanes behind the
 //! pipeline's [`FeatureSource`] and [`DynProfileSource`] seams.
 //!
-//! * **static** — one [`Artifact`] (Table-I features + condensed CFG) per
+//! * **static** — one Table-I [`StaticFeatures`] vector per
 //!   [`ArtifactKey::for_function`]; `cache.*` counters; [`ARTIFACTS_FILE`];
 //! * **env sets** — the fuzzed execution environments per
 //!   [`ArtifactKey::for_env_set`]; `dyncache.*`; [`DYN_ENVSETS_FILE`];
@@ -44,7 +44,6 @@
 
 use crate::key::{tenant_salt, ArtifactKey};
 use crate::lane::{Checksummed, Lane};
-use disasm::CfgSummary;
 use fwbin::format::Binary;
 use patchecko_core::cancel::CancelToken;
 use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet, Fnv2};
@@ -72,31 +71,13 @@ pub const SCANS_FILE: &str = "static_scans.json";
 pub const LANE_FILES: [&str; 4] =
     [ARTIFACTS_FILE, DYN_ENVSETS_FILE, DYN_PROFILES_FILE, SCANS_FILE];
 
-/// The cached artifacts of one function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Artifact {
-    /// Table-I static feature vector.
-    pub features: StaticFeatures,
-    /// Condensed control-flow graph.
-    pub cfg: CfgSummary,
-}
-
-/// The feature bits and every CFG-summary field.
-impl Checksummed for Artifact {
+/// The 48 feature bit patterns.
+impl Checksummed for StaticFeatures {
     fn checksum(&self) -> u64 {
         let mut h = Fnv2::new();
-        for &f in self.features.as_slice() {
+        for &f in self.as_slice() {
             h.update_u64(f.to_bits());
         }
-        let cfg = &self.cfg;
-        h.update_u32(cfg.num_blocks);
-        h.update_u32(cfg.num_edges);
-        h.update_u64(cfg.cyclomatic as u64);
-        for k in cfg.kind_counts {
-            h.update_u32(k);
-        }
-        h.update_u32(cfg.max_block_len);
-        h.update_u32(cfg.byte_size);
         h.hi
     }
 }
@@ -288,7 +269,7 @@ pub struct ArtifactStore {
 /// What every handle on one store shares.
 struct Lanes {
     registry: Arc<MetricsRegistry>,
-    artifacts: Lane<Artifact>,
+    artifacts: Lane<StaticFeatures>,
     envsets: Lane<Vec<ExecEnv>>,
     profiles: Lane<DynProfile>,
     scans: Lane<StaticScan>,
@@ -425,7 +406,7 @@ impl ArtifactStore {
         Ok(wrote.contains(&true))
     }
 
-    /// The artifacts of function `idx` of `bin` in this namespace,
+    /// The features of function `idx` of `bin` in this namespace,
     /// extracting and caching on first sight. Concurrent misses
     /// single-flight, so `cache.extractions` counts distinct extractions
     /// even under a racing scheduler.
@@ -433,14 +414,13 @@ impl ArtifactStore {
         &self,
         bin: &Binary,
         idx: usize,
-    ) -> Result<Arc<Artifact>, ScanError> {
+    ) -> Result<Arc<StaticFeatures>, ScanError> {
         let key = ArtifactKey::for_function(bin, idx).namespaced(self.salt);
         self.lanes.artifacts.get_or_compute(key, || {
             self.lanes.extractions.inc();
             let dis = disasm::disassemble(bin, idx)
                 .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
-            let features = features::extract(&dis, &bin.functions[idx]);
-            Ok(Artifact { features, cfg: dis.cfg.summary() })
+            Ok(features::extract(&dis, &bin.functions[idx]))
         })
     }
 }
@@ -450,7 +430,7 @@ impl ArtifactStore {
 /// the static pass's finished scans too, in the scan lane.
 impl FeatureSource for ArtifactStore {
     fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
-        Ok(self.get_or_extract(bin, idx)?.features.clone())
+        Ok((*self.get_or_extract(bin, idx)?).clone())
     }
 
     fn scan_store(&self) -> Option<&dyn ScanStore> {
@@ -537,6 +517,7 @@ mod tests {
     use crate::key::SCHEMA_VERSION;
     use crate::lane::Envelope;
     use crate::testfix::{dyn_fixture, store_binary as sample_binary};
+    use patchecko_core::features::NUM_STATIC_FEATURES;
     use patchecko_core::pipeline::DirectExtraction;
 
     #[test]
@@ -1004,12 +985,14 @@ mod tests {
         let c1 = a.checksum();
         // A JSON round-trip preserves the checksum (bit-exact floats).
         let json = serde_json::to_string(&*a).unwrap();
-        let back: Artifact = serde_json::from_str(&json).unwrap();
+        let back: StaticFeatures = serde_json::from_str(&json).unwrap();
         assert_eq!(back.checksum(), c1);
-        // Any field change moves it.
-        let mut tampered = back.clone();
-        tampered.cfg.num_blocks += 1;
-        assert_ne!(tampered.checksum(), c1);
+        // Any feature change moves it, down to its lowest bit.
+        for k in [0, NUM_STATIC_FEATURES - 1] {
+            let mut tampered = back.clone();
+            tampered.0[k] = f64::from_bits(tampered.0[k].to_bits() ^ 1);
+            assert_ne!(tampered.checksum(), c1, "feature {k}");
+        }
     }
 
     #[test]

@@ -67,40 +67,49 @@ fn vm_lowerings() -> u64 {
     scope::snapshot().counter("vm.lowerings")
 }
 
+/// At the default fuzz budget and at 1500 rounds for 10 environments.
 #[test]
 fn warm_reaudit_executes_zero_vm_runs() {
     let _guard = vm_counter_lock().lock().unwrap_or_else(PoisonError::into_inner);
-    let hub = ScanHub::new(Patchecko::new(shared_detector().clone(), PipelineConfig::default()));
     let db = small_db();
     let image = &shared_device().image;
     let diff = DifferentialConfig::default();
+    let budgets = [
+        vm::FuzzConfig::default(),
+        vm::FuzzConfig { rounds: 1500, num_envs: 10, ..vm::FuzzConfig::default() },
+    ];
+    for fuzz in budgets {
+        let what = format!("{} rounds, {} envs", fuzz.rounds, fuzz.num_envs);
+        let cfg = PipelineConfig { fuzz, ..PipelineConfig::default() };
+        let hub = ScanHub::new(Patchecko::new(shared_detector().clone(), cfg));
 
-    let (before_cold, lowered_before_cold) = (vm_executions(), vm_lowerings());
-    let cold = hub.audit(&db, image, &diff).unwrap();
-    let (after_cold, lowered_after_cold) = (vm_executions(), vm_lowerings());
-    assert!(after_cold > before_cold, "cold audit must actually execute on the VM");
-    assert!(lowered_after_cold > lowered_before_cold, "cold audit lowers what it runs");
-    let stats_cold = hub.stats();
-    assert!(stats_cold.dyn_misses > 0, "cold audit fills the dynamic lane");
-    assert!(stats_cold.dyn_profiled > 0, "cold audit profiles live");
+        let (before_cold, lowered_before_cold) = (vm_executions(), vm_lowerings());
+        let cold = hub.audit(&db, image, &diff).unwrap();
+        let (after_cold, lowered_after_cold) = (vm_executions(), vm_lowerings());
+        assert!(after_cold > before_cold, "{what}: cold audit must actually execute on the VM");
+        assert!(lowered_after_cold > lowered_before_cold, "{what}: cold audit lowers what it runs");
+        let stats_cold = hub.stats();
+        assert!(stats_cold.dyn_misses > 0, "{what}: cold audit fills the dynamic lane");
+        assert!(stats_cold.dyn_profiled > 0, "{what}: cold audit profiles live");
 
-    let warm = hub.audit(&db, image, &diff).unwrap();
-    assert_eq!(
-        vm_executions(),
-        after_cold,
-        "warm re-audit must perform zero VM executions"
-    );
-    assert_eq!(vm_lowerings(), lowered_after_cold, "warm re-audit lowers nothing");
-    let delta = hub.stats().since(&stats_cold);
-    assert_eq!(delta.dyn_misses, 0, "warm re-audit must not miss the dynamic lane");
-    assert_eq!(delta.dyn_profiled, 0, "warm re-audit must not profile live");
-    assert!(delta.dyn_hits > 0, "warm re-audit is served by the dynamic lane");
+        let warm = hub.audit(&db, image, &diff).unwrap();
+        assert_eq!(
+            vm_executions(),
+            after_cold,
+            "{what}: warm re-audit must perform zero VM executions"
+        );
+        assert_eq!(vm_lowerings(), lowered_after_cold, "{what}: warm re-audit lowers nothing");
+        let delta = hub.stats().since(&stats_cold);
+        assert_eq!(delta.dyn_misses, 0, "{what}: warm re-audit must not miss the dynamic lane");
+        assert_eq!(delta.dyn_profiled, 0, "{what}: warm re-audit must not profile live");
+        assert!(delta.dyn_hits > 0, "{what}: warm re-audit is served by the dynamic lane");
 
-    assert_eq!(
-        serde_json::to_string(&cold).unwrap(),
-        serde_json::to_string(&warm).unwrap(),
-        "the dynamic cache must not change audit results"
-    );
+        assert_eq!(
+            serde_json::to_string(&cold).unwrap(),
+            serde_json::to_string(&warm).unwrap(),
+            "{what}: the dynamic cache must not change audit results"
+        );
+    }
 }
 
 #[test]

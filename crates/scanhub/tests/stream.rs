@@ -8,9 +8,8 @@
 //!   cached lanes;
 //! * **recall** — on a generated corpus with planted CVE functions and
 //!   distractor references wide enough that top-K really prunes, the
-//!   indexed streaming scan retains ≥ 99% of the exact scan's detections
-//!   (the scaled-down `cargo test` face of the gate `bench_corpus`
-//!   re-asserts at full scale before timing);
+//!   indexed streaming scan retains ≥ 99% of the exact scan's detections,
+//!   on corpora of 10³ and 10⁴ functions;
 //! * **batching is invisible** — one static pass per working set gives
 //!   bitwise the matches of one `scan_library` call per unit, at every
 //!   working-set size, and a corrupt unit fails the scan with its own
@@ -68,89 +67,103 @@ fn reference_pool() -> Vec<StaticFeatures> {
 
 /// The streaming scan holds at most `working_set` units live at any
 /// moment, even when the corpus is 10× larger — the whole corpus is never
-/// materialized. Checked through the bare pipeline and through the hub
-/// (whose artifact lanes must not secretly retain the units either).
+/// materialized. Checked at working sets 4 and 8 (with a planted CVE
+/// every 16th and every 4th function), through the bare pipeline and
+/// through the hub (whose artifact lanes must not secretly retain the
+/// units either).
 #[test]
 fn streaming_scan_is_bounded_by_the_working_set() {
-    const WORKING_SET: usize = 4;
-    let mut cfg = StreamConfig::sized(0, 0xFEED);
-    cfg.functions_per_library = 8;
-    cfg.target_functions = WORKING_SET * 10 * cfg.functions_per_library;
-    cfg.plant_every = 16;
-    assert_eq!(cfg.units(), WORKING_SET * 10, "corpus must be 10× the working set");
-
     let refs = reference_pool();
-    let exact = analyzer(Retrieval::Exact);
-    let report = exact
-        .scan_stream(CorpusStream::new(cfg.clone()).map(|u| u.binary), &refs, WORKING_SET)
-        .unwrap();
-    assert_eq!(report.units, cfg.units());
-    assert_eq!(report.functions, cfg.total_functions());
-    assert_eq!(report.working_set, WORKING_SET);
-    assert!(
-        report.peak_live <= WORKING_SET,
-        "peak live units {} exceeded the configured working set {WORKING_SET}",
-        report.peak_live
-    );
-    assert!(report.peak_live >= 1, "the counter must actually move");
+    for (working_set, seed, plant_every) in [(4, 0xFEED, 16), (8, 0xBE9C, 4)] {
+        let mut cfg = StreamConfig::sized(0, seed);
+        cfg.functions_per_library = 8;
+        cfg.target_functions = working_set * 10 * cfg.functions_per_library;
+        cfg.plant_every = plant_every;
+        assert_eq!(cfg.units(), working_set * 10, "corpus must be 10× the working set");
 
-    let hub = ScanHub::new(analyzer(Retrieval::TopK { k: DEFAULT_TOP_K }));
-    let units = CorpusStream::new(cfg.clone()).map(|u| u.binary);
-    let hub_report =
-        hub.analyzer.scan_stream_with(units, &refs, WORKING_SET, hub.store()).unwrap();
-    assert_eq!(hub_report.units, cfg.units());
-    assert!(hub_report.peak_live <= WORKING_SET);
+        let exact = analyzer(Retrieval::Exact);
+        let report = exact
+            .scan_stream(CorpusStream::new(cfg.clone()).map(|u| u.binary), &refs, working_set)
+            .unwrap();
+        assert_eq!(report.units, cfg.units());
+        assert_eq!(report.functions, cfg.total_functions());
+        assert_eq!(report.working_set, working_set);
+        assert!(
+            report.peak_live <= working_set,
+            "peak live units {} exceeded the configured working set {working_set}",
+            report.peak_live
+        );
+        assert!(report.peak_live >= 1, "the counter must actually move");
+
+        let hub = ScanHub::new(analyzer(Retrieval::TopK { k: DEFAULT_TOP_K }));
+        let units = CorpusStream::new(cfg.clone()).map(|u| u.binary);
+        let hub_report =
+            hub.analyzer.scan_stream_with(units, &refs, working_set, hub.store()).unwrap();
+        assert_eq!(hub_report.units, cfg.units());
+        assert!(
+            hub_report.peak_live <= working_set,
+            "hub: peak live units {} exceeded the configured working set {working_set}",
+            hub_report.peak_live
+        );
+    }
 }
 
-/// Recall gate, scaled down from the bench's 10⁴ functions: against the
-/// 100-row reference pool, the top-K streaming scan must retain ≥ 99% of
-/// the exact scan's *true* detections — the planted CVE functions the
-/// exact scan flags. The distractor functions supply pruning pressure
-/// (their occasional threshold-borderline flags are exact-scan false
-/// positives the index may legitimately drop, so they are excluded from
-/// the recall denominator).
+/// Recall gate: against the 100-row reference pool, the top-K streaming
+/// scan must retain ≥ 99% of the exact scan's *true* detections — the
+/// planted CVE functions the exact scan flags — on a 10³-function corpus
+/// at working set 8 and a 10⁴-function corpus at working set 64. The
+/// distractor functions supply pruning pressure (their occasional
+/// threshold-borderline flags are exact-scan false positives the index
+/// may legitimately drop, so they are excluded from the recall
+/// denominator).
 #[test]
 fn topk_streaming_detection_recall_is_at_least_99_percent() {
-    let mut cfg = StreamConfig::sized(1_000, 0xC0FFEE);
-    cfg.plant_every = 2;
     let refs = reference_pool();
+    for (functions, seed, plant_every, working_set) in
+        [(1_000, 0xC0FFEE, 2, 8), (10_000, 0xBE9C, 4, 64)]
+    {
+        let mut cfg = StreamConfig::sized(functions, seed);
+        cfg.plant_every = plant_every;
+        let what = format!("{} functions at working set {working_set}", cfg.total_functions());
 
-    let flagged = |retrieval: Retrieval| -> HashSet<(usize, usize)> {
-        analyzer(retrieval)
-            .scan_stream(CorpusStream::new(cfg.clone()).map(|u| u.binary), &refs, 8)
-            .unwrap()
-            .matches
+        let flagged = |retrieval: Retrieval| -> HashSet<(usize, usize)> {
+            analyzer(retrieval)
+                .scan_stream(CorpusStream::new(cfg.clone()).map(|u| u.binary), &refs, working_set)
+                .unwrap()
+                .matches
+                .iter()
+                .map(|m| (m.unit, m.function))
+                .collect()
+        };
+        let exact = flagged(Retrieval::Exact);
+        let topk = flagged(Retrieval::TopK { k: DEFAULT_TOP_K });
+
+        // The ground truth: planted functions the exact scan detects. The
+        // exact scan must find nearly all of them, or the gate gates
+        // nothing.
+        let planted = corpus::manifest(&cfg);
+        assert!(!planted.is_empty());
+        let exact_true: Vec<(usize, usize)> = planted
             .iter()
-            .map(|m| (m.unit, m.function))
-            .collect()
-    };
-    let exact = flagged(Retrieval::Exact);
-    let topk = flagged(Retrieval::TopK { k: DEFAULT_TOP_K });
+            .map(|p| (p.unit, p.function_index))
+            .filter(|d| exact.contains(d))
+            .collect();
+        assert!(
+            exact_true.len() * 10 >= planted.len() * 9,
+            "{what}: exact scan must find ≥90% of planted CVEs ({}/{})",
+            exact_true.len(),
+            planted.len()
+        );
 
-    // The ground truth: planted functions the exact scan detects. The
-    // exact scan must find nearly all of them, or the gate gates nothing.
-    let planted = corpus::manifest(&cfg);
-    assert!(!planted.is_empty());
-    let exact_true: Vec<(usize, usize)> = planted
-        .iter()
-        .map(|p| (p.unit, p.function_index))
-        .filter(|d| exact.contains(d))
-        .collect();
-    assert!(
-        exact_true.len() * 10 >= planted.len() * 9,
-        "exact scan must find ≥90% of planted CVEs ({}/{})",
-        exact_true.len(),
-        planted.len()
-    );
-
-    let retained = exact_true.iter().filter(|d| topk.contains(*d)).count();
-    let recall = retained as f64 / exact_true.len() as f64;
-    assert!(
-        recall >= 0.99,
-        "streaming detection recall {recall:.4} below the 99% gate \
-         ({retained}/{} true exact detections retained at K={DEFAULT_TOP_K})",
-        exact_true.len()
-    );
+        let retained = exact_true.iter().filter(|d| topk.contains(*d)).count();
+        let recall = retained as f64 / exact_true.len() as f64;
+        assert!(
+            recall >= 0.99,
+            "{what}: streaming detection recall {recall:.4} below the 99% gate \
+             ({retained}/{} true exact detections retained at K={DEFAULT_TOP_K})",
+            exact_true.len()
+        );
+    }
 }
 
 /// One static pass per working set changes no answer: at working sets 1,

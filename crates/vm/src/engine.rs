@@ -9,7 +9,8 @@
 //! all 21 Table II features, coverage, edge ids, even the `vm.executions`
 //! scope counter — is bitwise-identical to the interpreter in
 //! [`crate::exec`]; the differential proptests in
-//! `tests/engine_identity.rs` and the benches hold both engines to that.
+//! `tests/engine_identity.rs` and the pipeline's engine-identity test
+//! hold both engines to that.
 
 use crate::env::ExecEnv;
 use crate::exec::{eval_cond, executions_counter, int_binop, Engine, Fault, Outcome, Vm, VmConfig};
