@@ -16,7 +16,7 @@ use fwbin::format::Binary;
 use fwbin::isa::Arch;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use vm::env::ExecEnv;
@@ -57,14 +57,16 @@ pub struct PipelineConfig {
     /// Minkowski order (paper: 3).
     pub minkowski_p: f64,
     /// Worker-thread count for the stages that fan out on the shared
-    /// [`neural::pool`]: the dynamic pass (one task per (pair,
-    /// architecture) environment set, then one per candidate of every
-    /// stage — the paper parallelizes execution-environment testing),
-    /// pair classification (one task per
+    /// [`neural::pool`]: the static pass's front end (one item per binary
+    /// with a scan to compute: its feature extraction, signatures and
+    /// top-K retrieval; never one item per function), the dynamic pass
+    /// (one task per (pair, architecture) environment set, then one per
+    /// candidate of every stage — the paper parallelizes
+    /// execution-environment testing), pair classification (one task per
     /// chunk of a list longer than one chunk, such as an image's list
     /// against many reference sets or a streaming working set's) and the
-    /// scanhub job scheduler. Feature extraction runs on the calling
-    /// thread. Work already running on a pool worker runs inline.
+    /// scanhub job scheduler. Work already running on a pool worker runs
+    /// inline.
     /// `None` derives the count from the `PATCHECKO_THREADS` environment
     /// variable or the machine's available parallelism; `Some(1)` forces
     /// serial execution end to end.
@@ -178,6 +180,10 @@ pub trait ScanStore: Sync {
     /// Keep `scan` under `key`.
     fn keep(&self, key: ScanKey, scan: StaticScan);
 }
+
+/// One binary's static front end ([`Patchecko::front_end`]): its features,
+/// and under top-K one indexed pair list per missing reference set.
+type FrontEnd = (Vec<StaticFeatures>, Vec<Vec<(u32, u32)>>);
 
 /// The uncached [`FeatureSource`]: disassemble + extract on every request.
 pub struct DirectExtraction;
@@ -443,7 +449,12 @@ impl Patchecko {
     /// binaries once and chunks a long list across the pool, and each
     /// (binary, set) folds back exactly what its own scan would give. An
     /// image analysis makes one pass over the whole image, a stream one
-    /// per working set.
+    /// per working set. Each binary's front end (features, signatures
+    /// and top-K lists) is one item of a [`neural::pool::WorkerPool::map`]
+    /// at the pool's width; the pair list is then built in binary order
+    /// on the calling thread, so the fan-out moves no offset, score or
+    /// fold, and the first failing binary in binary order decides the
+    /// error or panic.
     ///
     /// When `features` keeps scans ([`FeatureSource::scan_store`]), the
     /// pass first looks up every (binary, set) under its [`ScanKey`]:
@@ -493,38 +504,35 @@ impl Patchecko {
             .iter()
             .scan(0u32, |next, set| Some(std::mem::replace(next, *next + set.len() as u32)))
             .collect();
+        // Each binary with a scan still to compute is one item of one
+        // fan-out at the pool's width, which runs that binary's front end.
+        // A panic is caught per binary, so the walk below meets failures in
+        // binary order, as a serial loop would.
+        let fetch: Vec<(usize, Vec<usize>)> = (0..bins.len())
+            .map(|b| (b, (0..sets).filter(|&s| scans[b * sets + s].is_none()).collect::<Vec<_>>()))
+            .filter(|(_, missing)| !missing.is_empty())
+            .collect();
+        let fronts = neural::pool::global().map(&fetch, |(b, missing)| {
+            catch_unwind(AssertUnwindSafe(|| {
+                self.front_end(&bins[*b], missing, reference_sets, features)
+            }))
+        });
         let mut targets: Vec<StaticFeatures> = Vec::new();
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let mut lists = Vec::new();
-        for (b, bin) in bins.iter().enumerate() {
-            let missing: Vec<usize> =
-                (0..sets).filter(|&s| scans[b * sets + s].is_none()).collect();
-            if missing.is_empty() {
-                continue;
-            }
-            let feats = features.features_all(bin)?;
-            let needs_sigs = missing.iter().any(|&s| !reference_sets[s].is_empty());
-            let target_sigs = match self.config.retrieval {
-                Retrieval::TopK { .. } if needs_sigs && !feats.is_empty() => {
-                    features.signatures_all(bin, &feats)
-                }
-                _ => Vec::new(),
-            };
+        for ((b, missing), front) in fetch.iter().zip(fronts) {
+            let (feats, indexed) = front.unwrap_or_else(|panic| resume_unwind(panic))?;
             let functions = feats.len();
             let t0 = targets.len() as u32;
-            for s in missing {
+            for (i, &s) in missing.iter().enumerate() {
                 let (references, r0) = (reference_sets[s], first_rows[s]);
                 let start = pairs.len();
-                if functions > 0 {
-                    match self.config.retrieval {
-                        Retrieval::Exact => pairs.extend((0..functions as u32).flat_map(|j| {
-                            (0..references.len() as u32).map(move |r| (r0 + r, t0 + j))
-                        })),
-                        Retrieval::TopK { k } => pairs.extend(
-                            self.indexed_pairs(references, &target_sigs, k)
-                                .into_iter()
-                                .map(|(r, j)| (r0 + r, t0 + j)),
-                        ),
+                match self.config.retrieval {
+                    Retrieval::Exact => pairs.extend((0..functions as u32).flat_map(|j| {
+                        (0..references.len() as u32).map(move |r| (r0 + r, t0 + j))
+                    })),
+                    Retrieval::TopK { .. } => {
+                        pairs.extend(indexed[i].iter().map(|&(r, j)| (r0 + r, t0 + j)))
                     }
                 }
                 let slot = b * sets + s;
@@ -567,6 +575,45 @@ impl Patchecko {
                 StaticScan { library: bins[slot / sets].lib_name.clone(), seconds, ..scan }
             })
             .collect())
+    }
+
+    /// One binary's front end, the part of a static pass that reads only
+    /// that binary: its features and, under [`Retrieval::TopK`], its
+    /// signatures and the indexed list of each set in `missing`, in that
+    /// order and with set-relative rows. Under [`Retrieval::Exact`] the
+    /// lists are left to the caller (every pair), so the second half is
+    /// empty.
+    ///
+    /// # Errors
+    /// Propagates an extraction failure from the source.
+    fn front_end(
+        &self,
+        bin: &Binary,
+        missing: &[usize],
+        reference_sets: &[&[StaticFeatures]],
+        features: &dyn FeatureSource,
+    ) -> Result<FrontEnd, ScanError> {
+        let feats = features.features_all(bin)?;
+        let Retrieval::TopK { k } = self.config.retrieval else {
+            return Ok((feats, Vec::new()));
+        };
+        let needs_sigs = missing.iter().any(|&s| !reference_sets[s].is_empty());
+        let target_sigs = if needs_sigs && !feats.is_empty() {
+            features.signatures_all(bin, &feats)
+        } else {
+            Vec::new()
+        };
+        let indexed = missing
+            .iter()
+            .map(|&s| {
+                if target_sigs.is_empty() {
+                    Vec::new()
+                } else {
+                    self.indexed_pairs(reference_sets[s], &target_sigs, k)
+                }
+            })
+            .collect();
+        Ok((feats, indexed))
     }
 
     /// The query half of a [`ScanKey`]: the detector's fingerprint
@@ -1961,6 +2008,66 @@ mod tests {
         fn signatures_all(&self, bin: &Binary, feats: &[StaticFeatures]) -> Vec<FunctionSignature> {
             self.bump();
             DirectExtraction.signatures_all(bin, feats)
+        }
+    }
+
+    /// Fails the binary named `error` with an extraction error and panics
+    /// on the one named `panic`; extracts every other binary.
+    struct FailingSource {
+        error: &'static str,
+        panic: &'static str,
+    }
+
+    impl FeatureSource for FailingSource {
+        fn features_one(&self, bin: &Binary, idx: usize) -> Result<StaticFeatures, ScanError> {
+            if bin.lib_name == self.panic {
+                panic!("{} panics", self.panic);
+            }
+            if bin.lib_name == self.error {
+                return Err(ScanError::Extraction {
+                    library: bin.lib_name.clone(),
+                    function: idx,
+                    detail: "injected".to_string(),
+                });
+            }
+            DirectExtraction.features_one(bin, idx)
+        }
+    }
+
+    /// A static pass fetches every binary at the pool's width but fails
+    /// as a serial loop over the binaries would: with the first failing
+    /// binary in binary order, whether that one errs or panics.
+    #[test]
+    fn static_pass_fails_with_the_first_failing_binary_at_any_width() {
+        let db = corpus::build_vulndb(0, 1);
+        let entry = db.get("CVE-2018-9412").unwrap();
+        let references = Patchecko::reference_feature_set(entry, Basis::Vulnerable).unwrap();
+        let bins: Vec<Binary> = ["liba", "libb", "libc", "libd"]
+            .iter()
+            .map(|name| Binary { lib_name: name.to_string(), ..entry.vulnerable_bin.clone() })
+            .collect();
+        for threads in [1, 2] {
+            for retrieval in [Retrieval::Exact, Retrieval::TopK { k: 2 }] {
+                let cfg = PipelineConfig {
+                    retrieval,
+                    threads: Some(threads),
+                    ..PipelineConfig::default()
+                };
+                let patchecko = Patchecko::new(quick_detector(), cfg);
+                let ctx = format!("width {threads}, {retrieval}");
+                let error_first = FailingSource { error: "libb", panic: "libd" };
+                match patchecko.static_pass(&bins, &[&references], &error_first) {
+                    Err(ScanError::Extraction { library, .. }) if library == "libb" => {}
+                    other => panic!("{ctx}: expected libb's error, got {other:?}"),
+                }
+                let panic_first = FailingSource { error: "libd", panic: "libb" };
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    patchecko.static_pass(&bins, &[&references], &panic_first)
+                }))
+                .expect_err("libb's panic is re-raised");
+                let message = payload.downcast_ref::<String>().map(String::as_str);
+                assert_eq!(message, Some("libb panics"), "{ctx}");
+            }
         }
     }
 

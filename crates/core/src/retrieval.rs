@@ -201,9 +201,13 @@ impl SignatureSet {
     /// ascending-index tie-breaks, so the result is fully deterministic.
     ///
     /// Ranking every signature costs ~48 multiply-adds per reference —
-    /// three orders of magnitude below one NN pair classification — so
-    /// selection stays negligible while the expensive stage shrinks from
-    /// O(refs) to O(k) per target.
+    /// three orders of magnitude below one NN pair classification — but
+    /// it is not negligible next to classify: against 100 references, the
+    /// `stream_topk` benchmark's 4,160 targets spent ~27 ms per 64-unit
+    /// pass ranking when every reference was sorted, against ~45 ms of
+    /// classification (2 vCPUs). So the `k` nearest are selected in
+    /// O(refs), not sorted, and the static pass runs retrieval per binary
+    /// at the pool's width (see [`crate::pipeline::PipelineConfig::threads`]).
     pub fn candidates(&self, probe: &FunctionSignature, k: usize) -> Vec<u32> {
         if self.sigs.is_empty() || k == 0 {
             return Vec::new();
@@ -216,21 +220,20 @@ impl SignatureSet {
         // build time — the ranking loop is one 48-element integer dot
         // product per reference.
         let pn = probe.norm();
-        let dists: Vec<f64> = self
+        let mut ranked: Vec<(f64, u32)> = self
             .sigs
             .iter()
             .zip(&self.norms)
-            .map(|(s, &n)| 1.0 - probe.dot(s) as f64 / (pn * n).max(1e-12))
+            .zip(0u32..)
+            .map(|((s, &n), i)| (1.0 - probe.dot(s) as f64 / (pn * n).max(1e-12), i))
             .collect();
-        let mut ranked: Vec<u32> = (0..self.sigs.len() as u32).collect();
-        ranked.sort_unstable_by(|&a, &b| {
-            dists[a as usize]
-                .partial_cmp(&dists[b as usize])
-                .expect("cosine distances are never NaN")
-                .then(a.cmp(&b))
+        // Only the set of the k nearest matters, so select it instead of
+        // sorting every reference. (distance, index) is a total order, so
+        // the set is unique.
+        ranked.select_nth_unstable_by(k - 1, |a, b| {
+            a.0.partial_cmp(&b.0).expect("cosine distances are never NaN").then(a.1.cmp(&b.1))
         });
-        let mut out = ranked;
-        out.truncate(k);
+        let mut out: Vec<u32> = ranked[..k].iter().map(|&(_, i)| i).collect();
         for (band, buckets) in self.bands.iter().enumerate() {
             if let Some(hits) = buckets.get(&band_key(&probe.minhash, band)) {
                 // Frequent-bucket cut: a band key shared by more than k
@@ -365,6 +368,67 @@ mod tests {
             assert!(got.len() >= 5 && got.len() <= 40, "k <= |candidates| <= len: {got:?}");
             assert!(got.windows(2).all(|w| w[0] < w[1]), "ascending, no duplicates: {got:?}");
             assert!(got.contains(&(probe_seed as u32)), "exact match retrieved");
+        }
+    }
+
+    /// The textbook candidate set: sort every reference by (cosine
+    /// distance, index), keep the first `k`, add every band hit whose
+    /// bucket holds at most `k` references, then sort and dedup.
+    fn oracle_candidates(
+        sigs: &[FunctionSignature],
+        probe: &FunctionSignature,
+        k: usize,
+    ) -> Vec<u32> {
+        let mut ranked: Vec<(f64, u32)> =
+            sigs.iter().zip(0u32..).map(|(s, i)| (probe.cos_dist(s), i)).collect();
+        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let mut out: Vec<u32> = ranked.iter().take(k).map(|&(_, i)| i).collect();
+        for band in 0..SIG_BANDS {
+            let key = band_key(&probe.minhash, band);
+            let bucket: Vec<u32> = (0u32..)
+                .zip(sigs)
+                .filter(|(_, s)| band_key(&s.minhash, band) == key)
+                .map(|(i, _)| i)
+                .collect();
+            if bucket.len() <= k {
+                out.extend(bucket);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn candidates_equal_the_sorting_oracle_across_distance_ties() {
+        // Every reference appears three times, at indices i, i + 12 and
+        // i + 24, so the sorted distances come in exactly equal triples
+        // and the k-th and (k+1)-th nearest tie for every k not divisible
+        // by 3: only the ascending-index tie-break decides which copy is
+        // kept. Probes are the references themselves and unrelated vectors.
+        let base: Vec<FunctionSignature> =
+            (0..12).map(|s| FunctionSignature::of(&feat(s))).collect();
+        let sigs: Vec<FunctionSignature> = (0..36).map(|i| base[i % 12].clone()).collect();
+        let set = SignatureSet::build(&sigs);
+        let probes: Vec<FunctionSignature> = (0..12)
+            .map(|s| FunctionSignature::of(&feat(s)))
+            .chain((500..520).map(|s| FunctionSignature::of(&feat(s))))
+            .collect();
+        for k in [1, 2, 16, sigs.len() - 1, sigs.len()] {
+            let mut ties = 0;
+            for (p, probe) in probes.iter().enumerate() {
+                let mut d: Vec<f64> = sigs.iter().map(|s| probe.cos_dist(s)).collect();
+                d.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                ties += usize::from(k < d.len() && d[k - 1] == d[k]);
+                assert_eq!(
+                    set.candidates(probe, k),
+                    oracle_candidates(&sigs, probe, k),
+                    "probe {p} at k = {k}"
+                );
+            }
+            if k < sigs.len() {
+                assert!(ties > 0, "k = {k}: no probe has a distance tie across position k");
+            }
         }
     }
 

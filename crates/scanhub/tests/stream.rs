@@ -213,20 +213,36 @@ fn stream_matches_are_identical_at_every_working_set() {
 
 /// A unit whose code fails to decode fails the whole streaming scan with
 /// its own library and function index, whether it is scanned alone or in
-/// the middle of a working set (a streaming scan is all-or-nothing).
+/// the middle of a working set (a streaming scan is all-or-nothing). A
+/// second corrupt unit later in the same 64-unit working set does not
+/// change which failure is reported, at pool width 1 or 2: the pass's
+/// front end fetches every binary of the set, but reports the first
+/// failure in binary order.
 #[test]
 fn corrupt_unit_fails_the_stream_with_its_library_and_function() {
     let mut units: Vec<Binary> =
         CorpusStream::new(StreamConfig::sized(320, 0xC0DE)).map(|u| u.binary).collect();
     let corrupt = units.len() / 2;
+    let later = units.len() - 1;
+    assert!(later > corrupt && later / 64 == corrupt / 64, "both in one 64-unit working set");
     units[corrupt].functions[2].code = vec![0xEE, 0xEE, 0xEE];
+    units[later].functions[0].code = vec![0xEE, 0xEE, 0xEE];
     let library = units[corrupt].lib_name.clone();
     let refs = reference_pool();
-    let analyzer = analyzer(Retrieval::TopK { k: DEFAULT_TOP_K });
-    for working_set in [1, 64] {
-        match analyzer.scan_stream(units.iter().cloned(), &refs, working_set) {
-            Err(ScanError::Extraction { library: l, function: 2, .. }) if l == library => {}
-            other => panic!("ws {working_set}: expected {library} fn 2 to fail, got {other:?}"),
+    for threads in [1, 2] {
+        let cfg = PipelineConfig {
+            retrieval: Retrieval::TopK { k: DEFAULT_TOP_K },
+            threads: Some(threads),
+            ..PipelineConfig::default()
+        };
+        let analyzer = Patchecko::new(shared_detector().clone(), cfg);
+        for working_set in [1, 64] {
+            match analyzer.scan_stream(units.iter().cloned(), &refs, working_set) {
+                Err(ScanError::Extraction { library: l, function: 2, .. }) if l == library => {}
+                other => panic!(
+                    "width {threads}, ws {working_set}: expected {library} fn 2 to fail, got {other:?}"
+                ),
+            }
         }
     }
 }
